@@ -52,13 +52,12 @@ from .stats import (
     mixup_percentage,
     mixup_profile,
     pairwise_matrix,
-    series_from_list,
     total_image_persistence,
     total_mixup,
     total_mixup_percentage,
     total_persistence,
 )
-from .subsample import MedoidSelection, consistent_subsample, k_medoids, k_medoids_indices
+from .subsample import MedoidSelection, k_medoids, k_medoids_indices
 from .verify import check_instance, random_rips_instance, run_fuzz
 
 __version__ = "0.1.0"
@@ -84,7 +83,6 @@ __all__ = [
     "check_instance",
     "clamp_triple",
     "compute_mixup_barcode",
-    "consistent_subsample",
     "format_explicit_pair",
     "image_row_order",
     "interaction_barcode",
@@ -110,7 +108,6 @@ __all__ = [
     "restrict_to_L",
     "rips_pair_from_distances",
     "run_fuzz",
-    "series_from_list",
     "to_value_barcode",
     "total_image_persistence",
     "total_mixup",

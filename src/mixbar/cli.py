@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .cloud import (
+    METRICS,
     LabeledPointCloud,
     PointCloud,
     load_distance_matrix,
@@ -41,32 +41,6 @@ from .stats import (
 from .subsample import k_medoids
 from .verify import check_instance, run_fuzz
 
-METRIC_CHOICES = ("euclidean", "sqeuclidean", "matrix")
-FORMAT_CHOICES = ("json", "csv", "svg")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    a: str | None = None
-    b: str | None = None
-    filtration: str | None = None
-    results: str | None = None
-    metric: str = "euclidean"
-    r_max: float | None = None
-    k_max: int = 2
-    degrees: list[int] | None = None
-    subsample_a: int = 500
-    subsample_b: int = 100
-    clamp: float | None = None
-    seed: int = 0
-    split: int | None = None
-    instances: int = 200
-    out: str | None = None
-    format: str = "json"
-    profile_aggregate: str = "total"
-    params: dict = field(default_factory=dict)
-
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -76,49 +50,59 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, inputs=True, vr=True, sampling=False):
-        if inputs:
-            p.add_argument("--a", help="point cloud A (or distance matrix / manifest, depending on the command)")
-            p.add_argument("--b", help="point cloud B")
-            p.add_argument("--filtration", help="explicit filtration file instead of point clouds")
-        if vr:
-            p.add_argument("--metric", choices=METRIC_CHOICES, default="euclidean")
-            p.add_argument("--rmax", type=float, dest="r_max", help="Rips diameter threshold")
-            p.add_argument("--kmax", type=int, dest="k_max", default=2, help="highest homology degree the construction resolves (default 2)")
-            p.add_argument("--split", type=int, help="with --metric matrix: number of leading rows that form A")
-            p.add_argument("--clamp", type=float, help="horizon for infinite bars (default: rmax, or the largest value of an explicit filtration)")
+    def add_rips(p, metrics):
+        p.add_argument("--metric", choices=metrics, default="euclidean")
+        p.add_argument("--rmax", type=float, dest="r_max", help="Rips diameter threshold, finite and > 0")
+        p.add_argument("--kmax", type=int, dest="k_max", default=2, help="highest homology degree the construction resolves (default 2)")
+
+    def add_pair_input(p):
+        p.add_argument("--a", help="point cloud A (or the joint distance matrix with --metric matrix)")
+        p.add_argument("--b", help="point cloud B")
+        p.add_argument("--filtration", help="explicit filtration file instead of point clouds")
+        add_rips(p, METRICS)
+        p.add_argument("--split", type=int, help="with --metric matrix: number of leading rows that form A")
+
+    def add_clamp(p):
+        p.add_argument("--clamp", type=float, help="horizon for infinite bars (default: rmax, or the largest value of an explicit filtration)")
+
+    def add_degrees_out(p):
         p.add_argument("--degrees", help="comma-separated homology degrees, e.g. 0,1")
-        if sampling:
-            p.add_argument("--subsample-a", type=int, default=500, dest="subsample_a")
-            p.add_argument("--subsample-b", type=int, default=100, dest="subsample_b")
-            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output path (default: stdout)")
 
+    def add_stats(p, a_help):
+        p.add_argument("--a", help=a_help)
+        add_rips(p, ("euclidean", "sqeuclidean"))
+        add_clamp(p)
+        p.add_argument("--subsample-a", type=int, default=500, dest="subsample_a")
+        p.add_argument("--subsample-b", type=int, default=100, dest="subsample_b")
+        add_degrees_out(p)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+
     p = sub.add_parser("mixup", help="mixup barcode of A inside A ∪ B")
-    add_common(p)
-    p.add_argument("--format", choices=FORMAT_CHOICES, default="json")
+    add_pair_input(p)
+    add_clamp(p)
+    add_degrees_out(p)
+    p.add_argument("--format", choices=("json", "csv", "svg"), default="json")
 
     p = sub.add_parser("pairwise", help="class-against-class mixup matrix of a labeled cloud")
-    add_common(p, sampling=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    add_stats(p, "labeled point cloud")
 
     p = sub.add_parser("profile", help="mixup profile over a (layer, step) series of labeled clouds")
-    add_common(p, sampling=True)
+    add_stats(p, "series manifest: one `layer step path` line per labeled cloud")
     p.add_argument("--profile-aggregate", choices=("total", "mean"), default="total", dest="profile_aggregate")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("subsample", help="k-medoids point selection")
     p.add_argument("--a", required=True, help="point cloud (or distance matrix with --metric matrix)")
-    p.add_argument("--metric", choices=METRIC_CHOICES, default="euclidean")
+    p.add_argument("--metric", choices=METRICS, default="euclidean")
     p.add_argument("--subsample-a", type=int, required=True, dest="subsample_a", help="number of medoids")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("verify", help="cross-check the reduction against the rank oracle")
-    add_common(p)
+    add_pair_input(p)
+    add_degrees_out(p)
     p.add_argument("--instances", type=int, default=200, help="random instances when no input is given (default 200)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random instances (default 0)")
 
     p = sub.add_parser("plot", help="render a mixup result JSON as an SVG barcode")
     p.add_argument("--results", required=True, help="JSON produced by the mixup subcommand")
@@ -141,80 +125,47 @@ def _parse_degrees(text: str | None) -> list[int] | None:
     return degrees
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in (
-        "a", "b", "filtration", "results", "metric", "r_max", "k_max",
-        "subsample_a", "subsample_b", "clamp", "seed", "split",
-        "instances", "out", "format", "profile_aggregate",
-    ):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    cfg.degrees = _parse_degrees(getattr(args, "degrees", None))
-    return cfg
-
-
-def _load_pair(cfg: RunConfig) -> tuple[FilteredPair, float]:
-    """Build or parse the input pair; returns it with the default clamp."""
-    if cfg.filtration is not None:
-        if cfg.a or cfg.b:
+def _load_pair(args: argparse.Namespace) -> FilteredPair:
+    """Parse --filtration, or build the Rips pair of --a and --b."""
+    if args.filtration is not None:
+        if args.a or args.b:
             raise InputError("give either --filtration or point clouds, not both")
-        with open(cfg.filtration, "r", encoding="utf-8") as fh:
-            fp = parse_explicit_pair(fh.read())
-        top = max((c.value for c in fp.cells), default=0.0)
-        return fp, (cfg.clamp if cfg.clamp is not None else top)
-    if cfg.a is None:
+        with open(args.filtration, "r", encoding="utf-8") as fh:
+            return parse_explicit_pair(fh.read())
+    if args.a is None:
         raise InputError("an input is required: --a (with optional --b) or --filtration")
-    if cfg.r_max is None:
+    if args.r_max is None:
         raise InputError("--rmax is required for point-cloud input")
-    if cfg.r_max < 0:
-        raise InputError(f"--rmax must be non-negative, got {cfg.r_max}")
-    if cfg.k_max < 0:
-        raise InputError(f"--kmax must be non-negative, got {cfg.k_max}")
-    if cfg.metric == "matrix":
-        if cfg.b is not None:
+    if args.metric == "matrix":
+        if args.b is not None:
             raise InputError("--metric matrix takes a single joint matrix via --a; use --split to mark A")
-        dist = load_distance_matrix(cfg.a)
+        dist = load_distance_matrix(args.a)
         n = dist.shape[0]
         if n == 0:
             raise InputError("empty distance matrix")
-        n_a = cfg.split if cfg.split is not None else n
-        fp = rips_pair_from_distances(dist, n_a, cfg.r_max, cfg.k_max)
-    else:
-        a = load_point_cloud(cfg.a, cfg.metric)
-        b = load_point_cloud(cfg.b, cfg.metric) if cfg.b is not None else None
-        fp = build_rips_pair(a, b, r_max=cfg.r_max, k_max=cfg.k_max)
-    return fp, (cfg.clamp if cfg.clamp is not None else cfg.r_max)
+        n_a = args.split if args.split is not None else n
+        return rips_pair_from_distances(dist, n_a, args.r_max, args.k_max)
+    a = load_point_cloud(args.a, args.metric)
+    b = load_point_cloud(args.b, args.metric) if args.b is not None else None
+    return build_rips_pair(a, b, r_max=args.r_max, k_max=args.k_max)
 
 
-def _default_degrees(cfg: RunConfig, fp: FilteredPair | None) -> list[int]:
-    if cfg.degrees is not None:
-        if cfg.filtration is None and any(d > cfg.k_max for d in cfg.degrees):
+def _default_degrees(args: argparse.Namespace, fp: FilteredPair) -> list[int]:
+    if args.degrees is not None:
+        if args.filtration is None and any(d > args.k_max for d in args.degrees):
             raise InputError(
-                f"degrees {cfg.degrees} exceed --kmax {cfg.k_max}; raise --kmax"
+                f"degrees {args.degrees} exceed --kmax {args.k_max}; raise --kmax"
             )
-        return cfg.degrees
-    if cfg.filtration is not None and fp is not None:
+        return args.degrees
+    if args.filtration is not None:
         return list(range(0, max(fp.max_dim, 0) + 1))
-    return list(range(0, cfg.k_max + 1))
-
-
-def _degree_barcode(fp: FilteredPair, degree: int, clamp: float) -> MixupBarcode:
-    if degree > max(fp.max_dim, 0):
-        return MixupBarcode(degree, (), (), clamp)
-    return compute_mixup_barcode(fp, degree, clamp)
-
-
-def _value_or_inf(v: float):
-    if v == INF:
-        return INF
-    return v
+    return list(range(0, args.k_max + 1))
 
 
 def _triple_row(t: ValueMixupTriple) -> dict:
     return {
         "birth": t.birth,
-        "death_image": _value_or_inf(t.death_image),
+        "death_image": t.death_image,
         "death": t.death,
         "zero_persistence": t.zero_persistence,
     }
@@ -244,89 +195,92 @@ def _degree_entry(bc: MixupBarcode) -> dict:
     }
 
 
-def _params_dict(cfg: RunConfig, keys) -> dict:
-    return {key: getattr(cfg, key) for key in keys}
+def _params_dict(args: argparse.Namespace, keys) -> dict:
+    return {key: getattr(args, key) for key in keys}
 
 
-def _write(cfg: RunConfig, text: str) -> None:
-    if cfg.out is None:
+def _write(args: argparse.Namespace, text: str) -> None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 
 
-def cmd_mixup(cfg: RunConfig) -> int:
-    fp, clamp = _load_pair(cfg)
-    degrees = _default_degrees(cfg, fp)
-    barcodes = {k: _degree_barcode(fp, k, clamp) for k in degrees}
-    if cfg.format == "svg":
+def cmd_mixup(args: argparse.Namespace) -> int:
+    fp = _load_pair(args)
+    if args.clamp is not None:
+        clamp = args.clamp
+    elif args.filtration is not None:
+        clamp = max((c.value for c in fp.cells), default=0.0)
+    else:
+        clamp = args.r_max
+    degrees = _default_degrees(args, fp)
+    barcodes = {k: compute_mixup_barcode(fp, k, clamp) for k in degrees}
+    if args.format == "svg":
         if len(degrees) != 1:
             raise InputError("--format svg plots a single degree; pass --degrees with one value")
-        _write(cfg, plot_mixup_barcode(barcodes[degrees[0]]))
+        _write(args, plot_mixup_barcode(barcodes[degrees[0]]))
         return 0
-    if cfg.format == "csv":
+    if args.format == "csv":
         rows = [["degree", "birth", "death_image", "death", "zero_persistence"]]
         for k in degrees:
             for t in barcodes[k].triples:
                 rows.append([k, t.birth, t.death_image, t.death, int(t.zero_persistence)])
-        _write(cfg, csv_lines(rows))
+        _write(args, csv_lines(rows))
         return 0
     result = {
         "command": "mixup",
         "params": _params_dict(
-            cfg, ("a", "b", "filtration", "metric", "r_max", "k_max", "split", "clamp")
+            args, ("a", "b", "filtration", "metric", "r_max", "k_max", "split", "clamp")
         )
         | {"degrees": degrees},
         "cells": fp.n,
         "cells_in_subcomplex": fp.l_cell_count(),
         "degrees": {str(k): _degree_entry(barcodes[k]) for k in degrees},
     }
-    _write(cfg, json_dumps(result))
+    _write(args, json_dumps(result))
     return 0
 
 
-def _stats_config(cfg: RunConfig) -> StatsConfig:
-    if cfg.r_max is None:
+def _stats_config(args: argparse.Namespace, **extra) -> StatsConfig:
+    if args.r_max is None:
         raise InputError("--rmax is required")
     return StatsConfig(
-        r_max=cfg.r_max,
-        k_max=cfg.k_max,
-        subsample_a=cfg.subsample_a,
-        subsample_b=cfg.subsample_b,
-        clamp=cfg.clamp,
-        seed=cfg.seed,
-        profile_aggregate=cfg.profile_aggregate,
+        r_max=args.r_max,
+        k_max=args.k_max,
+        subsample_a=args.subsample_a,
+        subsample_b=args.subsample_b,
+        clamp=args.clamp,
+        **extra,
     )
 
 
-def cmd_pairwise(cfg: RunConfig) -> int:
-    if cfg.a is None:
+def cmd_pairwise(args: argparse.Namespace) -> int:
+    if args.a is None:
         raise InputError("--a (a labeled point cloud) is required")
-    if cfg.metric == "matrix":
-        raise InputError("pairwise expects a labeled coordinate cloud, not a distance matrix")
-    cloud = load_labeled_point_cloud(cfg.a, cfg.metric)
-    sconf = _stats_config(cfg)
-    degrees = cfg.degrees if cfg.degrees is not None else [0]
+    sconf = _stats_config(args)
+    cloud = load_labeled_point_cloud(args.a, args.metric)
+    degrees = args.degrees if args.degrees is not None else [0]
     matrices = {}
     labels = None
     for k in degrees:
         labels, mat = pairwise_matrix(cloud, k, sconf)
         matrices[k] = mat
-    if cfg.format == "csv":
+    if args.format == "csv":
         if len(degrees) != 1:
             raise InputError("CSV output holds a single degree; pass --degrees with one value")
         mat = matrices[degrees[0]]
         rows = [["label"] + [str(l) for l in labels]]
         for i, lab in enumerate(labels):
             rows.append([str(lab)] + [float(v) for v in mat[i]])
-        _write(cfg, csv_lines(rows))
+        _write(args, csv_lines(rows))
         return 0
     result = {
         "command": "pairwise",
         "params": _params_dict(
-            cfg,
-            ("a", "metric", "r_max", "k_max", "subsample_a", "subsample_b", "clamp", "seed"),
+            args,
+            ("a", "metric", "r_max", "k_max", "subsample_a", "subsample_b", "clamp"),
         )
         | {"degrees": degrees},
         "labels": labels,
@@ -334,7 +288,7 @@ def cmd_pairwise(cfg: RunConfig) -> int:
             str(k): [[float(v) for v in row] for row in matrices[k]] for k in degrees
         },
     }
-    _write(cfg, json_dumps(result))
+    _write(args, json_dumps(result))
     return 0
 
 
@@ -366,32 +320,30 @@ def _load_manifest(path: str, metric: str = "euclidean") -> dict[tuple[int, int]
     return series
 
 
-def cmd_profile(cfg: RunConfig) -> int:
-    if cfg.a is None:
+def cmd_profile(args: argparse.Namespace) -> int:
+    if args.a is None:
         raise InputError("--a (a series manifest file) is required")
-    if cfg.metric == "matrix":
-        raise InputError("profile expects labeled coordinate clouds, not distance matrices")
-    series = _load_manifest(cfg.a, cfg.metric)
-    sconf = _stats_config(cfg)
-    degrees = cfg.degrees if cfg.degrees is not None else [0, 1]
+    sconf = _stats_config(args, profile_aggregate=args.profile_aggregate)
+    series = _load_manifest(args.a, args.metric)
+    degrees = args.degrees if args.degrees is not None else [0, 1]
     profiles = {k: mixup_profile(series, k, sconf) for k in degrees}
     first = profiles[degrees[0]]
-    if cfg.format == "csv":
+    if args.format == "csv":
         if len(degrees) != 1:
             raise InputError("CSV output holds a single degree; pass --degrees with one value")
         prof = profiles[degrees[0]]
         rows = [["layer"] + [str(s) for s in prof.steps]]
         for li, layer in enumerate(prof.layers):
             rows.append([str(layer)] + [float(v) for v in prof.values[li]])
-        _write(cfg, csv_lines(rows))
+        _write(args, csv_lines(rows))
         return 0
     result = {
         "command": "profile",
         "params": _params_dict(
-            cfg,
+            args,
             (
                 "a", "metric", "r_max", "k_max", "subsample_a", "subsample_b",
-                "clamp", "seed", "profile_aggregate",
+                "clamp", "profile_aggregate",
             ),
         )
         | {"degrees": degrees},
@@ -402,65 +354,60 @@ def cmd_profile(cfg: RunConfig) -> int:
             for k in degrees
         },
     }
-    _write(cfg, json_dumps(result))
+    _write(args, json_dumps(result))
     return 0
 
 
-def cmd_subsample(cfg: RunConfig) -> int:
-    if cfg.metric == "matrix":
-        cloud = PointCloud.from_distance_matrix(load_distance_matrix(cfg.a))
+def cmd_subsample(args: argparse.Namespace) -> int:
+    if args.metric == "matrix":
+        cloud = PointCloud.from_distance_matrix(load_distance_matrix(args.a))
     else:
-        cloud = load_point_cloud(cfg.a, cfg.metric)
-    sel = k_medoids(cloud, cfg.subsample_a, seed=cfg.seed)
-    if cfg.format == "json":
+        cloud = load_point_cloud(args.a, args.metric)
+    sel = k_medoids(cloud, args.subsample_a)
+    if args.format == "json":
         result = {
             "command": "subsample",
-            "params": _params_dict(cfg, ("a", "metric", "subsample_a", "seed")),
+            "params": _params_dict(args, ("a", "metric", "subsample_a")),
             "indices": list(sel.indices),
             "cost": sel.cost,
         }
-        _write(cfg, json_dumps(result))
+        _write(args, json_dumps(result))
         return 0
-    _write(cfg, "\n".join(str(i) for i in sel.indices) + "\n")
+    _write(args, "\n".join(str(i) for i in sel.indices) + "\n")
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    degrees = cfg.degrees if cfg.degrees is not None else [0, 1, 2]
-    if cfg.a is not None or cfg.filtration is not None:
-        fp, _ = _load_pair(cfg)
-        problems = check_instance(fp, degrees)
+def cmd_verify(args: argparse.Namespace) -> int:
+    degrees = args.degrees if args.degrees is not None else [0, 1, 2]
+    if args.a is not None or args.filtration is not None:
+        problems = check_instance(_load_pair(args), degrees)
         checked = 1
     else:
-        if cfg.instances <= 0:
-            raise InputError(f"--instances must be positive, got {cfg.instances}")
-        checked, problems = run_fuzz(cfg.instances, seed=cfg.seed, degrees=degrees)
-    if problems:
-        for p in problems:
-            sys.stdout.write(p + "\n")
-        sys.stdout.write(f"checked {checked} instance(s): {len(problems)} mismatch(es)\n")
-        return 1
-    sys.stdout.write(f"checked {checked} instance(s): all match\n")
-    return 0
+        if args.instances <= 0:
+            raise InputError(f"--instances must be positive, got {args.instances}")
+        checked, problems = run_fuzz(args.instances, seed=args.seed, degrees=degrees)
+    summary = f"{len(problems)} mismatch(es)" if problems else "all match"
+    _write(args, "".join(p + "\n" for p in problems) + f"checked {checked} instance(s): {summary}\n")
+    return 1 if problems else 0
 
 
-def cmd_plot(cfg: RunConfig) -> int:
+def cmd_plot(args: argparse.Namespace) -> int:
     try:
-        with open(cfg.results, "r", encoding="utf-8") as fh:
+        with open(args.results, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {cfg.results}: {exc}") from None
+        raise InputError(f"cannot read {args.results}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise InputError(f"{cfg.results} is not valid JSON: {exc}") from None
+        raise InputError(f"{args.results} is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or "degrees" not in data or data.get("command") != "mixup":
         raise InputError("plot expects the JSON written by the mixup subcommand")
     available = sorted(int(k) for k in data["degrees"])
     if not available:
         raise InputError("results hold no degrees")
-    if cfg.degrees is None:
+    if args.degrees is None:
         degree = available[0]
-    elif len(cfg.degrees) == 1:
-        degree = cfg.degrees[0]
+    elif len(args.degrees) == 1:
+        degree = args.degrees[0]
     else:
         raise InputError("plot renders a single degree; pass --degrees with one value")
     if degree not in available:
@@ -482,7 +429,7 @@ def cmd_plot(cfg: RunConfig) -> int:
         triples=triples,
         clamp=None if clamp is None else float(clamp),
     )
-    _write(cfg, plot_mixup_barcode(bc))
+    _write(args, plot_mixup_barcode(bc))
     return 0
 
 
@@ -503,8 +450,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        return COMMANDS[cfg.command](cfg)
+        if hasattr(args, "degrees"):
+            args.degrees = _parse_degrees(args.degrees)
+        return COMMANDS[args.command](args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -66,9 +66,6 @@ class FilteredPair:
     def value(self, cid: int) -> float:
         return self.cell(cid).value
 
-    def cells_of_dim(self, dim: int) -> list[Cell]:
-        return [c for c in self.cells if c.dim == dim]
-
     def l_cell_count(self) -> int:
         return sum(1 for c in self.cells if c.member == MEMBER_L)
 
@@ -114,6 +111,7 @@ def parse_explicit_pair(text: str) -> FilteredPair:
     empty lines are skipped. Empty input gives the empty pair.
     """
     cells: list[Cell] = []
+    seen: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -134,8 +132,9 @@ def parse_explicit_pair(text: str) -> FilteredPair:
             boundary = tuple(sorted(int(p) for p in parts[4:]))
         except ValueError:
             raise InputError(f"line {lineno}: boundary ids must be integers") from None
-        if any(c.id == cid for c in cells):
+        if cid in seen:
             raise InputError(f"line {lineno}: duplicate cell id {cid}")
+        seen.add(cid)
         cells.append(Cell(id=cid, dim=dim, value=value, member=member, boundary=boundary))
     cells.sort(key=lambda c: c.id)
     return FilteredPair.from_cells(cells)

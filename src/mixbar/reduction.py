@@ -12,7 +12,7 @@ into an image sub-bar [b, d') and a mixup sub-bar [d', d).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError
 from .filtration import MEMBER_L, FilteredPair
@@ -26,12 +26,9 @@ class SparseBoundaryMatrix:
 
     columns: per original column id, the ascending list of row keys with a
              nonzero entry. The largest key is the pivot.
-    row_order: bijection from cell ids to row keys; pivot comparisons use
-             these keys, so reordering rows never moves column contents.
     """
 
     columns: dict[int, list[int]]
-    row_order: dict[int, int] = field(default_factory=dict)
 
     def column_ids(self) -> list[int]:
         return sorted(self.columns)
@@ -53,12 +50,14 @@ class SparseBoundaryMatrix:
     def from_filtration(
         cls, fp: FilteredPair, dims: tuple[int, ...], row_order: dict[int, int]
     ) -> "SparseBoundaryMatrix":
+        # row_order maps cell ids to row keys; pivots compare these keys, so
+        # reordering rows never moves column contents
         columns = {
             c.id: sorted(row_order[b] for b in c.boundary)
             for c in fp.cells
             if c.dim in dims
         }
-        return cls(columns=columns, row_order=row_order)
+        return cls(columns=columns)
 
 
 def _xor_sorted(a: list[int], b: list[int]) -> list[int]:
@@ -104,7 +103,7 @@ def reduce(matrix: SparseBoundaryMatrix) -> SparseBoundaryMatrix:
                 break
             col = _xor_sorted(col, cols[prev])
         cols[cid] = col
-    return SparseBoundaryMatrix(columns=cols, row_order=matrix.row_order)
+    return SparseBoundaryMatrix(columns=cols)
 
 
 def image_row_order(fp: FilteredPair) -> dict[int, int]:
@@ -184,7 +183,7 @@ def _degree_matrices(fp: FilteredPair, k: int):
             l_columns[cid] = [key for key in col if key <= n_l]
         else:
             l_columns[cid] = []
-    bl = SparseBoundaryMatrix(columns=l_columns, row_order=order)
+    bl = SparseBoundaryMatrix(columns=l_columns)
     return bk, bl, order
 
 

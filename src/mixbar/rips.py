@@ -17,6 +17,14 @@ from .errors import InputError
 from .filtration import MEMBER_K, MEMBER_L, Cell, FilteredPair
 
 
+def check_rips_params(r_max: float, k_max: int) -> None:
+    """The rule on every Rips build: r_max finite and > 0, k_max >= 0."""
+    if not (np.isfinite(r_max) and r_max > 0):
+        raise InputError(f"r_max must be a finite number > 0, got {r_max}")
+    if k_max < 0:
+        raise InputError(f"k_max must be non-negative, got {k_max}")
+
+
 def build_rips_pair(
     a: PointCloud,
     b: PointCloud | None,
@@ -28,6 +36,7 @@ def build_rips_pair(
     Simplices up to dimension k_max + 1 and diameter at most r_max are
     included, enough to resolve barcodes through degree k_max.
     """
+    check_rips_params(r_max, k_max)
     if a.n_points == 0:
         raise InputError("cloud A must be nonempty")
     if a.metric == "matrix":
@@ -65,10 +74,7 @@ def rips_pair_from_distances(
     n = dist.shape[0]
     if not 1 <= n_a <= n:
         raise InputError(f"A must hold between 1 and {n} of the {n} points, got {n_a}")
-    if not np.isfinite(r_max) or r_max < 0:
-        raise InputError(f"r_max must be a non-negative number, got {r_max}")
-    if k_max < 0:
-        raise InputError(f"k_max must be non-negative, got {k_max}")
+    check_rips_params(r_max, k_max)
     if dist.size and not np.isfinite(dist).all():
         raise InputError("non-finite distances")
 

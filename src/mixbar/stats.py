@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .reduction import (
     mixup_barcode_indices,
     to_value_barcode,
 )
-from .rips import rips_pair_from_distances
+from .rips import check_rips_params, rips_pair_from_distances
 from .subsample import k_medoids_indices
 
 
@@ -52,6 +52,13 @@ class MixupBarcode:
 def compute_mixup_barcode(
     fp: FilteredPair, degree: int, clamp: float | None = None
 ) -> MixupBarcode:
+    """Mixup barcode of one degree.
+
+    A degree above the dimension of the complex has no cells to carry a
+    class, so its barcode is empty.
+    """
+    if degree > max(fp.max_dim, 0):
+        return MixupBarcode(degree, (), (), clamp)
     idx = mixup_barcode_indices(fp, degree)
     vals = to_value_barcode(idx, fp)
     return MixupBarcode(
@@ -127,23 +134,18 @@ class StatsConfig:
     k_max defaults to the requested degree (the smallest construction that
     resolves it) and clamp defaults to r_max. Subsampling uses k-medoids
     with subsample_a points on the A side and subsample_b on the B side; in
-    degree 0 all points are used unless subsample_degree0 is set.
+    degree 0 all points are used.
     """
 
     r_max: float
     k_max: int | None = None
     subsample_a: int = 500
     subsample_b: int = 100
-    subsample_degree0: bool = False
     clamp: float | None = None
-    seed: int = 0
     profile_aggregate: str = "total"
 
     def __post_init__(self) -> None:
-        if not self.r_max > 0:
-            raise InputError(f"r_max must be positive, got {self.r_max}")
-        if self.k_max is not None and self.k_max < 0:
-            raise InputError(f"k_max must be non-negative, got {self.k_max}")
+        check_rips_params(self.r_max, 0 if self.k_max is None else self.k_max)
         if self.subsample_a < 1 or self.subsample_b < 1:
             raise InputError("subsample sizes must be at least 1")
         if self.profile_aggregate not in ("total", "mean"):
@@ -174,8 +176,6 @@ def interaction_barcode(
     fp = rips_pair_from_distances(
         sub, len(a_indices), config.r_max, config.effective_k_max(degree)
     )
-    if degree > max(fp.max_dim, 0):
-        return MixupBarcode(degree, (), (), config.effective_clamp())
     return compute_mixup_barcode(fp, degree, config.effective_clamp())
 
 
@@ -186,11 +186,9 @@ def _aggregate(bc: MixupBarcode, which: str) -> float:
 
 
 def _subsampled(
-    dist: np.ndarray, indices: np.ndarray, size: int, degree: int, config: StatsConfig
+    dist: np.ndarray, indices: np.ndarray, size: int, degree: int
 ) -> np.ndarray:
-    if degree == 0 and not config.subsample_degree0:
-        return indices
-    if size >= len(indices):
+    if degree == 0 or size >= len(indices):
         return indices
     sub = dist[np.ix_(indices, indices)]
     local = k_medoids_indices(sub, size)
@@ -211,11 +209,11 @@ def pairwise_matrix(
         raise InputError("pairwise matrix needs at least two distinct labels")
     dist = x.cloud.distance_matrix()
     a_sel = {
-        lab: _subsampled(dist, x.indices_of(lab), config.subsample_a, degree, config)
+        lab: _subsampled(dist, x.indices_of(lab), config.subsample_a, degree)
         for lab in labels
     }
     b_sel = {
-        lab: _subsampled(dist, x.indices_of(lab), config.subsample_b, degree, config)
+        lab: _subsampled(dist, x.indices_of(lab), config.subsample_b, degree)
         for lab in labels
     }
     out = np.zeros((len(labels), len(labels)))
@@ -270,13 +268,11 @@ def mixup_profile(
 
     ref_dist = ref.cloud.distance_matrix()
     a_sel = {
-        lab: _subsampled(ref_dist, ref.indices_of(lab), config.subsample_a, degree, config)
+        lab: _subsampled(ref_dist, ref.indices_of(lab), config.subsample_a, degree)
         for lab in labels
     }
     b_sel = {
-        lab: _subsampled(
-            ref_dist, ref.indices_excluding(lab), config.subsample_b, degree, config
-        )
+        lab: _subsampled(ref_dist, ref.indices_excluding(lab), config.subsample_b, degree)
         for lab in labels
     }
 
@@ -291,14 +287,3 @@ def mixup_profile(
                 best = max(best, _aggregate(bc, config.profile_aggregate))
             values[li, si] = best
     return ProfileResult(layers=layers, steps=steps, values=values)
-
-
-def series_from_list(
-    clouds: Sequence[Sequence[LabeledPointCloud]],
-) -> dict[tuple[int, int], LabeledPointCloud]:
-    """Convenience: clouds[layer][step] -> the mapping form used by mixup_profile."""
-    return {
-        (k, t): clouds[k][t]
-        for k in range(len(clouds))
-        for t in range(len(clouds[k]))
-    }

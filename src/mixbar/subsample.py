@@ -4,8 +4,7 @@ Cost is the sum over all points of the dissimilarity to the nearest chosen
 medoid. BUILD inserts greedily; SWAP repeatedly applies the best improving
 single exchange until none exists, so the result is locally optimal under
 single swaps. All ties break toward the lowest index, which makes the
-procedure fully deterministic; the seed parameter is accepted for
-interface stability but has no effect.
+procedure fully deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cloud import LabeledPointCloud, PointCloud
+from .cloud import PointCloud
 from .errors import InputError
 
 
@@ -25,7 +24,7 @@ class MedoidSelection:
     cost: float
 
 
-def k_medoids(cloud: PointCloud, k: int, seed: int = 0) -> MedoidSelection:
+def k_medoids(cloud: PointCloud, k: int) -> MedoidSelection:
     """Select k medoid points of the cloud; indices come back ascending."""
     if cloud.n_points == 0:
         raise InputError("cannot subsample an empty cloud")
@@ -98,52 +97,3 @@ def _swap(dist: np.ndarray, selected: list[int]) -> list[int]:
         pos, newcomer = best_swap
         selected[pos] = newcomer
         current = best_cost
-
-
-@dataclass(frozen=True)
-class LabelSubsample:
-    """Chosen point indices for one label: as the A side and as part of B."""
-
-    a_indices: tuple[int, ...]
-    b_indices: tuple[int, ...]
-
-
-def consistent_subsample(
-    series: Sequence[LabeledPointCloud],
-    k_a: int,
-    k_b: int,
-    seed: int = 0,
-    reference: int = 0,
-) -> dict[int, LabelSubsample]:
-    """Per-label medoid indices chosen once and reusable across a series.
-
-    For each label, the A-side indices subsample that label's points and the
-    B-side indices subsample the union of all other labels, both computed on
-    the reference cloud (by default the first). All clouds in the series
-    must index the same examples: equal length and identical label layout.
-    """
-    if not series:
-        raise InputError("consistent_subsample needs a nonempty series")
-    if not 0 <= reference < len(series):
-        raise InputError(f"reference index {reference} out of range")
-    ref = series[reference]
-    labels = ref.label_values
-    for i, cloud in enumerate(series):
-        if cloud.cloud.n_points != ref.cloud.n_points:
-            raise InputError(f"series cloud {i} has a different number of points")
-        if not np.array_equal(cloud.labels, ref.labels):
-            raise InputError(f"series cloud {i} has a different label layout")
-    dist = ref.cloud.distance_matrix()
-    out: dict[int, LabelSubsample] = {}
-    for lab in labels:
-        own = ref.indices_of(lab)
-        rest = ref.indices_excluding(lab)
-        a_local = k_medoids_indices(dist[np.ix_(own, own)], k_a)
-        b_local = (
-            k_medoids_indices(dist[np.ix_(rest, rest)], k_b) if len(rest) else []
-        )
-        out[int(lab)] = LabelSubsample(
-            a_indices=tuple(int(v) for v in own[np.asarray(a_local, dtype=int)]),
-            b_indices=tuple(int(v) for v in rest[np.asarray(b_local, dtype=int)]),
-        )
-    return out

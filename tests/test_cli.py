@@ -23,6 +23,21 @@ def square_center_files(tmp_path):
     return str(a), str(b)
 
 
+@pytest.fixture
+def labeled_file(tmp_path):
+    rows = ["0,0,0", "0.3,0,0", "0,0.3,0", "9,0,1", "9.3,0,1", "9,0.3,1"]
+    path = tmp_path / "lab.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+@pytest.fixture
+def manifest_file(tmp_path, labeled_file):
+    path = tmp_path / "series.txt"
+    path.write_text(f"0 0 {labeled_file}\n")
+    return str(path)
+
+
 def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
@@ -194,13 +209,10 @@ def test_subsample_json(tmp_path, capsys):
     assert doc["cost"] >= 0.0
 
 
-def test_pairwise_csv(tmp_path, capsys):
-    rows = ["0,0,0", "0.3,0,0", "0,0.3,0", "9,0,1", "9.3,0,1", "9,0.3,1"]
-    cloud = tmp_path / "lab.csv"
-    cloud.write_text("\n".join(rows) + "\n")
+def test_pairwise_csv(labeled_file, capsys):
     code, out, _ = run(
         [
-            "pairwise", "--a", str(cloud), "--rmax", "12", "--kmax", "1",
+            "pairwise", "--a", labeled_file, "--rmax", "12", "--kmax", "1",
             "--degrees", "0", "--format", "csv",
         ],
         capsys,
@@ -257,3 +269,84 @@ def test_verify_explicit_input(six_cell_file, capsys):
     )
     assert code == 0
     assert "checked 1 instance(s)" in out
+
+
+def test_verify_out_writes_file(tmp_path, capsys):
+    target = tmp_path / "verify.txt"
+    code, out, _ = run(["verify", "--instances", "3", "--out", str(target)], capsys)
+    assert code == 0
+    assert out == ""
+    assert target.read_text() == "checked 3 instance(s): all match\n"
+
+
+def base_args(command, labeled_file, manifest_file):
+    return {
+        "pairwise": ["pairwise", "--a", labeled_file, "--rmax", "12", "--kmax", "0"],
+        "profile": [
+            "profile", "--a", manifest_file, "--rmax", "12", "--kmax", "0", "--degrees", "0",
+        ],
+        "subsample": ["subsample", "--a", labeled_file, "--subsample-a", "1"],
+        "verify": ["verify", "--instances", "2"],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("pairwise", ["--b", "b.csv"]),
+        ("pairwise", ["--filtration", "pair.txt"]),
+        ("pairwise", ["--split", "1"]),
+        ("pairwise", ["--seed", "1"]),
+        ("pairwise", ["--metric", "matrix"]),
+        ("profile", ["--b", "b.csv"]),
+        ("profile", ["--filtration", "pair.txt"]),
+        ("profile", ["--split", "1"]),
+        ("profile", ["--seed", "1"]),
+        ("profile", ["--metric", "matrix"]),
+        ("subsample", ["--seed", "1"]),
+        ("verify", ["--clamp", "1"]),
+    ],
+)
+def test_options_a_command_does_not_read_exit_2(
+    command, extra, labeled_file, manifest_file, capsys
+):
+    args = base_args(command, labeled_file, manifest_file)
+    assert main(args) == 0
+    code, _, err = run(args + extra, capsys)
+    assert code == 2
+    assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "command,keys",
+    [
+        ("pairwise", ["a", "metric", "r_max", "k_max", "subsample_a", "subsample_b", "clamp", "degrees"]),
+        (
+            "profile",
+            [
+                "a", "metric", "r_max", "k_max", "subsample_a", "subsample_b", "clamp",
+                "profile_aggregate", "degrees",
+            ],
+        ),
+        ("subsample", ["a", "metric", "subsample_a"]),
+    ],
+)
+def test_params_echo_the_options_read(command, keys, labeled_file, manifest_file, capsys):
+    args = base_args(command, labeled_file, manifest_file) + ["--format", "json"]
+    code, out, _ = run(args, capsys)
+    assert code == 0
+    assert list(json.loads(out)["params"]) == keys
+
+
+def test_rmax_rule_is_shared(square_center_files, labeled_file, capsys):
+    a, b = square_center_files
+    errors = []
+    for args in (
+        ["mixup", "--a", a, "--b", b, "--rmax", "0"],
+        ["pairwise", "--a", labeled_file, "--rmax", "0"],
+    ):
+        code, _, err = run(args, capsys)
+        assert code == 2
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert "r_max" in errors[0]

@@ -143,7 +143,6 @@ def test_reduced_pivots_match_dense_rank():
             cols.append(sorted(np.nonzero(mask)[0].tolist()))
         matrix = SparseBoundaryMatrix(
             columns={j + 1: list(c) for j, c in enumerate(cols)},
-            row_order={i: i for i in range(n_rows)},
         )
         r = reduce(matrix)
         pivots = r.pivot_pairs()
@@ -153,10 +152,7 @@ def test_reduced_pivots_match_dense_rank():
 
 
 def test_reduction_pivot_is_latest_row():
-    matrix = SparseBoundaryMatrix(
-        columns={1: [0, 2], 2: [0, 2]},
-        row_order={0: 0, 1: 1, 2: 2},
-    )
+    matrix = SparseBoundaryMatrix(columns={1: [0, 2], 2: [0, 2]})
     r = reduce(matrix)
     assert r.columns[1] == [0, 2]
     assert r.columns[2] == []

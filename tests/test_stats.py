@@ -14,13 +14,13 @@ from mixbar import (
     clamp_triple,
     compute_mixup_barcode,
     interaction_barcode,
+    k_medoids_indices,
     mean_mixup_percentage,
     mixup,
     mixup_percentage,
     mixup_profile,
     pairwise_distances,
     pairwise_matrix,
-    series_from_list,
     total_image_persistence,
     total_mixup,
     total_mixup_percentage,
@@ -46,6 +46,12 @@ def test_mixup_and_percentage():
     t = vt(1.0, 3.0, 5.0)
     assert mixup(t) == 2.0
     assert mixup_percentage(t) == 0.5
+
+
+def test_degree_above_dimension_gives_empty_barcode(six_cell_pair):
+    bc = compute_mixup_barcode(six_cell_pair, 3, clamp=6.0)
+    assert bc.triples == () and bc.index_triples == ()
+    assert total_mixup(bc) == 0.0
 
 
 def test_percentage_rejects_zero_persistence():
@@ -230,8 +236,34 @@ def test_mixup_profile_requires_matching_labels():
         mixup_profile(series, 0, StatsConfig(r_max=3.0, k_max=1))
 
 
-def test_series_from_list():
-    a = entangled_step((0.0, 0.0))
-    b = entangled_step((9.0, 0.0))
-    series = series_from_list([[a, b]])
-    assert set(series) == {(0, 0), (0, 1)}
+def test_mixup_profile_subsamples_once_on_first_cloud():
+    # A is each label's medoids and B the medoids of the other labels, both
+    # chosen on the first cloud of the series and reused for every entry
+    first = entangled_step((0.0, 0.0))
+    noise = np.random.default_rng(21).normal(0.0, 0.1, first.cloud.points.shape)
+    moved = LabeledPointCloud(PointCloud(first.cloud.points + noise), first.labels)
+    series = {(0, 0): first, (0, 1): moved}
+    config = StatsConfig(r_max=3.0, k_max=1, subsample_a=8, subsample_b=6)
+    prof = mixup_profile(series, 1, config)
+
+    ref = first.cloud.distance_matrix()
+
+    def medoids(idx, k):
+        return idx[k_medoids_indices(ref[np.ix_(idx, idx)], k)]
+
+    for si, cloud in enumerate((first, moved)):
+        dist = cloud.cloud.distance_matrix()
+        want = max(
+            total_mixup_percentage(
+                interaction_barcode(
+                    dist,
+                    medoids(first.indices_of(lab), 8),
+                    medoids(first.indices_excluding(lab), 6),
+                    1,
+                    config,
+                )
+            )
+            for lab in first.label_values
+        )
+        assert prof.values[0][si] == want
+    assert prof.values.min() > 0.0

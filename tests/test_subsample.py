@@ -5,9 +5,7 @@ import pytest
 
 from mixbar import (
     InputError,
-    LabeledPointCloud,
     PointCloud,
-    consistent_subsample,
     k_medoids,
     k_medoids_indices,
     pairwise_distances,
@@ -46,13 +44,6 @@ def test_selection_is_sorted_and_deterministic():
     assert list(one.indices) == sorted(one.indices)
 
 
-def test_seed_does_not_change_result():
-    # the tie-break is lowest index, so the seed is accepted but inert
-    rng = np.random.default_rng(8)
-    cloud = PointCloud(rng.random((12, 2)))
-    assert k_medoids(cloud, 3, seed=0) == k_medoids(cloud, 3, seed=99)
-
-
 def exhaustive_best(dist, k):
     n = dist.shape[0]
     return min(
@@ -84,38 +75,3 @@ def test_locally_optimal_under_single_swaps():
             trial = list(selected)
             trial[pos] = cand
             assert _cost(dist, trial) >= base - 1e-12
-
-
-def two_blob_series(n_steps=2):
-    rng = np.random.default_rng(21)
-    base = rng.random((10, 2))
-    labels = np.r_[np.zeros(5, dtype=int), np.ones(5, dtype=int)]
-    # rigid shifts; label layout identical across the series
-    return [
-        LabeledPointCloud(PointCloud(base + step), labels) for step in range(n_steps)
-    ]
-
-
-def test_consistent_subsample_per_label():
-    picks = consistent_subsample(two_blob_series(), k_a=3, k_b=2)
-    assert set(picks) == {0, 1}
-    a0, b0 = picks[0].a_indices, picks[0].b_indices
-    # label 0 points occupy indices 0..4, label 1 points 5..9
-    assert all(i < 5 for i in a0)
-    assert all(i >= 5 for i in b0)
-    assert len(a0) == 3 and len(b0) == 2
-    assert all(i >= 5 for i in picks[1].a_indices)
-    assert all(i < 5 for i in picks[1].b_indices)
-
-
-def test_consistent_subsample_deterministic():
-    series = two_blob_series()
-    assert consistent_subsample(series, 2, 2) == consistent_subsample(series, 2, 2)
-
-
-def test_consistent_subsample_rejects_mismatched_layout():
-    series = two_blob_series()
-    bad = series[1]
-    series[1] = LabeledPointCloud(bad.cloud, bad.labels[::-1].copy())
-    with pytest.raises(InputError):
-        consistent_subsample(series, k_a=3, k_b=2)
