@@ -32,11 +32,9 @@ from .plot import PlotStyle, plot_mixup_barcode
 from .reduction import (
     INF,
     IndexMixupTriple,
-    SparseBoundaryMatrix,
     ValueMixupTriple,
     image_row_order,
     mixup_barcode_indices,
-    reduce,
     to_value_barcode,
 )
 from .rips import build_rips_pair, rips_pair_from_distances
@@ -75,7 +73,6 @@ __all__ = [
     "PointCloud",
     "ProfileResult",
     "RankFunction",
-    "SparseBoundaryMatrix",
     "StatsConfig",
     "ValueMixupTriple",
     "barcode_from_ranks",
@@ -104,7 +101,6 @@ __all__ = [
     "plot_mixup_barcode",
     "random_rips_instance",
     "rank_function",
-    "reduce",
     "restrict_to_L",
     "rips_pair_from_distances",
     "run_fuzz",

@@ -127,6 +127,8 @@ def _parse_degrees(text: str | None) -> list[int] | None:
 
 def _load_pair(args: argparse.Namespace) -> FilteredPair:
     """Parse --filtration, or build the Rips pair of --a and --b."""
+    if args.split is not None and args.metric != "matrix":
+        raise InputError("--split marks A in a joint distance matrix; it needs --metric matrix")
     if args.filtration is not None:
         if args.a or args.b:
             raise InputError("give either --filtration or point clouds, not both")
@@ -150,13 +152,16 @@ def _load_pair(args: argparse.Namespace) -> FilteredPair:
     return build_rips_pair(a, b, r_max=args.r_max, k_max=args.k_max)
 
 
+def _within_kmax(args: argparse.Namespace, degrees: list[int]) -> list[int]:
+    """The rule of every Rips build: --kmax bounds the degrees it resolves."""
+    if any(d > args.k_max for d in degrees):
+        raise InputError(f"degrees {degrees} exceed --kmax {args.k_max}; raise --kmax")
+    return degrees
+
+
 def _default_degrees(args: argparse.Namespace, fp: FilteredPair) -> list[int]:
     if args.degrees is not None:
-        if args.filtration is None and any(d > args.k_max for d in args.degrees):
-            raise InputError(
-                f"degrees {args.degrees} exceed --kmax {args.k_max}; raise --kmax"
-            )
-        return args.degrees
+        return args.degrees if args.filtration is not None else _within_kmax(args, args.degrees)
     if args.filtration is not None:
         return list(range(0, max(fp.max_dim, 0) + 1))
     return list(range(0, args.k_max + 1))
@@ -248,7 +253,6 @@ def _stats_config(args: argparse.Namespace, **extra) -> StatsConfig:
         raise InputError("--rmax is required")
     return StatsConfig(
         r_max=args.r_max,
-        k_max=args.k_max,
         subsample_a=args.subsample_a,
         subsample_b=args.subsample_b,
         clamp=args.clamp,
@@ -260,8 +264,8 @@ def cmd_pairwise(args: argparse.Namespace) -> int:
     if args.a is None:
         raise InputError("--a (a labeled point cloud) is required")
     sconf = _stats_config(args)
+    degrees = _within_kmax(args, args.degrees if args.degrees is not None else [0])
     cloud = load_labeled_point_cloud(args.a, args.metric)
-    degrees = args.degrees if args.degrees is not None else [0]
     matrices = {}
     labels = None
     for k in degrees:
@@ -324,8 +328,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.a is None:
         raise InputError("--a (a series manifest file) is required")
     sconf = _stats_config(args, profile_aggregate=args.profile_aggregate)
+    degrees = _within_kmax(args, args.degrees if args.degrees is not None else [0, 1])
     series = _load_manifest(args.a, args.metric)
-    degrees = args.degrees if args.degrees is not None else [0, 1]
     profiles = {k: mixup_profile(series, k, sconf) for k in degrees}
     first = profiles[degrees[0]]
     if args.format == "csv":

@@ -101,6 +101,17 @@ class FilteredPair:
                     raise InputError(
                         f"cell {c.id} is in L but its face {fid} is not: L is not a subcomplex"
                     )
+            if c.dim == 1 and len(c.boundary) > 2:
+                raise InputError(f"cell {c.id}: a 1-cell has at most two boundary vertices")
+            if c.dim >= 2:
+                odd: set[int] = set()
+                for fid in c.boundary:
+                    odd.symmetric_difference_update(self.cells[fid - 1].boundary)
+                if odd:
+                    raise InputError(
+                        f"cell {c.id}: the boundary of its boundary is not zero over Z/2 "
+                        f"(cells {sorted(odd)} appear an odd number of times)"
+                    )
 
 
 def parse_explicit_pair(text: str) -> FilteredPair:

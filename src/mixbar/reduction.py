@@ -1,12 +1,22 @@
-"""Boundary-matrix reduction over Z/2 and mixup-triple extraction.
+"""Mixup triples over Z/2 under the image row order.
 
 The persistence pairing of the ambient complex K and of the subcomplex L
 are read off the same matrix under one shared row order that lists the
 L-cells first. Reducing the ambient matrix under that order pairs each
 L-cycle with the earliest column of K that kills it (the image death, or
-premature death); reducing the copy whose ambient-only entries are zeroed
-pairs it with its death inside L. The two deaths bracket each bar of L
-into an image sub-bar [b, d') and a mixup sub-bar [d', d).
+premature death); reducing only the L-columns pairs it with its death
+inside L. The two deaths bracket each bar of L into an image sub-bar
+[b, d') and a mixup sub-bar [d', d).
+
+Degree 0 needs no matrix. The pivot of an edge column is the youngest
+vertex of the component it merges into an older one (the elder rule), so
+union-find over the edges in filtration order gives both pairings: over
+all edges with vertices keyed by the image order for K, over the L-edges
+alone for L. The L-edges that merge nothing are the 1-cycle creators of L.
+An edge with one boundary vertex joins a ground node older than every
+vertex; an edge with none merges nothing. Columns of dimension 2 and up are
+Python ints over rows numbered densely within the face dimension: addition
+is `^` and the pivot is the highest set bit.
 """
 
 from __future__ import annotations
@@ -15,95 +25,64 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError
-from .filtration import MEMBER_L, FilteredPair
+from .filtration import MEMBER_L, Cell, FilteredPair
 
 INF = math.inf
 
 
-@dataclass
-class SparseBoundaryMatrix:
-    """Column-sparse Z/2 matrix.
+def reduce_columns(columns) -> tuple[dict[int, int], list[int]]:
+    """Left-to-right reduction of (column id, bitset) pairs in column order.
 
-    columns: per original column id, the ascending list of row keys with a
-             nonzero entry. The largest key is the pivot.
+    Each column repeatedly absorbs the earlier reduced column owning its
+    pivot until its pivot is unclaimed or it is zero. Returns the pairing
+    (pivot row -> column id) and the ids of the columns that reduce to
+    zero; the pairing does not depend on the order of valid additions.
     """
-
-    columns: dict[int, list[int]]
-
-    def column_ids(self) -> list[int]:
-        return sorted(self.columns)
-
-    def pivot(self, col_id: int) -> int | None:
-        col = self.columns[col_id]
-        return col[-1] if col else None
-
-    def pivot_pairs(self) -> dict[int, int]:
-        """Map row key -> column id over the nonzero columns."""
-        pairs: dict[int, int] = {}
-        for cid in self.column_ids():
-            p = self.pivot(cid)
-            if p is not None:
-                pairs[p] = cid
-        return pairs
-
-    @classmethod
-    def from_filtration(
-        cls, fp: FilteredPair, dims: tuple[int, ...], row_order: dict[int, int]
-    ) -> "SparseBoundaryMatrix":
-        # row_order maps cell ids to row keys; pivots compare these keys, so
-        # reordering rows never moves column contents
-        columns = {
-            c.id: sorted(row_order[b] for b in c.boundary)
-            for c in fp.cells
-            if c.dim in dims
-        }
-        return cls(columns=columns)
-
-
-def _xor_sorted(a: list[int], b: list[int]) -> list[int]:
-    # symmetric difference of two ascending lists: addition mod 2
-    out: list[int] = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        x, y = a[i], b[j]
-        if x == y:
-            i += 1
-            j += 1
-        elif x < y:
-            out.append(x)
-            i += 1
-        else:
-            out.append(y)
-            j += 1
-    if i < na:
-        out.extend(a[i:])
-    if j < nb:
-        out.extend(b[j:])
-    return out
-
-
-def reduce(matrix: SparseBoundaryMatrix) -> SparseBoundaryMatrix:
-    """Left-to-right column reduction.
-
-    Each column repeatedly absorbs the earlier column owning its pivot until
-    its pivot is unclaimed or it is zero. The resulting pivots are unique per
-    row and form the persistence pairing; the pairing does not depend on the
-    order in which valid additions are applied.
-    """
-    cols = {cid: list(col) for cid, col in matrix.columns.items()}
     owner: dict[int, int] = {}
-    for cid in sorted(cols):
-        col = cols[cid]
+    pairs: dict[int, int] = {}
+    zeros: list[int] = []
+    for cid, col in columns:
         while col:
-            p = col[-1]
+            p = col.bit_length() - 1
             prev = owner.get(p)
             if prev is None:
-                owner[p] = cid
+                owner[p] = col
+                pairs[p] = cid
                 break
-            col = _xor_sorted(col, cols[prev])
-        cols[cid] = col
-    return SparseBoundaryMatrix(columns=cols)
+            col ^= prev
+        else:
+            zeros.append(cid)
+    return pairs, zeros
+
+
+def merge_edges(edges, key) -> tuple[dict[int, int], list[int]]:
+    """Elder-rule union-find over 1-cells in filtration order.
+
+    key maps vertex ids to row keys of at least 1; id 0 stands for the
+    ground node, older than every vertex. Returns the pairing (vertex id ->
+    id of the edge that merges the component whose oldest vertex it is into
+    an older one) and the ids of the edges that merge nothing: exactly the
+    pivots and the zero columns of the reduced edge columns.
+    """
+    parent: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        while (up := parent.get(v, v)) != v:
+            parent[v] = v = parent.get(up, up)
+        return v
+
+    deaths: dict[int, int] = {}
+    cycles: list[int] = []
+    for e in edges:
+        u, w = (find(v) for v in (*e.boundary, 0, 0)[:2])  # missing ends: the ground
+        if u == w:
+            cycles.append(e.id)
+            continue
+        if key.get(u, 0) > key.get(w, 0):
+            u, w = w, u
+        parent[w] = u
+        deaths[w] = e.id
+    return deaths, cycles
 
 
 def image_row_order(fp: FilteredPair) -> dict[int, int]:
@@ -125,6 +104,19 @@ def image_row_order(fp: FilteredPair) -> dict[int, int]:
             rank += 1
             order[c.id] = rank
     return order
+
+
+def _image_ordered(fp: FilteredPair, dim: int, order: dict[int, int]) -> list[int]:
+    """Ids of the dim-cells in image order: their dense row numbers."""
+    return sorted((c.id for c in fp.cells if c.dim == dim), key=order.__getitem__)
+
+
+def _bitset_pairs(cells: list[Cell], faces: list[int]) -> tuple[dict[int, int], list[int]]:
+    """reduce_columns over the boundaries of cells, with rows the faces
+    listed in row order; the pairing is keyed by face id."""
+    row = {cid: i for i, cid in enumerate(faces)}
+    pairs, zeros = reduce_columns((c.id, sum(1 << row[b] for b in c.boundary)) for c in cells)
+    return {faces[p]: cid for p, cid in pairs.items()}, zeros
 
 
 @dataclass(frozen=True)
@@ -167,26 +159,6 @@ class ValueMixupTriple:
         return self.death == self.birth
 
 
-def _degree_matrices(fp: FilteredPair, k: int):
-    """The ambient matrix for degree k and its L-only copy, plus the row order.
-
-    Columns cover the k- and (k+1)-cells. The L copy zeroes every
-    ambient-only column and drops ambient-only rows; since L is closed under
-    faces the row drop never removes anything from an L-column.
-    """
-    order = image_row_order(fp)
-    bk = SparseBoundaryMatrix.from_filtration(fp, (k, k + 1), order)
-    n_l = fp.l_cell_count()
-    l_columns = {}
-    for cid, col in bk.columns.items():
-        if fp.cells[cid - 1].member == MEMBER_L:
-            l_columns[cid] = [key for key in col if key <= n_l]
-        else:
-            l_columns[cid] = []
-    bl = SparseBoundaryMatrix(columns=l_columns)
-    return bk, bl, order
-
-
 def mixup_barcode_indices(fp: FilteredPair, k: int) -> list[IndexMixupTriple]:
     """Mixup triples of degree k, one per k-cycle creator of L.
 
@@ -197,24 +169,31 @@ def mixup_barcode_indices(fp: FilteredPair, k: int) -> list[IndexMixupTriple]:
     """
     if not 0 <= k <= max(fp.max_dim, 0):
         raise InputError(f"degree {k} out of range for a complex of dimension {fp.max_dim}")
-    bk, bl, order = _degree_matrices(fp, k)
-    rbk = reduce(bk)
-    rbl = reduce(bl)
-    deaths_l = rbl.pivot_pairs()
-    deaths_k = rbk.pivot_pairs()
-    triples: list[IndexMixupTriple] = []
-    for c in fp.cells:
-        if c.dim != k or c.member != MEMBER_L:
-            continue
-        if rbl.columns[c.id]:
-            continue  # not a creator in L
-        key = order[c.id]
-        d = deaths_l.get(key, INF)
-        d_img = deaths_k.get(key, INF)
-        triples.append(
-            IndexMixupTriple(birth=c.id, death_image=d_img, death=d, degree=k)
+    order = image_row_order(fp)
+    creators = [c for c in fp.cells if c.dim == k and c.member == MEMBER_L]
+    cofaces = [c for c in fp.cells if c.dim == k + 1]
+    l_cofaces = [c for c in cofaces if c.member == MEMBER_L]
+    if k == 0:
+        deaths_k = merge_edges(cofaces, order)[0]
+        deaths_l = merge_edges(l_cofaces, order)[0]
+    else:
+        faces = _image_ordered(fp, k, order)
+        deaths_k = _bitset_pairs(cofaces, faces)[0]
+        deaths_l = _bitset_pairs(l_cofaces, faces)[0]
+        if k == 1:
+            cycles = set(merge_edges(creators, order)[1])
+        else:
+            cycles = set(_bitset_pairs(creators, _image_ordered(fp, k - 1, order))[1])
+        creators = [c for c in creators if c.id in cycles]
+    return [
+        IndexMixupTriple(
+            birth=c.id,
+            death_image=deaths_k.get(c.id, INF),
+            death=deaths_l.get(c.id, INF),
+            degree=k,
         )
-    return triples
+        for c in creators
+    ]
 
 
 def to_value_barcode(

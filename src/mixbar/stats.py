@@ -131,30 +131,25 @@ def mean_mixup_percentage(bc: MixupBarcode) -> float:
 class StatsConfig:
     """Settings shared by the interaction statistics.
 
-    k_max defaults to the requested degree (the smallest construction that
-    resolves it) and clamp defaults to r_max. Subsampling uses k-medoids
-    with subsample_a points on the A side and subsample_b on the B side; in
-    degree 0 all points are used.
+    clamp defaults to r_max. Subsampling uses k-medoids with subsample_a
+    points on the A side and subsample_b on the B side; in degree 0 all
+    points are used.
     """
 
     r_max: float
-    k_max: int | None = None
     subsample_a: int = 500
     subsample_b: int = 100
     clamp: float | None = None
     profile_aggregate: str = "total"
 
     def __post_init__(self) -> None:
-        check_rips_params(self.r_max, 0 if self.k_max is None else self.k_max)
+        check_rips_params(self.r_max, 0)
         if self.subsample_a < 1 or self.subsample_b < 1:
             raise InputError("subsample sizes must be at least 1")
         if self.profile_aggregate not in ("total", "mean"):
             raise InputError(
                 f"profile aggregate must be 'total' or 'mean', got {self.profile_aggregate!r}"
             )
-
-    def effective_k_max(self, degree: int) -> int:
-        return self.k_max if self.k_max is not None else degree
 
     def effective_clamp(self) -> float:
         return self.clamp if self.clamp is not None else self.r_max
@@ -170,12 +165,13 @@ def interaction_barcode(
     """Mixup barcode of (points a_indices) into (a_indices ∪ b_indices).
 
     dist is a dissimilarity matrix over the whole cloud the indices refer to.
+    The Rips pair stops at dimension degree + 1: the degree-k pairing reads
+    only k- and (k+1)-cells, and dropping the higher cells leaves their
+    relative order, and so every value, unchanged.
     """
     ids = np.concatenate([a_indices, b_indices]).astype(int)
     sub = dist[np.ix_(ids, ids)]
-    fp = rips_pair_from_distances(
-        sub, len(a_indices), config.r_max, config.effective_k_max(degree)
-    )
+    fp = rips_pair_from_distances(sub, len(a_indices), config.r_max, degree)
     return compute_mixup_barcode(fp, degree, config.effective_clamp())
 
 

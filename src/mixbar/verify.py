@@ -1,10 +1,13 @@
 """Cross-checking the reduction fast path against the rank-function oracle.
 
-The two routes share nothing: the fast path reduces sparse sorted-id
-columns, the oracle eliminates dense bitsets and takes second differences
-of rank grids. On any instance small enough for the oracle, the (b, d)
-pairs of the triples must equal the oracle's standard barcode of L, and the
-(b, d') pairs must equal its image barcode, both as exact index multisets.
+Both routes store columns as int bitsets, so their independence lies in
+the algorithm, not in the representation: the fast path pairs edges by
+union-find and reduces higher columns left to right under the image row
+order, while the oracle eliminates cycle and boundary spaces of every
+prefix and takes second differences of rank grids. On any instance small
+enough for the oracle, the (b, d) pairs of the triples must equal the
+oracle's standard barcode of L, and the (b, d') pairs must equal its image
+barcode, both as exact index multisets.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import numpy as np
 from .cloud import PointCloud
 from .filtration import FilteredPair
 from .oracle import barcode_from_ranks, rank_function
-from .reduction import mixup_barcode_indices
 from .rips import build_rips_pair
+from .stats import compute_mixup_barcode
 
 
 def random_rips_instance(
@@ -43,9 +46,7 @@ def check_instance(fp: FilteredPair, degrees) -> list[str]:
     """Compare fast path and oracle on one pair; returns mismatch messages."""
     problems: list[str] = []
     for k in degrees:
-        if k > max(fp.max_dim, 0):
-            continue
-        triples = mixup_barcode_indices(fp, k)
+        triples = compute_mixup_barcode(fp, k).index_triples
         for t in triples:
             if not t.birth <= t.death_image <= t.death:
                 problems.append(f"degree {k}: triple order violated: {t}")

@@ -350,3 +350,39 @@ def test_rmax_rule_is_shared(square_center_files, labeled_file, capsys):
         errors.append(err)
     assert errors[0] == errors[1]
     assert "r_max" in errors[0]
+
+
+@pytest.mark.parametrize("command", ["mixup", "pairwise", "profile"])
+def test_degrees_above_kmax_rejected_alike(
+    command, square_center_files, labeled_file, manifest_file, capsys
+):
+    a, b = square_center_files
+    args = {
+        "mixup": ["mixup", "--a", a, "--b", b, "--rmax", "2.0"],
+        "pairwise": ["pairwise", "--a", labeled_file, "--rmax", "12"],
+        "profile": ["profile", "--a", manifest_file, "--rmax", "12"],
+    }[command] + ["--kmax", "1", "--degrees", "2"]
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: degrees [2] exceed --kmax 1; raise --kmax\n"
+
+
+@pytest.mark.parametrize("command", ["mixup", "verify"])
+def test_split_needs_metric_matrix(command, square_center_files, capsys):
+    a, _ = square_center_files
+    code, _, err = run([command, "--a", a, "--rmax", "2", "--split", "2", "--degrees", "0"], capsys)
+    assert code == 2
+    assert "--metric matrix" in err
+
+
+def test_pairwise_degree0_does_not_depend_on_kmax(labeled_file, capsys):
+    outs = []
+    for k_max in ("0", "1", "2"):
+        code, out, _ = run(
+            ["pairwise", "--a", labeled_file, "--rmax", "12", "--kmax", k_max, "--format", "csv"],
+            capsys,
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]

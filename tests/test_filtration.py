@@ -103,3 +103,21 @@ def test_six_cell_text_stable():
     # The golden input itself should stay well-formed.
     fp = parse_explicit_pair(SIX_CELL)
     assert [c.value for c in fp.cells] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+
+def test_rejects_nonzero_boundary_of_boundary():
+    # the 2-cell 4 names the single edge {1, 2}, whose boundary survives
+    with pytest.raises(InputError, match=r"cell 4: the boundary of its boundary"):
+        parse_explicit_pair("1 0 0.0 L\n2 0 0.0 L\n3 1 1.0 L 1 2\n4 2 2.0 L 3\n")
+
+
+def test_accepts_cancelling_boundaries():
+    fp = parse_explicit_pair(
+        "1 0 0.0 L\n2 0 0.0 L\n3 1 1.0 L 1 2\n4 1 1.0 L 1 2\n5 2 2.0 L 3 4\n"
+    )
+    assert fp.cell(5).boundary == (3, 4)
+
+
+def test_rejects_edge_with_three_vertices():
+    with pytest.raises(InputError, match=r"cell 4: a 1-cell has at most two"):
+        parse_explicit_pair("1 0 0.0 L\n2 0 0.0 L\n3 0 0.0 L\n4 1 1.0 L 1 2 3\n")

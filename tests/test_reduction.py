@@ -3,17 +3,15 @@ import pytest
 
 from mixbar import (
     INF,
-    FilteredPair,
     IndexMixupTriple,
     InputError,
-    SparseBoundaryMatrix,
     ValueMixupTriple,
     image_row_order,
     mixup_barcode_indices,
     parse_explicit_pair,
-    reduce,
     to_value_barcode,
 )
+from mixbar.reduction import merge_edges, reduce_columns
 
 FILLED_TRIANGLE = """\
 1 0 0.0 L
@@ -26,26 +24,27 @@ FILLED_TRIANGLE = """\
 """
 
 
-def identity_order(fp):
-    return {c.id: i for i, c in enumerate(fp.cells)}
+def bitset(rows):
+    return sum(1 << r for r in rows)
 
 
 def test_reduce_filled_triangle_degree0():
     fp = parse_explicit_pair(FILLED_TRIANGLE)
-    m = SparseBoundaryMatrix.from_filtration(fp, dims=(0, 1), row_order=identity_order(fp))
-    r = reduce(m)
-    # column 6 = {2,3} reduces to zero through columns 4 and 5; pivot keys
-    # are row ranks (cells 2 and 3 sit at ranks 1 and 2)
-    assert r.columns[6] == []
-    assert r.pivot_pairs() == {1: 4, 2: 5}
+    edges = [c for c in fp.cells if c.dim == 1]
+    pairs, zeros = reduce_columns((e.id, bitset(e.boundary)) for e in edges)
+    # column 6 = {2,3} reduces to zero through columns 4 and 5; the pivot
+    # rows are the younger vertices 2 and 3
+    assert zeros == [6]
+    assert pairs == {2: 4, 3: 5}
+    # union-find gives the same pairing and the same zero column
+    assert merge_edges(edges, {c.id: c.id for c in fp.cells}) == (pairs, zeros)
 
 
 def test_reduce_keeps_input_intact():
-    fp = parse_explicit_pair(FILLED_TRIANGLE)
-    m = SparseBoundaryMatrix.from_filtration(fp, dims=(0, 1), row_order=identity_order(fp))
-    before = {k: list(v) for k, v in m.columns.items()}
-    reduce(m)
-    assert {k: list(v) for k, v in m.columns.items()} == before
+    columns = [(1, 0b101), (2, 0b101), (3, 0b110)]
+    before = list(columns)
+    reduce_columns(columns)
+    assert columns == before
 
 
 def test_image_row_order_puts_l_first(six_cell_pair):
@@ -141,18 +140,14 @@ def test_reduced_pivots_match_dense_rank():
         for _ in range(n_cols):
             mask = rng.random(n_rows) < 0.4
             cols.append(sorted(np.nonzero(mask)[0].tolist()))
-        matrix = SparseBoundaryMatrix(
-            columns={j + 1: list(c) for j, c in enumerate(cols)},
-        )
-        r = reduce(matrix)
-        pivots = r.pivot_pairs()
-        assert len(pivots) == _dense_rank_gf2(cols, int(n_rows))
+        pairs, zeros = reduce_columns((j + 1, bitset(c)) for j, c in enumerate(cols))
+        assert len(pairs) == _dense_rank_gf2(cols, int(n_rows))
+        assert len(pairs) + len(zeros) == len(cols)
         # pivots are unique per row by construction
-        assert len(set(pivots.values())) == len(pivots)
+        assert len(set(pairs.values())) == len(pairs)
 
 
 def test_reduction_pivot_is_latest_row():
-    matrix = SparseBoundaryMatrix(columns={1: [0, 2], 2: [0, 2]})
-    r = reduce(matrix)
-    assert r.columns[1] == [0, 2]
-    assert r.columns[2] == []
+    pairs, zeros = reduce_columns([(1, bitset([0, 2])), (2, bitset([0, 2]))])
+    assert pairs == {2: 1}
+    assert zeros == [2]

@@ -21,6 +21,7 @@ from mixbar import (
     mixup_profile,
     pairwise_distances,
     pairwise_matrix,
+    rips_pair_from_distances,
     total_image_persistence,
     total_mixup,
     total_mixup_percentage,
@@ -142,7 +143,7 @@ def labeled_blobs(gap):
 
 def test_pairwise_matrix_separated_blobs():
     cloud = labeled_blobs(gap=50.0)
-    config = StatsConfig(r_max=60.0, k_max=1)
+    config = StatsConfig(r_max=60.0)
     labels, mat = pairwise_matrix(cloud, 0, config)
     assert labels == [0, 1]
     assert mat[0][0] == 0.0 and mat[1][1] == 0.0
@@ -153,7 +154,7 @@ def test_pairwise_matrix_interleaved_lines():
     pts = np.array([[0.0], [2.0], [4.0], [1.0], [3.0], [5.0]])
     labels = np.array([0, 0, 0, 1, 1, 1])
     cloud = LabeledPointCloud(PointCloud(pts), labels)
-    config = StatsConfig(r_max=6.0, k_max=1)
+    config = StatsConfig(r_max=6.0)
     _, mat = pairwise_matrix(cloud, 0, config)
     assert mat[0][1] > 0.0
     assert mat[1][0] > 0.0
@@ -166,11 +167,31 @@ def test_pairwise_needs_two_labels():
         pairwise_matrix(cloud, 0, StatsConfig(r_max=1.0))
 
 
+def test_pairwise_matrix_degree0_matches_builds_of_any_kmax():
+    """The degree-0 build stops at edges; builds up to triangles and
+    tetrahedra give the same matrix."""
+    rng = np.random.default_rng(4)
+    pts = rng.random((18, 2))
+    labels = np.repeat([0, 1, 2], 6)
+    config = StatsConfig(r_max=0.5)
+    _, mat = pairwise_matrix(LabeledPointCloud(PointCloud(pts), labels), 0, config)
+    dist = pairwise_distances(pts)
+    for k_max in (0, 1, 2):
+        want = np.zeros((3, 3))
+        for i in range(3):
+            for j in range(3):
+                if i != j:
+                    ids = np.r_[np.flatnonzero(labels == i), np.flatnonzero(labels == j)]
+                    fp = rips_pair_from_distances(dist[np.ix_(ids, ids)], 6, 0.5, k_max)
+                    want[i, j] = mean_mixup_percentage(compute_mixup_barcode(fp, 0, 0.5))
+        assert np.array_equal(mat, want)
+
+
 def test_interaction_barcode_matches_direct_build():
     rng = np.random.default_rng(9)
     pts = rng.random((9, 2))
     dist = pairwise_distances(pts)
-    config = StatsConfig(r_max=0.8, k_max=1)
+    config = StatsConfig(r_max=0.8)
     bc = interaction_barcode(dist, np.arange(5), np.arange(5, 9), 0, config)
     direct = build_rips_pair(
         PointCloud(pts[:5]), PointCloud(pts[5:]), r_max=0.8, k_max=1
@@ -188,8 +209,7 @@ def test_stats_config_validation():
         StatsConfig(r_max=1.0, subsample_a=0)
     with pytest.raises(InputError):
         StatsConfig(r_max=1.0, profile_aggregate="median")
-    config = StatsConfig(r_max=1.0, k_max=None)
-    assert config.effective_k_max(2) == 2
+    config = StatsConfig(r_max=1.0)
     assert config.effective_clamp() == 1.0
 
 
@@ -211,7 +231,7 @@ def test_mixup_profile_decreases_when_pulled_apart():
         (0, 0): entangled_step((0.0, 0.0)),
         (0, 1): entangled_step((9.0, 0.0)),
     }
-    config = StatsConfig(r_max=3.0, k_max=1)
+    config = StatsConfig(r_max=3.0)
     prof = mixup_profile(series, 0, config)
     assert prof.layers == (0,)
     assert prof.steps == (0, 1)
@@ -225,7 +245,7 @@ def test_mixup_profile_requires_full_grid():
         (1, 1): entangled_step((9.0, 0.0)),
     }
     with pytest.raises(InputError, match="grid"):
-        mixup_profile(series, 0, StatsConfig(r_max=3.0, k_max=1))
+        mixup_profile(series, 0, StatsConfig(r_max=3.0))
 
 
 def test_mixup_profile_requires_matching_labels():
@@ -233,7 +253,7 @@ def test_mixup_profile_requires_matching_labels():
     relabeled = LabeledPointCloud(good.cloud, good.labels[::-1].copy())
     series = {(0, 0): good, (0, 1): relabeled}
     with pytest.raises(InputError, match="label"):
-        mixup_profile(series, 0, StatsConfig(r_max=3.0, k_max=1))
+        mixup_profile(series, 0, StatsConfig(r_max=3.0))
 
 
 def test_mixup_profile_subsamples_once_on_first_cloud():
@@ -243,7 +263,7 @@ def test_mixup_profile_subsamples_once_on_first_cloud():
     noise = np.random.default_rng(21).normal(0.0, 0.1, first.cloud.points.shape)
     moved = LabeledPointCloud(PointCloud(first.cloud.points + noise), first.labels)
     series = {(0, 0): first, (0, 1): moved}
-    config = StatsConfig(r_max=3.0, k_max=1, subsample_a=8, subsample_b=6)
+    config = StatsConfig(r_max=3.0, subsample_a=8, subsample_b=6)
     prof = mixup_profile(series, 1, config)
 
     ref = first.cloud.distance_matrix()

@@ -1,0 +1,114 @@
+"""The fast path against the rank oracle on hand-built explicit pairs.
+
+Each pair exercises a case of the degree-0 union-find or of the edge
+boundaries that validate() accepts.
+"""
+
+import numpy as np
+import pytest
+
+from mixbar import check_instance, mixup_barcode_indices, parse_explicit_pair
+
+PAIRS = {
+    # a loop with no vertices, killed in K before it is killed in L
+    "empty_boundary_edge": """\
+1 0 0.0 L
+2 1 0.5 L
+3 1 1.0 K
+4 2 2.0 K 2
+5 2 3.0 L 2
+6 2 3.0 K 3
+""",
+    # edges 3 and 4 tie their vertices to the ground, which is older than
+    # every vertex; edge 5 then closes a loop through the ground
+    "one_id_edges": """\
+1 0 0.0 L
+2 0 0.0 L
+3 0 0.0 K
+4 1 1.0 L 1
+5 1 1.0 K 3
+6 1 2.0 L 2
+7 1 2.0 L 1 2
+8 2 3.0 K 4 6 7
+""",
+    # ties everywhere, L and K cells interleaved at the same values
+    "equal_values": """\
+1 0 0.0 L
+2 0 0.0 K
+3 0 0.0 L
+4 0 0.0 L
+5 1 1.0 L 1 3
+6 1 1.0 K 1 2
+7 1 1.0 K 2 3
+8 1 1.0 L 3 4
+9 1 1.0 L 1 4
+10 2 1.0 K 5 6 7
+11 2 1.0 L 5 8 9
+""",
+    # vertices 3 and 4 and edge 5 form a component of B alone, which joins
+    # L only at edge 7
+    "b_only_component": """\
+1 0 0.0 L
+2 0 0.0 L
+3 0 0.0 K
+4 0 0.0 K
+5 1 1.0 K 3 4
+6 1 2.0 L 1 2
+7 1 3.0 K 2 3
+""",
+    # L vertex 2 joins the B vertex 3 first, then reaches vertex 1 through
+    # it (d' = 5) before the L-edge 6 (d = 6)
+    "l_vertex_joins_b_first": """\
+1 0 0.0 L
+2 0 0.0 L
+3 0 0.0 K
+4 1 1.0 K 2 3
+5 1 2.0 K 1 3
+6 1 3.0 L 1 2
+7 2 4.0 K 4 5 6
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_hand_built_pair_matches_oracle(name):
+    fp = parse_explicit_pair(PAIRS[name])
+    assert check_instance(fp, (0, 1, 2, 3)) == []
+
+
+def test_l_vertex_joining_b_first_dies_early():
+    fp = parse_explicit_pair(PAIRS["l_vertex_joins_b_first"])
+    triples = {(t.birth, t.death_image, t.death) for t in mixup_barcode_indices(fp, 0)}
+    assert triples == {(1, float("inf"), float("inf")), (2, 5, 6)}
+
+
+def test_ground_kills_the_younger_vertex():
+    fp = parse_explicit_pair(PAIRS["one_id_edges"])
+    triples = {(t.birth, t.death_image, t.death) for t in mixup_barcode_indices(fp, 0)}
+    # vertex 1 meets the ground at edge 4, vertex 2 at edge 6
+    assert triples == {(1, 4, 4), (2, 6, 6)}
+    loops = [(t.birth, t.death_image, t.death) for t in mixup_barcode_indices(fp, 1)]
+    assert loops == [(7, 8, float("inf"))]
+
+
+def random_graph_pair(rng):
+    """Vertices, then edges with zero, one or two boundary vertices; an
+    edge is in L only when its vertices are, values never decrease."""
+    n_v = int(rng.integers(1, 7))
+    in_l = rng.random(n_v) < 0.6
+    in_l[0] = True
+    lines = [f"{v + 1} 0 0.0 {'L' if in_l[v] else 'K'}" for v in range(n_v)]
+    value = 0.0
+    for e in range(int(rng.integers(0, 10))):
+        ends = rng.choice(n_v, size=min(int(rng.choice(3, p=[0.1, 0.2, 0.7])), n_v), replace=False)
+        value += float(rng.choice([0.0, 1.0]))
+        member = "L" if all(in_l[v] for v in ends) and rng.random() < 0.7 else "K"
+        lines.append(" ".join([str(n_v + e + 1), "1", repr(value), member] + [str(v + 1) for v in ends]))
+    return parse_explicit_pair("\n".join(lines) + "\n")
+
+
+def test_random_graph_pairs_match_oracle():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        fp = random_graph_pair(rng)
+        assert check_instance(fp, (0, 1)) == []
