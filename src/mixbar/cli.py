@@ -15,7 +15,6 @@ import sys
 from .cloud import (
     METRICS,
     LabeledPointCloud,
-    PointCloud,
     load_distance_matrix,
     load_labeled_point_cloud,
     load_point_cloud,
@@ -24,7 +23,7 @@ from .errors import InputError
 from .filtration import FilteredPair, parse_explicit_pair
 from .output import csv_lines, float_from_json, json_dumps
 from .plot import plot_mixup_barcode
-from .reduction import INF, ValueMixupTriple
+from .reduction import MixupTriple
 from .rips import build_rips_pair, rips_pair_from_distances
 from .stats import (
     MixupBarcode,
@@ -40,6 +39,16 @@ from .stats import (
 )
 from .subsample import k_medoids
 from .verify import check_instance, run_fuzz
+
+
+# --metric matrix is an input format of the CLI: the file is a distance matrix
+# rather than coordinates, read by load_distance_matrix.
+INPUT_METRICS = METRICS + ("matrix",)
+
+# Options that describe an input; verify without one fuzzes its own instances.
+INPUT_OPTIONS = (
+    ("--b", "b"), ("--rmax", "r_max"), ("--kmax", "k_max"), ("--metric", "metric"), ("--split", "split"),
+)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -59,7 +68,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--a", help="point cloud A (or the joint distance matrix with --metric matrix)")
         p.add_argument("--b", help="point cloud B")
         p.add_argument("--filtration", help="explicit filtration file instead of point clouds")
-        add_rips(p, METRICS)
+        add_rips(p, INPUT_METRICS)
         p.add_argument("--split", type=int, help="with --metric matrix: number of leading rows that form A")
 
     def add_clamp(p):
@@ -71,7 +80,7 @@ def _parser() -> argparse.ArgumentParser:
 
     def add_stats(p, a_help):
         p.add_argument("--a", help=a_help)
-        add_rips(p, ("euclidean", "sqeuclidean"))
+        add_rips(p, METRICS)
         add_clamp(p)
         p.add_argument("--subsample-a", type=int, default=500, dest="subsample_a")
         p.add_argument("--subsample-b", type=int, default=100, dest="subsample_b")
@@ -93,7 +102,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subsample", help="k-medoids point selection")
     p.add_argument("--a", required=True, help="point cloud (or distance matrix with --metric matrix)")
-    p.add_argument("--metric", choices=METRICS, default="euclidean")
+    p.add_argument("--metric", choices=INPUT_METRICS, default="euclidean")
     p.add_argument("--subsample-a", type=int, required=True, dest="subsample_a", help="number of medoids")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -103,6 +112,7 @@ def _parser() -> argparse.ArgumentParser:
     add_degrees_out(p)
     p.add_argument("--instances", type=int, default=200, help="random instances when no input is given (default 200)")
     p.add_argument("--seed", type=int, default=0, help="seed of the random instances (default 0)")
+    p.set_defaults(metric=None, k_max=None)  # set only when given; see cmd_verify
 
     p = sub.add_parser("plot", help="render a mixup result JSON as an SVG barcode")
     p.add_argument("--results", required=True, help="JSON produced by the mixup subcommand")
@@ -167,7 +177,7 @@ def _default_degrees(args: argparse.Namespace, fp: FilteredPair) -> list[int]:
     return list(range(0, args.k_max + 1))
 
 
-def _triple_row(t: ValueMixupTriple) -> dict:
+def _triple_row(t: MixupTriple) -> dict:
     return {
         "birth": t.birth,
         "death_image": t.death_image,
@@ -176,12 +186,8 @@ def _triple_row(t: ValueMixupTriple) -> dict:
     }
 
 
-def _index_row(t) -> dict:
-    return {
-        "birth": t.birth,
-        "death_image": t.death_image if t.death_image == INF else int(t.death_image),
-        "death": t.death if t.death == INF else int(t.death),
-    }
+def _index_row(t: MixupTriple) -> dict:
+    return {"birth": t.birth, "death_image": t.death_image, "death": t.death}
 
 
 def _degree_entry(bc: MixupBarcode) -> dict:
@@ -364,10 +370,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_subsample(args: argparse.Namespace) -> int:
     if args.metric == "matrix":
-        cloud = PointCloud.from_distance_matrix(load_distance_matrix(args.a))
+        dist = load_distance_matrix(args.a)
     else:
-        cloud = load_point_cloud(args.a, args.metric)
-    sel = k_medoids(cloud, args.subsample_a)
+        dist = load_point_cloud(args.a, args.metric).distance_matrix()
+    sel = k_medoids(dist, args.subsample_a)
     if args.format == "json":
         result = {
             "command": "subsample",
@@ -384,9 +390,17 @@ def cmd_subsample(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     degrees = args.degrees if args.degrees is not None else [0, 1, 2]
     if args.a is not None or args.filtration is not None:
+        args.metric = args.metric or "euclidean"
+        args.k_max = 2 if args.k_max is None else args.k_max
         problems = check_instance(_load_pair(args), degrees)
         checked = 1
     else:
+        given = [flag for flag, dest in INPUT_OPTIONS if getattr(args, dest) is not None]
+        if given:
+            raise InputError(
+                f"verify without --a or --filtration fuzzes its own instances; "
+                f"it reads no {', '.join(given)}"
+            )
         if args.instances <= 0:
             raise InputError(f"--instances must be positive, got {args.instances}")
         checked, problems = run_fuzz(args.instances, seed=args.seed, degrees=degrees)
@@ -419,12 +433,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     entry = data["degrees"][str(degree)]
     clamp = entry["statistics"].get("clamp")
     triples = tuple(
-        ValueMixupTriple(
-            birth=float_from_json(t["birth"]),
-            death_image=float_from_json(t["death_image"]),
-            death=float_from_json(t["death"]),
-            degree=degree,
-        )
+        MixupTriple(*(float_from_json(t[key]) for key in ("birth", "death_image", "death")))
         for t in entry["triples"]
     )
     bc = MixupBarcode(

@@ -1,9 +1,9 @@
-"""Point clouds, metrics, and the input file formats for them.
+"""Point clouds, distance matrices, and the input file formats for them.
 
-A PointCloud is either a coordinate array under the euclidean or squared
-euclidean metric, or a precomputed dissimilarity matrix ("matrix" metric).
-The matrix route is what supports finite metric spaces that never had
-coordinates in the first place.
+A PointCloud is a coordinate array under the euclidean or squared
+euclidean metric. A finite metric space that never had coordinates is a
+plain distance matrix: `parse_distance_matrix` reads one, and
+`check_distance_matrix` is the one rule every matrix from outside passes.
 """
 
 from __future__ import annotations
@@ -14,16 +14,12 @@ import numpy as np
 
 from .errors import InputError
 
-METRICS = ("euclidean", "sqeuclidean", "matrix")
+METRICS = ("euclidean", "sqeuclidean")
 
 
 @dataclass(eq=False)
 class PointCloud:
-    """A finite point set with a notion of pairwise distance.
-
-    points: (n, d) float array of coordinates, or the full (n, n) distance
-            matrix when metric == "matrix".
-    """
+    """A finite point set: (n, d) coordinates and the metric between them."""
 
     points: np.ndarray
     metric: str = "euclidean"
@@ -36,18 +32,6 @@ class PointCloud:
             raise InputError(f"unknown metric {self.metric!r}, expected one of {METRICS}")
         if self.points.size and not np.isfinite(self.points).all():
             raise InputError("non-finite coordinates in point cloud")
-        if self.metric == "matrix":
-            _check_distance_matrix(self.points)
-
-    @classmethod
-    def empty(cls, dim: int = 0, metric: str = "euclidean") -> "PointCloud":
-        if metric == "matrix":
-            return cls(np.zeros((0, 0)), metric)
-        return cls(np.zeros((0, dim)), metric)
-
-    @classmethod
-    def from_distance_matrix(cls, dist: np.ndarray) -> "PointCloud":
-        return cls(np.asarray(dist, dtype=float), "matrix")
 
     @property
     def n_points(self) -> int:
@@ -59,8 +43,6 @@ class PointCloud:
 
     def distance_matrix(self) -> np.ndarray:
         """Full symmetric matrix of pairwise dissimilarities, zero diagonal."""
-        if self.metric == "matrix":
-            return self.points
         return pairwise_distances(self.points, self.metric)
 
 
@@ -99,7 +81,7 @@ def pairwise_distances(points: np.ndarray, metric: str = "euclidean") -> np.ndar
     stacked A+B matrix is bitwise identical to the matrix computed from A
     alone. Several exactness tests rely on that.
     """
-    if metric not in ("euclidean", "sqeuclidean"):
+    if metric not in METRICS:
         raise InputError(f"cannot compute distances for metric {metric!r}")
     pts = np.asarray(points, dtype=float)
     diff = pts[:, None, :] - pts[None, :, :]
@@ -109,11 +91,14 @@ def pairwise_distances(points: np.ndarray, metric: str = "euclidean") -> np.ndar
     return sq
 
 
-def _check_distance_matrix(d: np.ndarray) -> None:
-    if d.shape[0] != d.shape[1]:
+def check_distance_matrix(d: np.ndarray) -> None:
+    """Square, finite, non-negative, symmetric, with a zero diagonal."""
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise InputError(f"distance matrix must be square, got shape {d.shape}")
     if d.size == 0:
         return
+    if not np.isfinite(d).all():
+        raise InputError("distance matrix has non-finite entries")
     if (d < 0).any():
         raise InputError("distance matrix has negative entries")
     if np.diagonal(d).any():
@@ -206,7 +191,7 @@ def parse_distance_matrix(text: str) -> np.ndarray:
         d = d + d.T
     else:
         raise InputError("distance matrix rows must form a square or a lower triangle")
-    _check_distance_matrix(d)
+    check_distance_matrix(d)
     return d
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 
+INDENT = 2
+
 
 def format_float(x: float) -> str:
     if math.isnan(x):
@@ -21,15 +23,15 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def json_dumps(obj, indent: int = 2) -> str:
+def json_dumps(obj) -> str:
     out: list[str] = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     return "".join(out) + "\n"
 
 
-def _emit(obj, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    end_pad = " " * (indent * level)
+def _emit(obj, out: list[str], level: int) -> None:
+    pad = " " * (INDENT * (level + 1))
+    end_pad = " " * (INDENT * level)
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -51,7 +53,7 @@ def _emit(obj, out: list[str], indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise ValueError(f"JSON object keys must be strings, got {key!r}")
             out.append(pad + json.dumps(key) + ": ")
-            _emit(value, out, indent, level + 1)
+            _emit(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(end_pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -61,7 +63,7 @@ def _emit(obj, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, value in enumerate(obj):
             out.append(pad)
-            _emit(value, out, indent, level + 1)
+            _emit(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(end_pad + "]")
     else:

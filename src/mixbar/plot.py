@@ -8,27 +8,22 @@ byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
 from .stats import MixupBarcode
 
-
-@dataclass(frozen=True)
-class PlotStyle:
-    width: float = 720.0
-    row_height: float = 16.0
-    bar_height: float = 10.0
-    margin_left: float = 60.0
-    margin_right: float = 20.0
-    margin_top: float = 34.0
-    margin_bottom: float = 30.0
-    light_color: str = "#9ecae1"
-    dark_color: str = "#08306b"
-    axis_color: str = "#444444"
-    font: str = "sans-serif"
-    font_size: float = 11.0
-    ticks: int = 5
+WIDTH = 720.0
+ROW_HEIGHT = 16.0
+BAR_HEIGHT = 10.0
+MARGIN_LEFT = 60.0
+MARGIN_RIGHT = 20.0
+MARGIN_TOP = 34.0
+MARGIN_BOTTOM = 30.0
+LIGHT_COLOR = "#9ecae1"
+DARK_COLOR = "#08306b"
+AXIS_COLOR = "#444444"
+FONT = "sans-serif"
+FONT_SIZE = 11.0
+TICKS = 5
 
 
 def _fmt(x: float) -> str:
@@ -39,9 +34,8 @@ def _fmt_value(x: float) -> str:
     return f"{x:.6g}"
 
 
-def plot_mixup_barcode(bc: MixupBarcode, style: PlotStyle | None = None) -> str:
+def plot_mixup_barcode(bc: MixupBarcode) -> str:
     """Render one degree's barcode as an SVG document string."""
-    style = style or PlotStyle()
     try:
         triples = bc.clamped_triples()
     except InputError:
@@ -59,55 +53,55 @@ def plot_mixup_barcode(bc: MixupBarcode, style: PlotStyle | None = None) -> str:
         hi = lo + 1.0
     span = hi - lo
 
-    plot_w = style.width - style.margin_left - style.margin_right
-    height = style.margin_top + max(len(bars), 1) * style.row_height + style.margin_bottom
-    axis_y = height - style.margin_bottom
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    height = MARGIN_TOP + max(len(bars), 1) * ROW_HEIGHT + MARGIN_BOTTOM
+    axis_y = height - MARGIN_BOTTOM
 
     def x_of(v: float) -> float:
-        return style.margin_left + (v - lo) / span * plot_w
+        return MARGIN_LEFT + (v - lo) / span * plot_w
 
     parts: list[str] = []
     parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(style.width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(style.width)} {_fmt(height)}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(WIDTH)}" '
+        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(WIDTH)} {_fmt(height)}">'
     )
     parts.append(
-        f'<text x="{_fmt(style.margin_left)}" y="{_fmt(style.margin_top - 14.0)}" '
-        f'font-family="{style.font}" font-size="{_fmt(style.font_size + 2.0)}" '
-        f'fill="{style.axis_color}">degree {bc.degree} mixup barcode '
+        f'<text x="{_fmt(MARGIN_LEFT)}" y="{_fmt(MARGIN_TOP - 14.0)}" '
+        f'font-family="{FONT}" font-size="{_fmt(FONT_SIZE + 2.0)}" '
+        f'fill="{AXIS_COLOR}">degree {bc.degree} mixup barcode '
         f"({len(bars)} bars)</text>"
     )
     for row, t in enumerate(bars):
-        y = style.margin_top + row * style.row_height
+        y = MARGIN_TOP + row * ROW_HEIGHT
         x_b = x_of(t.birth)
         x_di = x_of(t.death_image)
         x_d = x_of(t.death)
         if x_di > x_b:
             parts.append(
                 f'<rect x="{_fmt(x_b)}" y="{_fmt(y)}" width="{_fmt(x_di - x_b)}" '
-                f'height="{_fmt(style.bar_height)}" fill="{style.light_color}"/>'
+                f'height="{_fmt(BAR_HEIGHT)}" fill="{LIGHT_COLOR}"/>'
             )
         if x_d > x_di:
             parts.append(
                 f'<rect x="{_fmt(x_di)}" y="{_fmt(y)}" width="{_fmt(x_d - x_di)}" '
-                f'height="{_fmt(style.bar_height)}" fill="{style.dark_color}"/>'
+                f'height="{_fmt(BAR_HEIGHT)}" fill="{DARK_COLOR}"/>'
             )
     parts.append(
-        f'<line x1="{_fmt(style.margin_left)}" y1="{_fmt(axis_y)}" '
-        f'x2="{_fmt(style.margin_left + plot_w)}" y2="{_fmt(axis_y)}" '
-        f'stroke="{style.axis_color}" stroke-width="1"/>'
+        f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(axis_y)}" '
+        f'x2="{_fmt(MARGIN_LEFT + plot_w)}" y2="{_fmt(axis_y)}" '
+        f'stroke="{AXIS_COLOR}" stroke-width="1"/>'
     )
-    for i in range(style.ticks):
-        v = lo + span * i / (style.ticks - 1) if style.ticks > 1 else lo
+    for i in range(TICKS):
+        v = lo + span * i / (TICKS - 1)
         x = x_of(v)
         parts.append(
             f'<line x1="{_fmt(x)}" y1="{_fmt(axis_y)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(axis_y + 4.0)}" stroke="{style.axis_color}" stroke-width="1"/>'
+            f'y2="{_fmt(axis_y + 4.0)}" stroke="{AXIS_COLOR}" stroke-width="1"/>'
         )
         parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(axis_y + 16.0)}" text-anchor="middle" '
-            f'font-family="{style.font}" font-size="{_fmt(style.font_size)}" '
-            f'fill="{style.axis_color}">{_fmt_value(v)}</text>'
+            f'font-family="{FONT}" font-size="{_fmt(FONT_SIZE)}" '
+            f'fill="{AXIS_COLOR}">{_fmt_value(v)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -120,33 +120,17 @@ def _bitset_pairs(cells: list[Cell], faces: list[int]) -> tuple[dict[int, int], 
 
 
 @dataclass(frozen=True)
-class IndexMixupTriple:
-    """(b, d', d) in filtration indices: birth, premature death, death.
+class MixupTriple:
+    """(b, d', d): birth, image (premature) death, death, with b <= d' <= d.
 
-    d' and d are ids of the killing cells, or +inf for classes that never
-    die (in K, respectively in L).
+    In filtration indices the entries are cell ids, in filtration values
+    they are the values of those cells; a death is +inf for a class that
+    never dies (in K, respectively in L).
     """
-
-    birth: int
-    death_image: float
-    death: float
-    degree: int
-
-    def __post_init__(self) -> None:
-        if not self.birth <= self.death_image <= self.death:
-            raise InputError(
-                f"triple out of order: b={self.birth}, d'={self.death_image}, d={self.death}"
-            )
-
-
-@dataclass(frozen=True)
-class ValueMixupTriple:
-    """(b, d', d) in filtration values; infinities pass through unchanged."""
 
     birth: float
     death_image: float
     death: float
-    degree: int
 
     def __post_init__(self) -> None:
         if not self.birth <= self.death_image <= self.death:
@@ -159,7 +143,7 @@ class ValueMixupTriple:
         return self.death == self.birth
 
 
-def mixup_barcode_indices(fp: FilteredPair, k: int) -> list[IndexMixupTriple]:
+def mixup_barcode_indices(fp: FilteredPair, k: int) -> list[MixupTriple]:
     """Mixup triples of degree k, one per k-cycle creator of L.
 
     For each k-cell of L whose reduced L-column is zero (it creates a class
@@ -185,33 +169,5 @@ def mixup_barcode_indices(fp: FilteredPair, k: int) -> list[IndexMixupTriple]:
         else:
             cycles = set(_bitset_pairs(creators, _image_ordered(fp, k - 1, order))[1])
         creators = [c for c in creators if c.id in cycles]
-    return [
-        IndexMixupTriple(
-            birth=c.id,
-            death_image=deaths_k.get(c.id, INF),
-            death=deaths_l.get(c.id, INF),
-            degree=k,
-        )
-        for c in creators
-    ]
+    return [MixupTriple(c.id, deaths_k.get(c.id, INF), deaths_l.get(c.id, INF)) for c in creators]
 
-
-def to_value_barcode(
-    triples: list[IndexMixupTriple], fp: FilteredPair
-) -> list[ValueMixupTriple]:
-    """Map index triples through the filtration values; +inf is preserved."""
-
-    def val(idx: float) -> float:
-        if idx == INF:
-            return INF
-        return fp.value(int(idx))
-
-    return [
-        ValueMixupTriple(
-            birth=val(t.birth),
-            death_image=val(t.death_image),
-            death=val(t.death),
-            degree=t.degree,
-        )
-        for t in triples
-    ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cloud import PointCloud, pairwise_distances
+from .cloud import PointCloud, check_distance_matrix, pairwise_distances
 from .errors import InputError
 from .filtration import MEMBER_K, MEMBER_L, Cell, FilteredPair
 
@@ -39,22 +39,14 @@ def build_rips_pair(
     check_rips_params(r_max, k_max)
     if a.n_points == 0:
         raise InputError("cloud A must be nonempty")
-    if a.metric == "matrix":
-        if b is not None and b.n_points:
-            raise InputError(
-                "precomputed-matrix clouds cannot be combined; "
-                "use rips_pair_from_distances with a joint matrix"
-            )
-        return rips_pair_from_distances(a.distance_matrix(), a.n_points, r_max, k_max)
-    if b is None:
-        b = PointCloud.empty(a.dim, a.metric)
-    if b.n_points:
+    points = a.points
+    if b is not None and b.n_points:
         if b.metric != a.metric:
             raise InputError(f"metric mismatch: A is {a.metric}, B is {b.metric}")
         if b.dim != a.dim:
             raise InputError(f"dimension mismatch: A is in R^{a.dim}, B in R^{b.dim}")
-    stacked = np.concatenate([a.points, b.points], axis=0) if b.n_points else a.points
-    dist = pairwise_distances(stacked, a.metric)
+        points = np.concatenate([a.points, b.points], axis=0)
+    dist = pairwise_distances(points, a.metric)
     return rips_pair_from_distances(dist, a.n_points, r_max, k_max)
 
 
@@ -69,14 +61,11 @@ def rips_pair_from_distances(
     Rows 0..n_a-1 are the A-points (the subcomplex L), the rest are B.
     """
     dist = np.asarray(dist, dtype=float)
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        raise InputError("distance matrix must be square")
+    check_distance_matrix(dist)
     n = dist.shape[0]
     if not 1 <= n_a <= n:
         raise InputError(f"A must hold between 1 and {n} of the {n} points, got {n_a}")
     check_rips_params(r_max, k_max)
-    if dist.size and not np.isfinite(dist).all():
-        raise InputError("non-finite distances")
 
     simplices = _enumerate_simplices(dist, r_max, k_max + 1)
     simplices.sort(key=lambda s: (s[1], len(s[0]) - 1, 0 if s[0][-1] < n_a else 1, s[0]))

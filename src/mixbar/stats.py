@@ -13,7 +13,8 @@ would divide by zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -21,13 +22,7 @@ import numpy as np
 from .cloud import LabeledPointCloud
 from .errors import InputError
 from .filtration import FilteredPair
-from .reduction import (
-    INF,
-    IndexMixupTriple,
-    ValueMixupTriple,
-    mixup_barcode_indices,
-    to_value_barcode,
-)
+from .reduction import INF, MixupTriple, mixup_barcode_indices
 from .rips import check_rips_params, rips_pair_from_distances
 from .subsample import k_medoids_indices
 
@@ -41,52 +36,55 @@ class MixupBarcode:
     """
 
     degree: int
-    index_triples: tuple[IndexMixupTriple, ...]
-    triples: tuple[ValueMixupTriple, ...]
+    index_triples: tuple[MixupTriple, ...]
+    triples: tuple[MixupTriple, ...]
     clamp: float | None = None
 
-    def clamped_triples(self) -> tuple[ValueMixupTriple, ...]:
+    @cached_property
+    def _clamped(self) -> tuple[MixupTriple, ...]:
         return tuple(clamp_triple(t, self.clamp) for t in self.triples)
+
+    def clamped_triples(self) -> tuple[MixupTriple, ...]:
+        """The value triples clamped at `clamp`, computed once per barcode."""
+        return self._clamped
 
 
 def compute_mixup_barcode(
     fp: FilteredPair, degree: int, clamp: float | None = None
 ) -> MixupBarcode:
-    """Mixup barcode of one degree.
+    """Mixup barcode of one degree: index triples and their values.
 
     A degree above the dimension of the complex has no cells to carry a
     class, so its barcode is empty.
     """
     if degree > max(fp.max_dim, 0):
         return MixupBarcode(degree, (), (), clamp)
-    idx = mixup_barcode_indices(fp, degree)
-    vals = to_value_barcode(idx, fp)
-    return MixupBarcode(
-        degree=degree, index_triples=tuple(idx), triples=tuple(vals), clamp=clamp
-    )
+    idx = tuple(mixup_barcode_indices(fp, degree))
+
+    def val(cid: float) -> float:
+        return INF if cid == INF else fp.value(cid)
+
+    vals = tuple(MixupTriple(val(t.birth), val(t.death_image), val(t.death)) for t in idx)
+    return MixupBarcode(degree, idx, vals, clamp)
 
 
-def clamp_triple(t: ValueMixupTriple, t_max: float | None) -> ValueMixupTriple:
+def clamp_triple(t: MixupTriple, t_max: float | None) -> MixupTriple:
     """Truncate both deaths at t_max (never below the birth)."""
     if t_max is None:
         if math.isinf(t.death) or math.isinf(t.death_image):
             raise InputError("triple has an infinite death and no clamp value is set")
         return t
     lo = t.birth
-    return replace(
-        t,
-        death_image=max(lo, min(t.death_image, t_max)),
-        death=max(lo, min(t.death, t_max)),
-    )
+    return MixupTriple(lo, max(lo, min(t.death_image, t_max)), max(lo, min(t.death, t_max)))
 
 
-def mixup(t: ValueMixupTriple, clamp: float | None = None) -> float:
+def mixup(t: MixupTriple, clamp: float | None = None) -> float:
     """Length d - d' of the mixup sub-bar."""
     c = clamp_triple(t, clamp)
     return c.death - c.death_image
 
 
-def mixup_percentage(t: ValueMixupTriple, clamp: float | None = None) -> float:
+def mixup_percentage(t: MixupTriple, clamp: float | None = None) -> float:
     """Share (d - d') / (d - b) of the bar lost to the ambient complex."""
     c = clamp_triple(t, clamp)
     pers = c.death - c.birth
@@ -96,7 +94,7 @@ def mixup_percentage(t: ValueMixupTriple, clamp: float | None = None) -> float:
 
 
 def total_mixup(bc: MixupBarcode) -> float:
-    return math.fsum(mixup(t, bc.clamp) for t in bc.triples)
+    return math.fsum(t.death - t.death_image for t in bc.clamped_triples())
 
 
 def total_persistence(bc: MixupBarcode) -> float:

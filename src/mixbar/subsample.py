@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import check_distance_matrix
 from .errors import InputError
 
 
@@ -24,16 +24,16 @@ class MedoidSelection:
     cost: float
 
 
-def k_medoids(cloud: PointCloud, k: int) -> MedoidSelection:
-    """Select k medoid points of the cloud; indices come back ascending."""
-    if cloud.n_points == 0:
+def k_medoids(dist: np.ndarray, k: int) -> MedoidSelection:
+    """Select k medoids of the points of a distance matrix; indices ascending."""
+    dist = np.asarray(dist, dtype=float)
+    check_distance_matrix(dist)
+    if dist.shape[0] == 0:
         raise InputError("cannot subsample an empty cloud")
     if k <= 0:
         raise InputError(f"k must be positive, got {k}")
-    dist = cloud.distance_matrix()
     idx = k_medoids_indices(dist, k)
-    cost = _cost(dist, idx)
-    return MedoidSelection(indices=tuple(int(i) for i in sorted(idx)), cost=cost)
+    return MedoidSelection(indices=tuple(int(i) for i in idx), cost=_cost(dist, idx))
 
 
 def k_medoids_indices(dist: np.ndarray, k: int) -> list[int]:

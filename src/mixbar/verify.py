@@ -23,23 +23,27 @@ from .rips import build_rips_pair
 from .stats import compute_mixup_barcode
 
 
-def random_rips_instance(
-    rng: np.random.Generator,
-    max_a: int = 6,
-    max_b: int = 3,
-    dim_range: tuple[int, int] = (2, 4),
-    k_max: int = 2,
-) -> FilteredPair:
+# Sizes of the random pairs, small enough for the oracle: up to MAX_A points
+# in A and MAX_B in B, in R^d with MIN_DIM <= d <= MAX_DIM, built up to
+# degree K_MAX.
+MAX_A = 6
+MAX_B = 3
+MIN_DIM = 2
+MAX_DIM = 4
+K_MAX = 2
+
+
+def random_rips_instance(rng: np.random.Generator) -> FilteredPair:
     """A small random pair: uniform points, random threshold."""
-    n_a = int(rng.integers(1, max_a + 1))
-    n_b = int(rng.integers(0, max_b + 1))
-    dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
+    n_a = int(rng.integers(1, MAX_A + 1))
+    n_b = int(rng.integers(0, MAX_B + 1))
+    dim = int(rng.integers(MIN_DIM, MAX_DIM + 1))
     pts = rng.uniform(0.0, 1.0, size=(n_a + n_b, dim))
     a = PointCloud(pts[:n_a])
     b = PointCloud(pts[n_a:]) if n_b else None
     span = float(np.sqrt(dim))
     r_max = float(rng.uniform(0.05, 1.05)) * span
-    return build_rips_pair(a, b, r_max=r_max, k_max=k_max)
+    return build_rips_pair(a, b, r_max=r_max, k_max=K_MAX)
 
 
 def check_instance(fp: FilteredPair, degrees) -> list[str]:
@@ -71,19 +75,12 @@ def check_instance(fp: FilteredPair, degrees) -> list[str]:
     return problems
 
 
-def run_fuzz(
-    instances: int,
-    seed: int = 0,
-    degrees=(0, 1, 2),
-    max_a: int = 6,
-    max_b: int = 3,
-    dim_range: tuple[int, int] = (2, 4),
-) -> tuple[int, list[str]]:
+def run_fuzz(instances: int, seed: int = 0, degrees=(0, 1, 2)) -> tuple[int, list[str]]:
     """Fuzz `instances` random pairs; returns (count checked, mismatches)."""
     rng = np.random.default_rng(seed)
     problems: list[str] = []
     for i in range(instances):
-        fp = random_rips_instance(rng, max_a=max_a, max_b=max_b, dim_range=dim_range)
+        fp = random_rips_instance(rng)
         for msg in check_instance(fp, degrees):
             problems.append(f"instance {i}: {msg}")
     return instances, problems

@@ -386,3 +386,52 @@ def test_pairwise_degree0_does_not_depend_on_kmax(labeled_file, capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize(
+    "extra,flag",
+    [
+        (["--rmax", "0.01"], "--rmax"),
+        (["--kmax", "7"], "--kmax"),
+        (["--kmax", "2"], "--kmax"),
+        (["--metric", "sqeuclidean"], "--metric"),
+        (["--split", "1"], "--split"),
+        (["--b", "b.csv"], "--b"),
+    ],
+)
+def test_verify_fuzzer_rejects_input_options(extra, flag, capsys):
+    code, out, err = run(["verify", "--instances", "2"] + extra, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"reads no {flag}" in err
+
+
+def test_verify_input_reads_kmax_and_metric(square_center_files, capsys):
+    a, b = square_center_files
+    args = ["verify", "--a", a, "--b", b, "--rmax", "2", "--degrees", "0,1"]
+    for extra in ([], ["--kmax", "1", "--metric", "sqeuclidean"]):
+        code, out, _ = run(args + extra, capsys)
+        assert code == 0
+        assert out == "checked 1 instance(s): all match\n"
+
+
+def test_metric_matrix_takes_no_b(tmp_path, capsys):
+    joint = tmp_path / "joint.txt"
+    joint.write_text("0\n1 0\n")
+    code, _, err = run(
+        ["mixup", "--a", str(joint), "--metric", "matrix", "--b", str(joint), "--rmax", "2"], capsys
+    )
+    assert code == 2
+    assert "--split" in err
+
+
+def test_degree_entry_clamps_each_triple_once(square_center_pair, monkeypatch):
+    from mixbar import cli, stats
+
+    calls = []
+    clamp = stats.clamp_triple
+    monkeypatch.setattr(stats, "clamp_triple", lambda t, t_max: calls.append(t) or clamp(t, t_max))
+    bc = stats.compute_mixup_barcode(square_center_pair, 1, clamp=2.0)
+    entry = cli._degree_entry(bc)
+    assert entry["statistics"]["bars"] == len(bc.triples) > 0
+    assert len(calls) == len(bc.triples)

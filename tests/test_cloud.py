@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from mixbar import (
-    InputError,
-    PointCloud,
-    pairwise_distances,
-    parse_distance_matrix,
-    parse_point_table,
-)
-from mixbar.cloud import LabeledPointCloud
+from mixbar import InputError, LabeledPointCloud, PointCloud, pairwise_distances
+from mixbar.cloud import parse_distance_matrix, parse_point_table
 
 
 def test_parse_whitespace_table():
@@ -85,13 +79,6 @@ def test_block_of_joint_matrix_is_bitwise_identical():
     assert np.array_equal(joint[:9, :9], alone)
 
 
-def test_distance_matrix_roundtrip():
-    d = np.array([[0.0, 1.0], [1.0, 0.0]])
-    cloud = PointCloud.from_distance_matrix(d)
-    assert cloud.metric == "matrix"
-    assert np.array_equal(cloud.distance_matrix(), d)
-
-
 def test_parse_full_square_matrix():
     d = parse_distance_matrix("0 1 2\n1 0 3\n2 3 0\n")
     assert d.shape == (3, 3)
@@ -124,6 +111,16 @@ def test_parse_matrix_rejects_asymmetry():
 def test_parse_matrix_rejects_negative():
     with pytest.raises(InputError):
         parse_distance_matrix("0 -1\n-1 0\n")
+
+
+def test_parse_matrix_rejects_non_finite():
+    with pytest.raises(InputError, match="non-finite"):
+        parse_distance_matrix("0 inf\ninf 0\n")
+
+
+def test_cloud_has_no_matrix_metric():
+    with pytest.raises(InputError, match="unknown metric"):
+        PointCloud(np.zeros((2, 2)), metric="matrix")
 
 
 def test_parse_matrix_rejects_bad_shape():

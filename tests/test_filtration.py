@@ -1,13 +1,7 @@
 import pytest
 
-from mixbar import (
-    Cell,
-    FilteredPair,
-    InputError,
-    format_explicit_pair,
-    parse_explicit_pair,
-    restrict_to_L,
-)
+from mixbar import InputError, parse_explicit_pair
+from mixbar.filtration import Cell, FilteredPair, format_explicit_pair, restrict_to_L
 from conftest import SIX_CELL
 
 

@@ -13,9 +13,9 @@ from mixbar import (
     compute_mixup_barcode,
     mixup_barcode_indices,
     rank_function,
-    restrict_to_L,
     total_mixup,
 )
+from mixbar.filtration import restrict_to_L
 
 instances = st.fixed_dictionaries(
     {

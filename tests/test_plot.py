@@ -1,14 +1,7 @@
 import pytest
 
-from mixbar import (
-    INF,
-    InputError,
-    MixupBarcode,
-    PlotStyle,
-    ValueMixupTriple,
-    compute_mixup_barcode,
-    plot_mixup_barcode,
-)
+from mixbar import INF, InputError, MixupBarcode, MixupTriple, compute_mixup_barcode, plot_mixup_barcode
+from mixbar.plot import DARK_COLOR, LIGHT_COLOR
 
 
 def barcode(triples, clamp=None, degree=0):
@@ -18,7 +11,7 @@ def barcode(triples, clamp=None, degree=0):
 
 
 def vt(b, dp, d):
-    return ValueMixupTriple(birth=b, death_image=dp, death=d, degree=0)
+    return MixupTriple(birth=b, death_image=dp, death=d)
 
 
 def test_svg_wrapper():
@@ -30,16 +23,14 @@ def test_svg_wrapper():
 
 def test_two_tone_bars():
     svg = plot_mixup_barcode(barcode([vt(0.0, 1.0, 2.0)], clamp=2.0))
-    style = PlotStyle()
-    assert svg.count(style.light_color) == 1
-    assert svg.count(style.dark_color) == 1
+    assert svg.count(LIGHT_COLOR) == 1
+    assert svg.count(DARK_COLOR) == 1
 
 
 def test_pure_image_bar_has_no_dark_segment():
     svg = plot_mixup_barcode(barcode([vt(0.0, 2.0, 2.0)], clamp=2.0))
-    style = PlotStyle()
-    assert svg.count(style.light_color) == 1
-    assert svg.count(style.dark_color) == 0
+    assert svg.count(LIGHT_COLOR) == 1
+    assert svg.count(DARK_COLOR) == 0
 
 
 def test_zero_persistence_bar_renders_no_rect():
@@ -54,9 +45,8 @@ def test_unclamped_infinite_death_rejected():
 
 def test_infinite_death_with_clamp_renders():
     svg = plot_mixup_barcode(barcode([vt(0.0, 1.0, INF)], clamp=3.0))
-    style = PlotStyle()
-    assert svg.count(style.light_color) == 1
-    assert svg.count(style.dark_color) == 1
+    assert svg.count(LIGHT_COLOR) == 1
+    assert svg.count(DARK_COLOR) == 1
 
 
 def test_empty_barcode_is_valid_svg():

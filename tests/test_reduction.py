@@ -3,15 +3,13 @@ import pytest
 
 from mixbar import (
     INF,
-    IndexMixupTriple,
     InputError,
-    ValueMixupTriple,
-    image_row_order,
+    MixupTriple,
+    compute_mixup_barcode,
     mixup_barcode_indices,
     parse_explicit_pair,
-    to_value_barcode,
 )
-from mixbar.reduction import merge_edges, reduce_columns
+from mixbar.reduction import image_row_order, merge_edges, reduce_columns
 
 FILLED_TRIANGLE = """\
 1 0 0.0 L
@@ -60,15 +58,13 @@ def test_six_cell_triples(six_cell_pair):
 
 
 def test_six_cell_values(six_cell_pair):
-    vals = to_value_barcode(mixup_barcode_indices(six_cell_pair, 1), six_cell_pair)
+    vals = compute_mixup_barcode(six_cell_pair, 1).triples
     got = {(t.birth, t.death_image, t.death) for t in vals}
     assert got == {(1.0, 4.0, 6.0), (2.0, 3.0, 5.0)}
 
 
 def test_square_center_degree0(square_center_pair):
-    vals = to_value_barcode(
-        mixup_barcode_indices(square_center_pair, 0), square_center_pair
-    )
+    vals = compute_mixup_barcode(square_center_pair, 0).triples
     finite = sorted(
         (t.birth, t.death_image, t.death) for t in vals if t.death != INF
     )
@@ -79,9 +75,7 @@ def test_square_center_degree0(square_center_pair):
 
 
 def test_square_center_degree1(square_center_pair):
-    vals = to_value_barcode(
-        mixup_barcode_indices(square_center_pair, 1), square_center_pair
-    )
+    vals = compute_mixup_barcode(square_center_pair, 1).triples
     positive = [t for t in vals if t.death > t.birth]
     assert len(positive) == 1
     t = positive[0]
@@ -100,13 +94,13 @@ def test_degree_out_of_range(six_cell_pair):
 
 def test_triple_ordering_enforced():
     with pytest.raises(InputError):
-        IndexMixupTriple(birth=3, death_image=2, death=4, degree=0)
+        MixupTriple(birth=3, death_image=2, death=4)
     with pytest.raises(InputError):
-        ValueMixupTriple(birth=0.0, death_image=2.0, death=1.0, degree=0)
+        MixupTriple(birth=0.0, death_image=2.0, death=1.0)
 
 
 def test_infinite_deaths_allowed():
-    t = IndexMixupTriple(birth=1, death_image=INF, death=INF, degree=0)
+    t = MixupTriple(birth=1, death_image=INF, death=INF)
     assert t.death_image == INF
 
 

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from mixbar import (
-    InputError,
-    PointCloud,
-    build_rips_pair,
-    restrict_to_L,
-    rips_pair_from_distances,
-)
+from mixbar import InputError, PointCloud, build_rips_pair, rips_pair_from_distances
+from mixbar.filtration import restrict_to_L
 
 
 def unit_square():
@@ -94,7 +89,7 @@ def test_deterministic_construction():
 
 def test_empty_a_rejected():
     with pytest.raises(InputError):
-        build_rips_pair(PointCloud.empty(2), None, r_max=1.0, k_max=1)
+        build_rips_pair(PointCloud(np.zeros((0, 2))), None, r_max=1.0, k_max=1)
 
 
 def test_metric_mismatch_rejected():
@@ -108,13 +103,6 @@ def test_dimension_mismatch_rejected():
     a = PointCloud(np.zeros((2, 2)))
     b = PointCloud(np.ones((1, 3)))
     with pytest.raises(InputError):
-        build_rips_pair(a, b, r_max=1.0, k_max=1)
-
-
-def test_matrix_metric_with_b_rejected():
-    a = PointCloud.from_distance_matrix(np.zeros((2, 2)))
-    b = PointCloud(np.ones((1, 2)))
-    with pytest.raises(InputError, match="rips_pair_from_distances"):
         build_rips_pair(a, b, r_max=1.0, k_max=1)
 
 
@@ -133,6 +121,21 @@ def test_from_distances_validates_split():
         rips_pair_from_distances(d, 0, r_max=1.0, k_max=1)
     with pytest.raises(InputError):
         rips_pair_from_distances(d, 3, r_max=1.0, k_max=1)
+
+
+@pytest.mark.parametrize(
+    "dist,message",
+    [
+        ([[0.0, 1.0], [2.0, 0.0]], "not symmetric"),
+        ([[0.0, -1.0], [-1.0, 0.0]], "negative"),
+        ([[0.5, 1.0], [1.0, 0.0]], "nonzero diagonal"),
+        ([[0.0, np.inf], [np.inf, 0.0]], "non-finite"),
+        ([[0.0, 1.0]], "square"),
+    ],
+)
+def test_from_distances_rejects_invalid_matrix(dist, message):
+    with pytest.raises(InputError, match=message):
+        rips_pair_from_distances(np.array(dist), 1, r_max=1.0, k_max=1)
 
 
 def test_negative_r_max_rejected():

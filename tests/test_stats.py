@@ -7,30 +7,32 @@ from mixbar import (
     INF,
     InputError,
     LabeledPointCloud,
+    MixupTriple,
     PointCloud,
     StatsConfig,
-    ValueMixupTriple,
     build_rips_pair,
-    clamp_triple,
     compute_mixup_barcode,
-    interaction_barcode,
     k_medoids_indices,
-    mean_mixup_percentage,
-    mixup,
     mixup_percentage,
     mixup_profile,
     pairwise_distances,
     pairwise_matrix,
     rips_pair_from_distances,
-    total_image_persistence,
     total_mixup,
+)
+from mixbar.stats import (
+    clamp_triple,
+    interaction_barcode,
+    mean_mixup_percentage,
+    mixup,
+    total_image_persistence,
     total_mixup_percentage,
     total_persistence,
 )
 
 
-def vt(b, dp, d, degree=0):
-    return ValueMixupTriple(birth=b, death_image=dp, death=d, degree=degree)
+def vt(b, dp, d):
+    return MixupTriple(birth=b, death_image=dp, death=d)
 
 
 def test_six_cell_statistics(six_cell_pair):

@@ -3,43 +3,39 @@ import itertools
 import numpy as np
 import pytest
 
-from mixbar import (
-    InputError,
-    PointCloud,
-    k_medoids,
-    k_medoids_indices,
-    pairwise_distances,
-)
+from mixbar import InputError, k_medoids, k_medoids_indices, pairwise_distances
 from mixbar.subsample import _cost
 
 
 def test_line_single_medoid():
-    cloud = PointCloud(np.array([[0.0], [10.0], [20.0]]))
-    sel = k_medoids(cloud, 1)
+    sel = k_medoids(pairwise_distances(np.array([[0.0], [10.0], [20.0]])), 1)
     assert sel.indices == (1,)
     assert sel.cost == 20.0
 
 
 def test_k_at_least_n_returns_everything():
-    cloud = PointCloud(np.zeros((4, 2)))
-    sel = k_medoids(cloud, 7)
+    sel = k_medoids(np.zeros((4, 4)), 7)
     assert sel.indices == (0, 1, 2, 3)
     assert sel.cost == 0.0
 
 
 def test_rejects_bad_k():
-    cloud = PointCloud(np.zeros((3, 2)))
     with pytest.raises(InputError):
-        k_medoids(cloud, 0)
+        k_medoids(np.zeros((3, 3)), 0)
     with pytest.raises(InputError):
-        k_medoids(PointCloud.empty(2), 1)
+        k_medoids(np.zeros((0, 0)), 1)
+
+
+def test_rejects_invalid_matrix():
+    with pytest.raises(InputError, match="not symmetric"):
+        k_medoids(np.array([[0.0, 1.0], [2.0, 0.0]]), 1)
 
 
 def test_selection_is_sorted_and_deterministic():
     rng = np.random.default_rng(2)
-    cloud = PointCloud(rng.random((15, 3)))
-    one = k_medoids(cloud, 4)
-    two = k_medoids(cloud, 4)
+    dist = pairwise_distances(rng.random((15, 3)))
+    one = k_medoids(dist, 4)
+    two = k_medoids(dist, 4)
     assert one == two
     assert list(one.indices) == sorted(one.indices)
 

@@ -7,7 +7,8 @@ boundaries that validate() accepts.
 import numpy as np
 import pytest
 
-from mixbar import check_instance, mixup_barcode_indices, parse_explicit_pair
+from mixbar import mixup_barcode_indices, parse_explicit_pair
+from mixbar.verify import check_instance
 
 PAIRS = {
     # a loop with no vertices, killed in K before it is killed in L
