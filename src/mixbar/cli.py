@@ -45,7 +45,8 @@ from .verify import check_instance, run_fuzz
 # rather than coordinates, read by load_distance_matrix.
 INPUT_METRICS = METRICS + ("matrix",)
 
-# Options that describe an input; verify without one fuzzes its own instances.
+# Options that describe a point-cloud input; verify without an input fuzzes its
+# own instances, and an explicit --filtration file is the complex itself.
 INPUT_OPTIONS = (
     ("--b", "b"), ("--rmax", "r_max"), ("--kmax", "k_max"), ("--metric", "metric"), ("--split", "split"),
 )
@@ -70,6 +71,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--filtration", help="explicit filtration file instead of point clouds")
         add_rips(p, INPUT_METRICS)
         p.add_argument("--split", type=int, help="with --metric matrix: number of leading rows that form A")
+        p.set_defaults(metric=None, k_max=None)  # set only when given; see _load_pair
 
     def add_clamp(p):
         p.add_argument("--clamp", type=float, help="horizon for infinite bars (default: rmax, or the largest value of an explicit filtration)")
@@ -112,7 +114,6 @@ def _parser() -> argparse.ArgumentParser:
     add_degrees_out(p)
     p.add_argument("--instances", type=int, default=200, help="random instances when no input is given (default 200)")
     p.add_argument("--seed", type=int, default=0, help="seed of the random instances (default 0)")
-    p.set_defaults(metric=None, k_max=None)  # set only when given; see cmd_verify
 
     p = sub.add_parser("plot", help="render a mixup result JSON as an SVG barcode")
     p.add_argument("--results", required=True, help="JSON produced by the mixup subcommand")
@@ -136,12 +137,24 @@ def _parse_degrees(text: str | None) -> list[int] | None:
 
 
 def _load_pair(args: argparse.Namespace) -> FilteredPair:
-    """Parse --filtration, or build the Rips pair of --a and --b."""
-    if args.split is not None and args.metric != "matrix":
-        raise InputError("--split marks A in a joint distance matrix; it needs --metric matrix")
+    """Parse --filtration, or build the Rips pair of --a and --b.
+
+    Fills in the defaults of --metric and --kmax, which the parser leaves
+    unset so that an option given with --filtration can be told apart.
+    """
     if args.filtration is not None:
         if args.a or args.b:
             raise InputError("give either --filtration or point clouds, not both")
+        given = [flag for flag, dest in INPUT_OPTIONS if getattr(args, dest) is not None]
+        if given:
+            raise InputError(
+                f"--filtration is the complex itself; it reads no {', '.join(given)}"
+            )
+    args.metric = args.metric or "euclidean"
+    args.k_max = 2 if args.k_max is None else args.k_max
+    if args.split is not None and args.metric != "matrix":
+        raise InputError("--split marks A in a joint distance matrix; it needs --metric matrix")
+    if args.filtration is not None:
         with open(args.filtration, "r", encoding="utf-8") as fh:
             return parse_explicit_pair(fh.read())
     if args.a is None:
@@ -223,7 +236,7 @@ def cmd_mixup(args: argparse.Namespace) -> int:
     if args.clamp is not None:
         clamp = args.clamp
     elif args.filtration is not None:
-        clamp = max((c.value for c in fp.cells), default=0.0)
+        clamp = float(fp.value.max()) if fp.n else 0.0
     else:
         clamp = args.r_max
     degrees = _default_degrees(args, fp)
@@ -390,8 +403,6 @@ def cmd_subsample(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     degrees = args.degrees if args.degrees is not None else [0, 1, 2]
     if args.a is not None or args.filtration is not None:
-        args.metric = args.metric or "euclidean"
-        args.k_max = 2 if args.k_max is None else args.k_max
         problems = check_instance(_load_pair(args), degrees)
         checked = 1
     else:

@@ -17,6 +17,11 @@ An edge with one boundary vertex joins a ground node older than every
 vertex; an edge with none merges nothing. Columns of dimension 2 and up are
 Python ints over rows numbered densely within the face dimension: addition
 is `^` and the pivot is the highest set bit.
+
+Creators and cofaces are selected from the arrays of the pair by masks on
+`dim` and `in_l`, and the image row keys are computed once per degree with
+numpy; the union-find and the column reduction then run over plain int
+lists built from the CSR boundaries.
 """
 
 from __future__ import annotations
@@ -24,8 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InputError
-from .filtration import MEMBER_L, Cell, FilteredPair
+from .filtration import FilteredPair
 
 INF = math.inf
 
@@ -58,11 +65,12 @@ def reduce_columns(columns) -> tuple[dict[int, int], list[int]]:
 def merge_edges(edges, key) -> tuple[dict[int, int], list[int]]:
     """Elder-rule union-find over 1-cells in filtration order.
 
-    key maps vertex ids to row keys of at least 1; id 0 stands for the
-    ground node, older than every vertex. Returns the pairing (vertex id ->
-    id of the edge that merges the component whose oldest vertex it is into
-    an older one) and the ids of the edges that merge nothing: exactly the
-    pivots and the zero columns of the reduced edge columns.
+    edges are (edge id, end, end) with 0 for a missing end, which stands for
+    the ground node, older than every vertex; key[v] is the row key of
+    vertex id v, at least 1, and key[0] = 0. Returns the pairing (vertex id
+    -> id of the edge that merges the component whose oldest vertex it is
+    into an older one) and the ids of the edges that merge nothing: exactly
+    the pivots and the zero columns of the reduced edge columns.
     """
     parent: dict[int, int] = {}
 
@@ -73,49 +81,62 @@ def merge_edges(edges, key) -> tuple[dict[int, int], list[int]]:
 
     deaths: dict[int, int] = {}
     cycles: list[int] = []
-    for e in edges:
-        u, w = (find(v) for v in (*e.boundary, 0, 0)[:2])  # missing ends: the ground
+    for eid, u, w in edges:
+        u, w = find(u), find(w)
         if u == w:
-            cycles.append(e.id)
+            cycles.append(eid)
             continue
-        if key.get(u, 0) > key.get(w, 0):
+        if key[u] > key[w]:
             u, w = w, u
         parent[w] = u
-        deaths[w] = e.id
+        deaths[w] = eid
     return deaths, cycles
 
 
-def image_row_order(fp: FilteredPair) -> dict[int, int]:
-    """Row keys that list all L-cells before all ambient-only cells.
+def image_row_order(fp: FilteredPair) -> np.ndarray:
+    """Row keys, indexed by cell id, that list all L-cells before all
+    ambient-only cells; key 0 is left for the ground node.
 
     Relative order inside each group stays the filtration order. Under these
     keys a reduced ambient column kills the youngest ambient-only class
     whenever one is available, which is what makes the pairing against
     L-cycles the image pairing.
     """
-    order: dict[int, int] = {}
-    rank = 0
-    for c in fp.cells:
-        if c.member == MEMBER_L:
-            rank += 1
-            order[c.id] = rank
-    for c in fp.cells:
-        if c.member != MEMBER_L:
-            rank += 1
-            order[c.id] = rank
-    return order
+    key = np.zeros(fp.n + 1, dtype=np.int64)
+    key[1:][np.argsort(~fp.in_l, kind="stable")] = np.arange(1, fp.n + 1)
+    return key
 
 
-def _image_ordered(fp: FilteredPair, dim: int, order: dict[int, int]) -> list[int]:
-    """Ids of the dim-cells in image order: their dense row numbers."""
-    return sorted((c.id for c in fp.cells if c.dim == dim), key=order.__getitem__)
+def _edges(fp: FilteredPair, ids: np.ndarray):
+    """(id, end, end) of the 1-cells ids, 0 for a missing end."""
+    faces, bounds = fp.faces_of(ids)
+    padded = np.append(faces, [0, 0])
+    count = np.diff(bounds)
+    u = np.where(count >= 1, padded[bounds[:-1]], 0)
+    w = np.where(count >= 2, padded[bounds[:-1] + 1], 0)
+    return zip(ids.tolist(), u.tolist(), w.tolist())
 
 
-def _bitset_pairs(cells: list[Cell], faces: list[int]) -> tuple[dict[int, int], list[int]]:
-    """reduce_columns over the boundaries of cells, with rows the faces
-    listed in row order; the pairing is keyed by face id."""
-    row = {cid: i for i, cid in enumerate(faces)}
-    pairs, zeros = reduce_columns((c.id, sum(1 << row[b] for b in c.boundary)) for c in cells)
+def _rows(fp: FilteredPair, dim: int, key: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Ids of the dim-cells in image order, and each id's place in it."""
+    ids = np.flatnonzero(fp.dim == dim) + 1
+    ids = ids[np.argsort(key[ids])]
+    row = np.zeros(fp.n + 1, dtype=np.int64)
+    row[ids] = np.arange(len(ids))
+    return ids.tolist(), row
+
+
+def _bitset_pairs(fp: FilteredPair, ids: np.ndarray, rows) -> tuple[dict[int, int], list[int]]:
+    """reduce_columns over the boundaries of the cells ids, with rows as
+    given by _rows; the pairing is keyed by face id."""
+    faces, row = rows
+    entries, bounds = fp.faces_of(ids)
+    bits, bounds = row[entries].tolist(), bounds.tolist()
+    bit = (1).__lshift__
+    pairs, zeros = reduce_columns(
+        (cid, sum(map(bit, bits[lo:hi])))
+        for cid, lo, hi in zip(ids.tolist(), bounds, bounds[1:])
+    )
     return {faces[p]: cid for p, cid in pairs.items()}, zeros
 
 
@@ -153,21 +174,21 @@ def mixup_barcode_indices(fp: FilteredPair, k: int) -> list[MixupTriple]:
     """
     if not 0 <= k <= max(fp.max_dim, 0):
         raise InputError(f"degree {k} out of range for a complex of dimension {fp.max_dim}")
-    order = image_row_order(fp)
-    creators = [c for c in fp.cells if c.dim == k and c.member == MEMBER_L]
-    cofaces = [c for c in fp.cells if c.dim == k + 1]
-    l_cofaces = [c for c in cofaces if c.member == MEMBER_L]
+    key = image_row_order(fp)
+    creators = np.flatnonzero((fp.dim == k) & fp.in_l) + 1
+    cofaces = np.flatnonzero(fp.dim == k + 1) + 1
+    l_cofaces = cofaces[fp.in_l[cofaces - 1]]
     if k == 0:
-        deaths_k = merge_edges(cofaces, order)[0]
-        deaths_l = merge_edges(l_cofaces, order)[0]
+        keys = key.tolist()
+        deaths_k = merge_edges(_edges(fp, cofaces), keys)[0]
+        deaths_l = merge_edges(_edges(fp, l_cofaces), keys)[0]
+        born = creators.tolist()
     else:
-        faces = _image_ordered(fp, k, order)
-        deaths_k = _bitset_pairs(cofaces, faces)[0]
-        deaths_l = _bitset_pairs(l_cofaces, faces)[0]
+        rows = _rows(fp, k, key)
+        deaths_k = _bitset_pairs(fp, cofaces, rows)[0]
+        deaths_l = _bitset_pairs(fp, l_cofaces, rows)[0]
         if k == 1:
-            cycles = set(merge_edges(creators, order)[1])
+            born = merge_edges(_edges(fp, creators), key.tolist())[1]
         else:
-            cycles = set(_bitset_pairs(creators, _image_ordered(fp, k - 1, order))[1])
-        creators = [c for c in creators if c.id in cycles]
-    return [MixupTriple(c.id, deaths_k.get(c.id, INF), deaths_l.get(c.id, INF)) for c in creators]
-
+            born = _bitset_pairs(fp, creators, _rows(fp, k - 1, key))[1]
+    return [MixupTriple(c, deaths_k.get(c, INF), deaths_l.get(c, INF)) for c in born]

@@ -6,15 +6,30 @@ are diameters (largest pairwise dissimilarity, 0 for vertices) and the
 cell order is (value, dim, L before ambient-only, lexicographic vertices),
 which puts every face before its cofaces and is a total order, so repeated
 builds are identical.
+
+The build works on arrays, one dimension at a time, with no per-simplex
+Python: edges come from an upper-triangle threshold mask, and each higher
+dimension extends every simplex by the common later neighbours of its
+vertices (the expansion step of Zomorodian, "Fast construction of the
+Vietoris-Rips complex", 2010). Simplices are then addressed by position,
+as in Ripser, rather than through a dict of vertex tuples: a face is found
+by searchsorted on (parent position, last vertex). One lexsort gives the
+cell order, and the result is the array layout of FilteredPair, checked by
+its validate() like any other input.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .cloud import PointCloud, check_distance_matrix, pairwise_distances
 from .errors import InputError
-from .filtration import MEMBER_K, MEMBER_L, Cell, FilteredPair
+from .filtration import FilteredPair
+
+# Entries of the boolean block (simplices x points) one expansion step holds.
+MASK_BUDGET = 1 << 22
 
 
 def check_rips_params(r_max: float, k_max: int) -> None:
@@ -67,55 +82,88 @@ def rips_pair_from_distances(
         raise InputError(f"A must hold between 1 and {n} of the {n} points, got {n_a}")
     check_rips_params(r_max, k_max)
 
-    simplices = _enumerate_simplices(dist, r_max, k_max + 1)
-    simplices.sort(key=lambda s: (s[1], len(s[0]) - 1, 0 if s[0][-1] < n_a else 1, s[0]))
+    layers = _expand(dist, r_max, k_max + 1)
+    dims = np.concatenate([np.full(len(lay.last), d) for d, lay in enumerate(layers)])
+    value = np.concatenate([lay.value for lay in layers])
+    ambient = np.concatenate([lay.last for lay in layers]) >= n_a
+    # generation order is (dim, vertices); a stable sort keeps it within ties
+    order = np.lexsort((ambient, dims, value))
+    position = np.empty(len(order), dtype=np.int64)
+    position[order] = np.arange(len(order))
 
-    id_of: dict[tuple[int, ...], int] = {}
-    cells: list[Cell] = []
-    for verts, value in simplices:
-        cid = len(cells) + 1
-        id_of[verts] = cid
-        if len(verts) == 1:
-            boundary: tuple[int, ...] = ()
-        else:
-            boundary = tuple(
-                sorted(id_of[verts[:i] + verts[i + 1 :]] for i in range(len(verts)))
-            )
-        cells.append(
-            Cell(
-                id=cid,
-                dim=len(verts) - 1,
-                value=value,
-                member=MEMBER_L if verts[-1] < n_a else MEMBER_K,
-                boundary=boundary,
-                vertices=verts,
-            )
-        )
-    return FilteredPair.from_cells(cells)
+    counts = np.where(dims > 0, dims + 1, 0)[order]
+    indptr = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    offset = len(layers[0].last)
+    for d in range(1, len(layers)):
+        m = len(layers[d].last)
+        own = position[offset : offset + m]
+        face_ids = np.sort(position[offset - len(layers[d - 1].last) + layers[d].faces] + 1, axis=1)
+        indices[(indptr[own][:, None] + np.arange(d + 1)).ravel()] = face_ids.ravel()
+        offset += m
+    return FilteredPair(dims[order], value[order], ~ambient[order], indptr, indices)
 
 
-def _enumerate_simplices(dist: np.ndarray, r_max: float, max_dim: int):
-    """All cliques of the r_max-neighborhood graph up to max_dim vertices-1.
+class _Layer(NamedTuple):
+    """The d-simplices of a Rips complex in lexicographic vertex order.
 
-    Returns (vertex tuple ascending, diameter) pairs in no particular order.
+    Simplex i is the (d-1)-simplex `parent[i]` of the layer below extended
+    by the vertex `last[i]`, larger than all of its vertices; `faces[i, j]`
+    is the position in the layer below of the face without vertex j. In
+    the vertex layer, parent and last are the vertex itself.
+    """
+
+    parent: np.ndarray
+    last: np.ndarray
+    value: np.ndarray
+    faces: np.ndarray
+
+
+def _expand(dist: np.ndarray, r_max: float, max_dim: int) -> list[_Layer]:
+    """All cliques of the r_max-neighborhood graph up to dimension max_dim.
+
+    Each layer extends every simplex of the one below by the common later
+    neighbours of its vertices: the AND of their rows of `later`, over
+    blocks of simplices so the block x n mask holds at most MASK_BUDGET
+    entries. A face of a simplex (v_0..v_d) without v_j, j < d, is the face
+    of its parent without v_j, extended by v_d, so it is found by
+    searchsorted on the key parent * n + last. That key is below n times
+    the length of an array in memory, far from 2^63 for any n whose n x n
+    matrix fits in memory; a mixed-radix key over the vertex tuple would
+    overflow once n^(d+1) >= 2^63.
     """
     n = dist.shape[0]
-    out: list[tuple[tuple[int, ...], float]] = [((v,), 0.0) for v in range(n)]
-    if max_dim == 0 or n == 0:
-        return out
-    within = dist <= r_max
-    np.fill_diagonal(within, False)
-    later = [np.flatnonzero(within[v] & (np.arange(n) > v)) for v in range(n)]
-
-    def extend(verts: tuple[int, ...], value: float, cands: np.ndarray) -> None:
-        for w in cands:
-            w = int(w)
-            new_value = max(value, float(dist[w, list(verts)].max()))
-            new_verts = verts + (w,)
-            out.append((new_verts, new_value))
-            if len(new_verts) <= max_dim:
-                extend(new_verts, new_value, np.intersect1d(cands, later[w], assume_unique=True))
-
-    for v in range(n):
-        extend((v,), 0.0, later[v])
-    return out
+    verts = np.arange(n)
+    layers = [_Layer(verts, verts, np.zeros(n), np.empty((n, 0), dtype=np.int64))]
+    if max_dim == 0:
+        return layers
+    later = np.triu(dist <= r_max, 1)
+    u, w = np.nonzero(later)
+    layers.append(_Layer(u, w, dist[u, w], np.stack([w, u], axis=1)))
+    simplices = np.stack([u, w], axis=1)  # vertices of the top layer
+    block = max(1, MASK_BUDGET // n)
+    for d in range(2, max_dim + 1):
+        below = layers[-1]
+        parents, lasts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for start in range(0, len(simplices), block):
+            rows = simplices[start : start + block]
+            mask = later[rows[:, 0]]
+            for j in range(1, d):
+                mask &= later[rows[:, j]]
+            p, v = np.nonzero(mask)
+            parents.append(p + start)
+            lasts.append(v)
+        parent = np.concatenate(parents)
+        last = np.concatenate(lasts)
+        if not len(parent):
+            break
+        simplices = np.concatenate([simplices[parent], last[:, None]], axis=1)
+        value = np.maximum(below.value[parent], dist[simplices[:, :-1], last[:, None]].max(axis=1))
+        key = below.parent * n + below.last
+        faces = np.empty((len(parent), d + 1), dtype=np.int64)
+        for j in range(d):
+            faces[:, j] = np.searchsorted(key, below.faces[parent, j] * n + last)
+        faces[:, d] = parent
+        layers.append(_Layer(parent, last, value, faces))
+    return layers

@@ -60,9 +60,10 @@ def compute_mixup_barcode(
     if degree > max(fp.max_dim, 0):
         return MixupBarcode(degree, (), (), clamp)
     idx = tuple(mixup_barcode_indices(fp, degree))
+    values = fp.value.tolist()
 
     def val(cid: float) -> float:
-        return INF if cid == INF else fp.value(cid)
+        return INF if cid == INF else values[cid - 1]
 
     vals = tuple(MixupTriple(val(t.birth), val(t.death_image), val(t.death)) for t in idx)
     return MixupBarcode(degree, idx, vals, clamp)

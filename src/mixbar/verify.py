@@ -8,6 +8,11 @@ prefix and takes second differences of rank grids. On any instance small
 enough for the oracle, the (b, d) pairs of the triples must equal the
 oracle's standard barcode of L, and the (b, d') pairs must equal its image
 barcode, both as exact index multisets.
+
+The fuzzer draws Rips pairs and explicit complexes in equal shares. An
+explicit complex has 1-cells with zero, one or two boundary vertices and
+2-cells bounded by arbitrary 1-cycles, values with many ties, and L-cells
+only where all faces are in L.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from collections import Counter
 import numpy as np
 
 from .cloud import PointCloud
-from .filtration import FilteredPair
-from .oracle import barcode_from_ranks, rank_function
+from .filtration import MEMBER_K, MEMBER_L, Cell, FilteredPair
+from .oracle import _cycle_flag, barcode_from_ranks, rank_function
 from .rips import build_rips_pair
 from .stats import compute_mixup_barcode
 
@@ -31,6 +36,9 @@ MAX_B = 3
 MIN_DIM = 2
 MAX_DIM = 4
 K_MAX = 2
+# Explicit complexes: up to MAX_A vertices, MAX_EDGES 1-cells, MAX_DISKS 2-cells.
+MAX_EDGES = 9
+MAX_DISKS = 4
 
 
 def random_rips_instance(rng: np.random.Generator) -> FilteredPair:
@@ -44,6 +52,38 @@ def random_rips_instance(rng: np.random.Generator) -> FilteredPair:
     span = float(np.sqrt(dim))
     r_max = float(rng.uniform(0.05, 1.05)) * span
     return build_rips_pair(a, b, r_max=r_max, k_max=K_MAX)
+
+
+def random_explicit_instance(rng: np.random.Generator) -> FilteredPair:
+    """A small random explicit pair: vertices, then 1-cells, then 2-cells
+    on random sums of a cycle basis of the 1-cells (of L for an L-cell)."""
+    n_v = int(rng.integers(1, MAX_A + 1))
+    cells = [
+        Cell(v + 1, 0, 0.0, MEMBER_L if v == 0 or rng.random() < 0.6 else MEMBER_K, ())
+        for v in range(n_v)
+    ]
+    value = 0.0
+    for _ in range(int(rng.integers(0, MAX_EDGES + 1))):
+        n_ends = min(int(rng.choice(3, p=[0.1, 0.2, 0.7])), n_v)
+        ends = tuple(sorted(int(v) + 1 for v in rng.choice(n_v, size=n_ends, replace=False)))
+        in_l = all(cells[v - 1].member == MEMBER_L for v in ends) and rng.random() < 0.7
+        value += float(rng.choice([0.0, 1.0]))
+        cells.append(Cell(len(cells) + 1, 1, value, MEMBER_L if in_l else MEMBER_K, ends))
+    for _ in range(int(rng.integers(0, MAX_DISKS + 1))):
+        member = MEMBER_L if rng.random() < 0.5 else MEMBER_K
+        edges = [c for c in cells if c.dim == 1 and (c.member == MEMBER_L or member == MEMBER_K)]
+        basis = _cycle_flag(edges)[1]
+        if not basis:
+            continue
+        chosen = rng.random(len(basis)) < 0.5
+        chosen[rng.integers(len(basis))] = True
+        chain = 0
+        for cycle, take in zip(basis, chosen):
+            chain ^= cycle if take else 0
+        value += float(rng.choice([0.0, 1.0]))
+        boundary = tuple(e for e in range(chain.bit_length()) if chain >> e & 1)
+        cells.append(Cell(len(cells) + 1, 2, value, member, boundary))
+    return FilteredPair.from_cells(cells)
 
 
 def check_instance(fp: FilteredPair, degrees) -> list[str]:
@@ -76,11 +116,13 @@ def check_instance(fp: FilteredPair, degrees) -> list[str]:
 
 
 def run_fuzz(instances: int, seed: int = 0, degrees=(0, 1, 2)) -> tuple[int, list[str]]:
-    """Fuzz `instances` random pairs; returns (count checked, mismatches)."""
+    """Fuzz `instances` random pairs, Rips and explicit; returns (count
+    checked, mismatches)."""
     rng = np.random.default_rng(seed)
     problems: list[str] = []
     for i in range(instances):
-        fp = random_rips_instance(rng)
+        draw = random_rips_instance if rng.random() < 0.5 else random_explicit_instance
+        fp = draw(rng)
         for msg in check_instance(fp, degrees):
             problems.append(f"instance {i}: {msg}")
     return instances, problems

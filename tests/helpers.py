@@ -1,0 +1,109 @@
+"""Test-only helpers: the explicit-file writer, the restriction to L, and a
+per-simplex reference Rips construction to compare the array build with."""
+
+import numpy as np
+
+from mixbar.filtration import MEMBER_K, MEMBER_L, Cell, FilteredPair
+
+
+def format_explicit_pair(fp: FilteredPair) -> str:
+    """Inverse of parse_explicit_pair."""
+    lines = []
+    for c in fp.cells:
+        parts = [str(c.id), str(c.dim), repr(c.value), c.member]
+        parts.extend(str(b) for b in c.boundary)
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def restrict_to_L(fp: FilteredPair) -> FilteredPair:
+    """The subcomplex L as a standalone pair, cells renumbered 1..m in their
+    original relative order."""
+    remap: dict[int, int] = {}
+    out: list[Cell] = []
+    for c in fp.cells:
+        if c.member != MEMBER_L:
+            continue
+        remap[c.id] = len(out) + 1
+        boundary = tuple(sorted(remap[b] for b in c.boundary))
+        out.append(Cell(len(out) + 1, c.dim, c.value, MEMBER_L, boundary))
+    return FilteredPair.from_cells(out)
+
+
+def reference_rips(dist, n_a: int, r_max: float, k_max: int):
+    """The Rips pair one simplex at a time: recursive clique enumeration, a
+    sort on (value, dim, L first, vertices) and boundaries looked up in a
+    dict. Returns the cells and, for each, its vertex tuple."""
+    dist = np.asarray(dist, dtype=float)
+    simplices = _enumerate_simplices(dist, r_max, k_max + 1)
+    simplices.sort(key=lambda s: (s[1], len(s[0]) - 1, 0 if s[0][-1] < n_a else 1, s[0]))
+    id_of: dict[tuple[int, ...], int] = {}
+    cells: list[Cell] = []
+    for verts, value in simplices:
+        cid = len(cells) + 1
+        id_of[verts] = cid
+        faces = [verts[:i] + verts[i + 1 :] for i in range(len(verts))] if len(verts) > 1 else []
+        member = MEMBER_L if verts[-1] < n_a else MEMBER_K
+        cells.append(Cell(cid, len(verts) - 1, value, member, tuple(sorted(id_of[f] for f in faces))))
+    return cells, [verts for verts, _ in simplices]
+
+
+def _enumerate_simplices(dist: np.ndarray, r_max: float, max_dim: int):
+    """All cliques of the r_max-neighborhood graph up to max_dim vertices-1,
+    as (vertex tuple ascending, diameter) pairs in no particular order."""
+    n = dist.shape[0]
+    out: list[tuple[tuple[int, ...], float]] = [((v,), 0.0) for v in range(n)]
+    if max_dim == 0 or n == 0:
+        return out
+    within = dist <= r_max
+    np.fill_diagonal(within, False)
+    later = [np.flatnonzero(within[v] & (np.arange(n) > v)) for v in range(n)]
+
+    def extend(verts: tuple[int, ...], value: float, cands: np.ndarray) -> None:
+        for w in cands:
+            w = int(w)
+            new_value = max(value, float(dist[w, list(verts)].max()))
+            new_verts = verts + (w,)
+            out.append((new_verts, new_value))
+            if len(new_verts) <= max_dim:
+                extend(new_verts, new_value, np.intersect1d(cands, later[w], assume_unique=True))
+
+    for v in range(n):
+        extend((v,), 0.0, later[v])
+    return out
+
+
+def reference_error(cells) -> str | None:
+    """The message of the first cell that breaks a structural rule, one cell
+    at a time, or None when the cells form a valid pair."""
+    for pos, c in enumerate(cells, start=1):
+        if c.id != pos:
+            return f"cell ids must be 1..n in order; position {pos} has id {c.id}"
+        if c.dim < 0:
+            return f"cell {c.id}: negative dimension"
+        if pos > 1 and c.value < cells[pos - 2].value:
+            return f"cell {c.id}: value {c.value} below value of cell {c.id - 1}"
+        seen = set()
+        for fid in c.boundary:
+            if fid in seen:
+                return f"cell {c.id}: duplicate boundary id {fid}"
+            seen.add(fid)
+            if not 1 <= fid < c.id:
+                return f"cell {c.id}: boundary id {fid} must name an earlier cell"
+            face = cells[fid - 1]
+            if face.dim != c.dim - 1:
+                return f"cell {c.id} (dim {c.dim}): boundary cell {fid} has dim {face.dim}"
+            if c.member == MEMBER_L and face.member != MEMBER_L:
+                return f"cell {c.id} is in L but its face {fid} is not: L is not a subcomplex"
+        if c.dim == 1 and len(c.boundary) > 2:
+            return f"cell {c.id}: a 1-cell has at most two boundary vertices"
+        if c.dim >= 2:
+            odd: set[int] = set()
+            for fid in c.boundary:
+                odd.symmetric_difference_update(cells[fid - 1].boundary)
+            if odd:
+                return (
+                    f"cell {c.id}: the boundary of its boundary is not zero over Z/2 "
+                    f"(cells {sorted(odd)} appear an odd number of times)"
+                )
+    return None

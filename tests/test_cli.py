@@ -406,6 +406,32 @@ def test_verify_fuzzer_rejects_input_options(extra, flag, capsys):
     assert f"reads no {flag}" in err
 
 
+@pytest.mark.parametrize("command", ["mixup", "verify"])
+@pytest.mark.parametrize(
+    "extra,flags",
+    [
+        (["--rmax", "9"], ["--rmax"]),
+        (["--kmax", "0"], ["--kmax"]),
+        (["--kmax", "2"], ["--kmax"]),
+        (["--metric", "sqeuclidean"], ["--metric"]),
+        (["--metric", "matrix", "--split", "2"], ["--metric", "--split"]),
+        (["--rmax", "9", "--kmax", "0", "--metric", "sqeuclidean"], ["--rmax", "--kmax", "--metric"]),
+    ],
+)
+def test_filtration_rejects_point_cloud_options(command, extra, flags, six_cell_file, capsys):
+    code, out, err = run([command, "--filtration", six_cell_file] + extra, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.endswith(f"reads no {', '.join(flags)}\n")
+
+
+def test_filtration_params_echo_the_defaults(six_cell_file, capsys):
+    code, out, _ = run(["mixup", "--filtration", six_cell_file], capsys)
+    assert code == 0
+    params = json.loads(out)["params"]
+    assert (params["metric"], params["k_max"], params["r_max"]) == ("euclidean", 2, None)
+
+
 def test_verify_input_reads_kmax_and_metric(square_center_files, capsys):
     a, b = square_center_files
     args = ["verify", "--a", a, "--b", b, "--rmax", "2", "--degrees", "0,1"]

@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 
 from mixbar import InputError, parse_explicit_pair
-from mixbar.filtration import Cell, FilteredPair, format_explicit_pair, restrict_to_L
+from mixbar.filtration import Cell, FilteredPair
+from mixbar.verify import random_explicit_instance
 from conftest import SIX_CELL
+from helpers import format_explicit_pair, reference_error, restrict_to_L
 
 
 def test_parse_six_cell(six_cell_pair):
@@ -12,7 +15,7 @@ def test_parse_six_cell(six_cell_pair):
     assert fp.l_cell_count() == 4
     assert fp.cell(3).member == "K"
     assert fp.cell(5).boundary == (1, 2)
-    assert fp.value(4) == 4.0
+    assert fp.cell(4).value == 4.0
 
 
 def test_format_parse_roundtrip(six_cell_pair):
@@ -80,7 +83,8 @@ def test_from_cells_validates():
 def test_restrict_to_l(six_cell_pair):
     sub = restrict_to_L(six_cell_pair)
     assert sub.n == 4
-    assert [c.label for c in sub.cells] == [1, 2, 5, 6]
+    # the L cells 1, 2, 5, 6 in order; in this pair a cell's value is its id
+    assert [c.value for c in sub.cells] == [1.0, 2.0, 5.0, 6.0]
     assert all(c.member == "L" for c in sub.cells)
     # boundaries renumbered: old cell 5 bounded {1, 2}, which keep their ids
     assert sub.cell(3).boundary == (1, 2)
@@ -115,3 +119,87 @@ def test_accepts_cancelling_boundaries():
 def test_rejects_edge_with_three_vertices():
     with pytest.raises(InputError, match=r"cell 4: a 1-cell has at most two"):
         parse_explicit_pair("1 0 0.0 L\n2 0 0.0 L\n3 0 0.0 L\n4 1 1.0 L 1 2 3\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # cell 3 lowers the value, cell 4 names a later cell
+        ("1 0 0.0 L\n2 0 1.0 L\n3 0 0.5 L\n4 1 2.0 L 1 9\n", "cell 3: value 0.5 below value of cell 2"),
+        # cell 4 breaks the last rule (boundary of boundary), cell 5 the first (dimension)
+        (
+            "1 0 0.0 L\n2 0 0.0 L\n3 1 1.0 L 1 2\n4 2 2.0 L 3\n5 -1 3.0 L\n",
+            "cell 4: the boundary of its boundary",
+        ),
+        # cell 3 repeats a face, cell 4 has a face in K while it is in L
+        ("1 0 0.0 K\n2 0 0.0 L\n3 1 1.0 L 2 2\n4 1 1.0 L 1 2\n", "cell 3: duplicate boundary id 2"),
+    ],
+)
+def test_earliest_offending_cell_is_reported(text, message):
+    with pytest.raises(InputError, match=message):
+        parse_explicit_pair(text)
+
+
+def test_id_gap_after_an_offending_cell():
+    cells = [
+        Cell(1, 0, 0.0, "L", ()),
+        Cell(2, 1, 1.0, "L", (1, 2)),  # names itself
+        Cell(4, 0, 2.0, "L", ()),  # an id out of order
+    ]
+    with pytest.raises(InputError, match="cell 2: boundary id 2 must name an earlier cell"):
+        FilteredPair.from_cells(cells)
+
+
+def test_validate_agrees_with_the_per_cell_rules():
+    """Random corruptions of valid explicit pairs: the same first offending
+    cell and the same message as checking one cell at a time."""
+    rng = np.random.default_rng(7)
+    rejected = 0
+    for _ in range(1500):
+        cells = list(random_explicit_instance(rng).cells)
+        for _ in range(int(rng.integers(1, 3))):
+            i = int(rng.integers(len(cells)))
+            c = cells[i]
+            kind = int(rng.integers(6))
+            if kind == 0:
+                c = Cell(c.id + int(rng.choice([-1, 1])), c.dim, c.value, c.member, c.boundary)
+            elif kind == 1:
+                c = Cell(c.id, c.dim + int(rng.choice([-2, -1, 1])), c.value, c.member, c.boundary)
+            elif kind == 2:
+                c = Cell(c.id, c.dim, c.value - float(rng.integers(1, 3)), c.member, c.boundary)
+            elif kind == 3:
+                c = Cell(c.id, c.dim, c.value, "K" if c.member == "L" else "L", c.boundary)
+            elif kind == 4:
+                extra = int(rng.integers(-1, len(cells) + 2))
+                c = Cell(c.id, c.dim, c.value, c.member, tuple(sorted(c.boundary + (extra,))))
+            elif c.boundary:
+                c = Cell(c.id, c.dim, c.value, c.member, c.boundary[1:])
+            cells[i] = c
+        want = reference_error(cells)
+        if want is None:
+            FilteredPair.from_cells(cells)
+            continue
+        rejected += 1
+        with pytest.raises(InputError) as err:
+            FilteredPair.from_cells(cells)
+        assert str(err.value) == want
+    assert rejected > 1000
+
+
+def test_constructor_rejects_inconsistent_arrays():
+    with pytest.raises(InputError, match="differ in length"):
+        FilteredPair([0, 0], [0.0], [True, True], [0, 0, 0], [])
+    with pytest.raises(InputError, match="boundary offsets"):
+        FilteredPair([0, 1], [0.0, 1.0], [True, True], [0, 0, 2], [1])
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1 0 0.0 L\n2 1 1.0 L 1 99999999999999999999\n", "boundary id is out of range"),
+        ("1 99999999999999999999 0.0 L\n", "cell dimension is out of range"),
+    ],
+)
+def test_rejects_integers_beyond_int64(text, message):
+    with pytest.raises(InputError, match=message):
+        parse_explicit_pair(text)

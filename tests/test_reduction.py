@@ -35,7 +35,7 @@ def test_reduce_filled_triangle_degree0():
     assert zeros == [6]
     assert pairs == {2: 4, 3: 5}
     # union-find gives the same pairing and the same zero column
-    assert merge_edges(edges, {c.id: c.id for c in fp.cells}) == (pairs, zeros)
+    assert merge_edges([(e.id, *e.boundary) for e in edges], range(fp.n + 1)) == (pairs, zeros)
 
 
 def test_reduce_keeps_input_intact():
@@ -48,7 +48,7 @@ def test_reduce_keeps_input_intact():
 def test_image_row_order_puts_l_first(six_cell_pair):
     order = image_row_order(six_cell_pair)
     ranks = [order[i] for i in (1, 2, 5, 6, 3, 4)]
-    assert ranks == sorted(order.values())  # L cells 1,2,5,6 first, then 3,4
+    assert ranks == sorted(order[1:].tolist())  # L cells 1,2,5,6 first, then 3,4
 
 
 def test_six_cell_triples(six_cell_pair):

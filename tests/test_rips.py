@@ -1,12 +1,30 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mixbar import InputError, PointCloud, build_rips_pair, rips_pair_from_distances
-from mixbar.filtration import restrict_to_L
+from mixbar import InputError, PointCloud, build_rips_pair, pairwise_distances, rips_pair_from_distances
+from mixbar import rips
+from helpers import reference_rips, restrict_to_L
 
 
 def unit_square():
     return PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+
+
+def with_vertices(fp, dist, n_a, r_max, k_max):
+    """The cells of fp, each with its vertex tuple from the reference
+    construction, after checking that the two agree cell for cell."""
+    cells, verts = reference_rips(dist, n_a, r_max, k_max)
+    assert fp.cells == tuple(cells)
+    return list(zip(fp.cells, verts))
+
+
+def square_center_cells(fp):
+    pts = np.vstack([unit_square().points, [[0.5, 0.5]]])
+    return with_vertices(fp, pairwise_distances(pts), 4, 2.0, 2)
 
 
 def test_square_center_cell_counts(square_center_pair):
@@ -26,32 +44,25 @@ def test_vertices_precede_everything(square_center_pair):
 
 
 def test_values_are_max_pairwise_distance(square_center_pair):
-    fp = square_center_pair
-    dist = np.vstack(
-        [unit_square().points, [[0.5, 0.5]]]
-    )
-    from mixbar import pairwise_distances
-
-    d = pairwise_distances(dist)
-    for c in fp.cells:
-        vs = c.vertices
+    d = pairwise_distances(np.vstack([unit_square().points, [[0.5, 0.5]]]))
+    for c, vs in square_center_cells(square_center_pair):
         want = 0.0 if len(vs) == 1 else max(d[i, j] for i in vs for j in vs if i < j)
         assert c.value == want
 
 
 def test_member_is_l_iff_all_vertices_from_a(square_center_pair):
-    for c in square_center_pair.cells:
-        assert (c.member == "L") == all(v < 4 for v in c.vertices)
+    for c, vs in square_center_cells(square_center_pair):
+        assert (c.member == "L") == all(v < 4 for v in vs)
 
 
 def test_boundary_faces_are_facets(square_center_pair):
-    fp = square_center_pair
-    for c in fp.cells:
+    cells = square_center_cells(square_center_pair)
+    for c, vs in cells:
         assert len(c.boundary) == (0 if c.dim == 0 else c.dim + 1)
         for fid in c.boundary:
-            face = fp.cell(fid)
+            face, face_vs = cells[fid - 1]
             assert face.dim == c.dim - 1
-            assert set(face.vertices) < set(c.vertices)
+            assert set(face_vs) < set(vs)
 
 
 def test_restriction_equals_building_a_alone():
@@ -60,8 +71,9 @@ def test_restriction_equals_building_a_alone():
     pair = build_rips_pair(a, b, r_max=2.0, k_max=2)
     alone = build_rips_pair(a, None, r_max=2.0, k_max=2)
     sub = restrict_to_L(pair)
-    got = [(c.dim, c.value, c.vertices, c.boundary) for c in sub.cells]
-    want = [(c.dim, c.value, c.vertices, c.boundary) for c in alone.cells]
+    # equal boundaries from the vertices up mean equal vertex sets
+    got = [(c.dim, c.value, c.boundary) for c in sub.cells]
+    want = [(c.dim, c.value, c.boundary) for c in alone.cells]
     assert got == want
 
 
@@ -111,7 +123,7 @@ def test_from_distances_split():
         [[0.0, 1.0, 5.0], [1.0, 0.0, 5.0], [5.0, 5.0, 0.0]]
     )
     fp = rips_pair_from_distances(d, 2, r_max=6.0, k_max=1)
-    members = {c.vertices: c.member for c in fp.cells if c.dim == 0}
+    members = {vs: c.member for c, vs in with_vertices(fp, d, 2, 6.0, 1) if c.dim == 0}
     assert members == {(0,): "L", (1,): "L", (2,): "K"}
 
 
@@ -141,3 +153,31 @@ def test_from_distances_rejects_invalid_matrix(dist, message):
 def test_negative_r_max_rejected():
     with pytest.raises(InputError):
         build_rips_pair(unit_square(), None, r_max=-1.0, k_max=1)
+
+
+# Points on a coarse grid, so that duplicates and tied distances are common.
+grid_clouds = st.integers(1, 9).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=2), min_size=n, max_size=n),
+        st.integers(1, n),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    grid_clouds,
+    st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+    st.integers(0, 3),
+    st.sampled_from([None, 1, 5]),
+)
+def test_array_build_matches_reference(cloud, r_max, k_max, budget):
+    """Cell for cell equal to the per-simplex construction: dim, value,
+    member and boundary. r_max 0.5 is below every nonzero distance; a small
+    budget splits each expansion step into blocks of one or a few simplices."""
+    points, n_a = cloud
+    dist = pairwise_distances(np.array(points, dtype=float))
+    with mock.patch.object(rips, "MASK_BUDGET", budget or rips.MASK_BUDGET):
+        fp = rips_pair_from_distances(dist, n_a, r_max, k_max)
+    cells, _ = reference_rips(dist, n_a, r_max, k_max)
+    assert fp.cells == tuple(cells)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mixbar import mixup_barcode_indices, parse_explicit_pair
-from mixbar.verify import check_instance
+from mixbar.verify import check_instance, random_explicit_instance
 
 PAIRS = {
     # a loop with no vertices, killed in K before it is killed in L
@@ -92,24 +92,21 @@ def test_ground_kills_the_younger_vertex():
     assert loops == [(7, 8, float("inf"))]
 
 
-def random_graph_pair(rng):
-    """Vertices, then edges with zero, one or two boundary vertices; an
-    edge is in L only when its vertices are, values never decrease."""
-    n_v = int(rng.integers(1, 7))
-    in_l = rng.random(n_v) < 0.6
-    in_l[0] = True
-    lines = [f"{v + 1} 0 0.0 {'L' if in_l[v] else 'K'}" for v in range(n_v)]
-    value = 0.0
-    for e in range(int(rng.integers(0, 10))):
-        ends = rng.choice(n_v, size=min(int(rng.choice(3, p=[0.1, 0.2, 0.7])), n_v), replace=False)
-        value += float(rng.choice([0.0, 1.0]))
-        member = "L" if all(in_l[v] for v in ends) and rng.random() < 0.7 else "K"
-        lines.append(" ".join([str(n_v + e + 1), "1", repr(value), member] + [str(v + 1) for v in ends]))
-    return parse_explicit_pair("\n".join(lines) + "\n")
-
-
 def test_random_graph_pairs_match_oracle():
+    """The fuzzer's explicit complexes: 1-cells with zero, one or two
+    boundary vertices, 2-cells on arbitrary 1-cycles, tied values."""
     rng = np.random.default_rng(5)
     for _ in range(300):
-        fp = random_graph_pair(rng)
-        assert check_instance(fp, (0, 1)) == []
+        fp = random_explicit_instance(rng)
+        assert check_instance(fp, (0, 1, 2)) == []
+
+
+def test_fuzz_draws_rips_and_explicit_pairs(monkeypatch):
+    from mixbar import verify
+
+    drawn = []
+    for name in ("random_rips_instance", "random_explicit_instance"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda rng, real=real, name=name: drawn.append(name) or real(rng))
+    assert verify.run_fuzz(40, seed=0) == (40, [])
+    assert set(drawn) == {"random_rips_instance", "random_explicit_instance"}
