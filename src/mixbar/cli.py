@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cloud import (
     METRICS,
     LabeledPointCloud,
+    data_lines,
     load_distance_matrix,
     load_labeled_point_cloud,
     load_point_cloud,
+    read_text,
 )
 from .errors import InputError
 from .filtration import FilteredPair, parse_explicit_pair
@@ -28,6 +31,7 @@ from .rips import build_rips_pair, rips_pair_from_distances
 from .stats import (
     MixupBarcode,
     StatsConfig,
+    check_clamp,
     compute_mixup_barcode,
     mean_mixup_percentage,
     mixup_profile,
@@ -60,9 +64,9 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_rips(p, metrics):
+    def add_rips(p, metrics, required=False):
         p.add_argument("--metric", choices=metrics, default="euclidean")
-        p.add_argument("--rmax", type=float, dest="r_max", help="Rips diameter threshold, finite and > 0")
+        p.add_argument("--rmax", type=float, dest="r_max", required=required, help="Rips diameter threshold, finite and > 0")
         p.add_argument("--kmax", type=int, dest="k_max", default=2, help="highest homology degree the construction resolves (default 2)")
 
     def add_pair_input(p):
@@ -81,11 +85,11 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default: stdout)")
 
     def add_stats(p, a_help):
-        p.add_argument("--a", help=a_help)
-        add_rips(p, METRICS)
-        add_clamp(p)
+        p.add_argument("--a", required=True, help=a_help)
+        add_rips(p, METRICS, required=True)
         p.add_argument("--subsample-a", type=int, default=500, dest="subsample_a")
         p.add_argument("--subsample-b", type=int, default=100, dest="subsample_b")
+        add_clamp(p)
         add_degrees_out(p)
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -145,18 +149,13 @@ def _load_pair(args: argparse.Namespace) -> FilteredPair:
     if args.filtration is not None:
         if args.a or args.b:
             raise InputError("give either --filtration or point clouds, not both")
-        given = [flag for flag, dest in INPUT_OPTIONS if getattr(args, dest) is not None]
-        if given:
-            raise InputError(
-                f"--filtration is the complex itself; it reads no {', '.join(given)}"
-            )
+        _reject_input_options(args, "--filtration is the complex itself")
     args.metric = args.metric or "euclidean"
     args.k_max = 2 if args.k_max is None else args.k_max
     if args.split is not None and args.metric != "matrix":
         raise InputError("--split marks A in a joint distance matrix; it needs --metric matrix")
     if args.filtration is not None:
-        with open(args.filtration, "r", encoding="utf-8") as fh:
-            return parse_explicit_pair(fh.read())
+        return parse_explicit_pair(read_text(args.filtration))
     if args.a is None:
         raise InputError("an input is required: --a (with optional --b) or --filtration")
     if args.r_max is None:
@@ -175,6 +174,20 @@ def _load_pair(args: argparse.Namespace) -> FilteredPair:
     return build_rips_pair(a, b, r_max=args.r_max, k_max=args.k_max)
 
 
+def _reject_input_options(args: argparse.Namespace, why: str) -> None:
+    """The rule of a command whose input is not a point cloud: it reads none
+    of the options that describe one."""
+    given = [flag for flag, dest in INPUT_OPTIONS if getattr(args, dest) is not None]
+    if given:
+        raise InputError(f"{why}; it reads no {', '.join(given)}")
+
+
+def _one_degree(degrees: list[int], why: str) -> None:
+    """The rule of every output that holds a single degree."""
+    if len(degrees) != 1:
+        raise InputError(f"{why}; pass --degrees with one value")
+
+
 def _within_kmax(args: argparse.Namespace, degrees: list[int]) -> list[int]:
     """The rule of every Rips build: --kmax bounds the degrees it resolves."""
     if any(d > args.k_max for d in degrees):
@@ -190,17 +203,12 @@ def _default_degrees(args: argparse.Namespace, fp: FilteredPair) -> list[int]:
     return list(range(0, args.k_max + 1))
 
 
-def _triple_row(t: MixupTriple) -> dict:
-    return {
-        "birth": t.birth,
-        "death_image": t.death_image,
-        "death": t.death,
-        "zero_persistence": t.zero_persistence,
-    }
-
-
 def _index_row(t: MixupTriple) -> dict:
     return {"birth": t.birth, "death_image": t.death_image, "death": t.death}
+
+
+def _triple_row(t: MixupTriple) -> dict:
+    return _index_row(t) | {"zero_persistence": t.zero_persistence}
 
 
 def _degree_entry(bc: MixupBarcode) -> dict:
@@ -219,8 +227,11 @@ def _degree_entry(bc: MixupBarcode) -> dict:
     }
 
 
-def _params_dict(args: argparse.Namespace, keys) -> dict:
-    return {key: getattr(args, key) for key in keys}
+def _params(args: argparse.Namespace, **extra) -> dict:
+    """The JSON `params` echo: the options a command read, in the order the
+    parser defines them, less the command name and the output options."""
+    skip = ("command", "degrees", "out", "format")
+    return {k: v for k, v in vars(args).items() if k not in skip} | extra
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -232,6 +243,7 @@ def _write(args: argparse.Namespace, text: str) -> None:
 
 
 def cmd_mixup(args: argparse.Namespace) -> int:
+    check_clamp(args.clamp)
     fp = _load_pair(args)
     if args.clamp is not None:
         clamp = args.clamp
@@ -240,12 +252,11 @@ def cmd_mixup(args: argparse.Namespace) -> int:
     else:
         clamp = args.r_max
     degrees = _default_degrees(args, fp)
-    barcodes = {k: compute_mixup_barcode(fp, k, clamp) for k in degrees}
     if args.format == "svg":
-        if len(degrees) != 1:
-            raise InputError("--format svg plots a single degree; pass --degrees with one value")
-        _write(args, plot_mixup_barcode(barcodes[degrees[0]]))
+        _one_degree(degrees, "--format svg plots a single degree")
+        _write(args, plot_mixup_barcode(compute_mixup_barcode(fp, degrees[0], clamp)))
         return 0
+    barcodes = {k: compute_mixup_barcode(fp, k, clamp) for k in degrees}
     if args.format == "csv":
         rows = [["degree", "birth", "death_image", "death", "zero_persistence"]]
         for k in degrees:
@@ -255,10 +266,7 @@ def cmd_mixup(args: argparse.Namespace) -> int:
         return 0
     result = {
         "command": "mixup",
-        "params": _params_dict(
-            args, ("a", "b", "filtration", "metric", "r_max", "k_max", "split", "clamp")
-        )
-        | {"degrees": degrees},
+        "params": _params(args, degrees=degrees),
         "cells": fp.n,
         "cells_in_subcomplex": fp.l_cell_count(),
         "degrees": {str(k): _degree_entry(barcodes[k]) for k in degrees},
@@ -267,117 +275,79 @@ def cmd_mixup(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stats_config(args: argparse.Namespace, **extra) -> StatsConfig:
-    if args.r_max is None:
-        raise InputError("--rmax is required")
-    return StatsConfig(
-        r_max=args.r_max,
-        subsample_a=args.subsample_a,
-        subsample_b=args.subsample_b,
-        clamp=args.clamp,
-        **extra,
+def _stats_setup(args: argparse.Namespace, default_degrees: list[int], **extra):
+    """The settings and degrees of pairwise and profile, checked before any
+    input is read."""
+    sconf = StatsConfig(
+        r_max=args.r_max, subsample_a=args.subsample_a, subsample_b=args.subsample_b,
+        clamp=args.clamp, **extra,
     )
+    degrees = _within_kmax(args, args.degrees if args.degrees is not None else default_degrees)
+    if args.format == "csv":
+        _one_degree(degrees, "CSV output holds a single degree")
+    return sconf, degrees
+
+
+def _write_grid(args, degrees, corner, rows, cols, grids, axes) -> None:
+    """Write one grid of values per degree, rows by cols.
+
+    CSV holds the single degree's grid under a header of `corner` and the
+    column keys; JSON holds every degree's grid after the `axes` entries.
+    """
+    if args.format == "csv":
+        grid = grids[degrees[0]]
+        lines = [[corner] + [str(c) for c in cols]]
+        lines += [[str(r)] + [float(v) for v in grid[i]] for i, r in enumerate(rows)]
+        _write(args, csv_lines(lines))
+        return
+    result = {
+        "command": args.command,
+        "params": _params(args, degrees=degrees),
+        **axes,
+        "degrees": {str(k): [[float(v) for v in row] for row in grids[k]] for k in degrees},
+    }
+    _write(args, json_dumps(result))
 
 
 def cmd_pairwise(args: argparse.Namespace) -> int:
-    if args.a is None:
-        raise InputError("--a (a labeled point cloud) is required")
-    sconf = _stats_config(args)
-    degrees = _within_kmax(args, args.degrees if args.degrees is not None else [0])
+    sconf, degrees = _stats_setup(args, [0])
     cloud = load_labeled_point_cloud(args.a, args.metric)
     matrices = {}
-    labels = None
     for k in degrees:
-        labels, mat = pairwise_matrix(cloud, k, sconf)
-        matrices[k] = mat
-    if args.format == "csv":
-        if len(degrees) != 1:
-            raise InputError("CSV output holds a single degree; pass --degrees with one value")
-        mat = matrices[degrees[0]]
-        rows = [["label"] + [str(l) for l in labels]]
-        for i, lab in enumerate(labels):
-            rows.append([str(lab)] + [float(v) for v in mat[i]])
-        _write(args, csv_lines(rows))
-        return 0
-    result = {
-        "command": "pairwise",
-        "params": _params_dict(
-            args,
-            ("a", "metric", "r_max", "k_max", "subsample_a", "subsample_b", "clamp"),
-        )
-        | {"degrees": degrees},
-        "labels": labels,
-        "degrees": {
-            str(k): [[float(v) for v in row] for row in matrices[k]] for k in degrees
-        },
-    }
-    _write(args, json_dumps(result))
+        labels, matrices[k] = pairwise_matrix(cloud, k, sconf)
+    _write_grid(args, degrees, "label", labels, labels, matrices, {"labels": labels})
     return 0
 
 
 def _load_manifest(path: str, metric: str = "euclidean") -> dict[tuple[int, int], LabeledPointCloud]:
-    import os
-
     base = os.path.dirname(os.path.abspath(path))
     series: dict[tuple[int, int], LabeledPointCloud] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(None, 2)
-            if len(parts) != 3:
-                raise InputError(f"manifest line {lineno}: expected `layer step path`")
-            try:
-                layer, step = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise InputError(f"manifest line {lineno}: layer and step must be integers") from None
-            cloud_path = parts[2]
-            if not os.path.isabs(cloud_path):
-                cloud_path = os.path.join(base, cloud_path)
-            if (layer, step) in series:
-                raise InputError(f"manifest line {lineno}: duplicate entry for ({layer}, {step})")
-            series[(layer, step)] = load_labeled_point_cloud(cloud_path, metric)
+    for lineno, line in data_lines(read_text(path)):
+        parts = line.split(None, 2)
+        if len(parts) != 3:
+            raise InputError(f"manifest line {lineno}: expected `layer step path`")
+        try:
+            layer, step = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputError(f"manifest line {lineno}: layer and step must be integers") from None
+        if (layer, step) in series:
+            raise InputError(f"manifest line {lineno}: duplicate entry for ({layer}, {step})")
+        series[(layer, step)] = load_labeled_point_cloud(os.path.join(base, parts[2]), metric)
     if not series:
         raise InputError("empty profile manifest")
     return series
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    if args.a is None:
-        raise InputError("--a (a series manifest file) is required")
-    sconf = _stats_config(args, profile_aggregate=args.profile_aggregate)
-    degrees = _within_kmax(args, args.degrees if args.degrees is not None else [0, 1])
+    sconf, degrees = _stats_setup(args, [0, 1], profile_aggregate=args.profile_aggregate)
     series = _load_manifest(args.a, args.metric)
     profiles = {k: mixup_profile(series, k, sconf) for k in degrees}
     first = profiles[degrees[0]]
-    if args.format == "csv":
-        if len(degrees) != 1:
-            raise InputError("CSV output holds a single degree; pass --degrees with one value")
-        prof = profiles[degrees[0]]
-        rows = [["layer"] + [str(s) for s in prof.steps]]
-        for li, layer in enumerate(prof.layers):
-            rows.append([str(layer)] + [float(v) for v in prof.values[li]])
-        _write(args, csv_lines(rows))
-        return 0
-    result = {
-        "command": "profile",
-        "params": _params_dict(
-            args,
-            (
-                "a", "metric", "r_max", "k_max", "subsample_a", "subsample_b",
-                "clamp", "profile_aggregate",
-            ),
-        )
-        | {"degrees": degrees},
-        "layers": list(first.layers),
-        "steps": list(first.steps),
-        "degrees": {
-            str(k): [[float(v) for v in row] for row in profiles[k].values]
-            for k in degrees
-        },
-    }
-    _write(args, json_dumps(result))
+    _write_grid(
+        args, degrees, "layer", first.layers, first.steps,
+        {k: p.values for k, p in profiles.items()},
+        {"layers": list(first.layers), "steps": list(first.steps)},
+    )
     return 0
 
 
@@ -390,7 +360,7 @@ def cmd_subsample(args: argparse.Namespace) -> int:
     if args.format == "json":
         result = {
             "command": "subsample",
-            "params": _params_dict(args, ("a", "metric", "subsample_a")),
+            "params": _params(args),
             "indices": list(sel.indices),
             "cost": sel.cost,
         }
@@ -406,12 +376,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         problems = check_instance(_load_pair(args), degrees)
         checked = 1
     else:
-        given = [flag for flag, dest in INPUT_OPTIONS if getattr(args, dest) is not None]
-        if given:
-            raise InputError(
-                f"verify without --a or --filtration fuzzes its own instances; "
-                f"it reads no {', '.join(given)}"
-            )
+        _reject_input_options(args, "verify without --a or --filtration fuzzes its own instances")
         if args.instances <= 0:
             raise InputError(f"--instances must be positive, got {args.instances}")
         checked, problems = run_fuzz(args.instances, seed=args.seed, degrees=degrees)
@@ -422,10 +387,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     try:
-        with open(args.results, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {args.results}: {exc}") from None
+        data = json.loads(read_text(args.results))
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.results} is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or "degrees" not in data or data.get("command") != "mixup":
@@ -433,12 +395,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
     available = sorted(int(k) for k in data["degrees"])
     if not available:
         raise InputError("results hold no degrees")
-    if args.degrees is None:
-        degree = available[0]
-    elif len(args.degrees) == 1:
-        degree = args.degrees[0]
-    else:
-        raise InputError("plot renders a single degree; pass --degrees with one value")
+    degrees = args.degrees or available[:1]
+    _one_degree(degrees, "plot renders a single degree")
+    degree = degrees[0]
     if degree not in available:
         raise InputError(f"degree {degree} not present in results (has {available})")
     entry = data["degrees"][str(degree)]
@@ -477,10 +436,7 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "degrees"):
             args.degrees = _parse_degrees(args.degrees)
         return COMMANDS[args.command](args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

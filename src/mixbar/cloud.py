@@ -107,18 +107,30 @@ def check_distance_matrix(d: np.ndarray) -> None:
         raise InputError("distance matrix is not symmetric")
 
 
-def _data_rows(text: str) -> list[list[str]]:
-    rows = []
-    for raw in text.splitlines():
+def data_lines(text: str):
+    """Yield (line number, content) for each line that holds data: `#`
+    starts a comment, and blank lines are skipped. Every line-based input
+    format reads through this."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "," in line:
-            fields = [f.strip() for f in line.split(",")]
-        else:
-            fields = line.split()
-        rows.append(fields)
-    return rows
+        if line:
+            yield lineno, line
+
+
+def read_text(path: str) -> str:
+    """The text of an input file; an unreadable file is an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def _data_rows(text: str) -> list[list[str]]:
+    return [
+        [f.strip() for f in line.split(",")] if "," in line else line.split()
+        for _, line in data_lines(text)
+    ]
 
 
 def parse_point_table(text: str, labeled: bool = False):
@@ -148,12 +160,12 @@ def parse_point_table(text: str, labeled: bool = False):
 
 
 def load_point_cloud(path: str, metric: str = "euclidean") -> PointCloud:
-    points, _ = parse_point_table(_read(path), labeled=False)
+    points, _ = parse_point_table(read_text(path), labeled=False)
     return PointCloud(points, metric)
 
 
 def load_labeled_point_cloud(path: str, metric: str = "euclidean") -> LabeledPointCloud:
-    points, labels = parse_point_table(_read(path), labeled=True)
+    points, labels = parse_point_table(read_text(path), labeled=True)
     return LabeledPointCloud(PointCloud(points, metric), labels)
 
 
@@ -196,12 +208,4 @@ def parse_distance_matrix(text: str) -> np.ndarray:
 
 
 def load_distance_matrix(path: str) -> np.ndarray:
-    return parse_distance_matrix(_read(path))
-
-
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+    return parse_distance_matrix(read_text(path))

@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .cloud import data_lines
 from .errors import InputError
 
 MEMBER_L = "L"
@@ -110,11 +111,6 @@ class FilteredPair:
             )
         )
 
-    def cell(self, cid: int) -> Cell:
-        if not 1 <= cid <= self.n:
-            raise InputError(f"cell id {cid} out of range 1..{self.n}")
-        return self.cells[cid - 1]
-
     def l_cell_count(self) -> int:
         return int(self.in_l.sum())
 
@@ -130,11 +126,12 @@ class FilteredPair:
     def validate(self, ids=None) -> None:
         """Raise InputError naming the first cell that breaks a rule.
 
-        Rules: ids 1..n in order, dim >= 0, values never decrease, face ids
-        distinct, in range and earlier, of dim - 1 and, for an L-cell, in L;
-        a 1-cell has at most two faces, and the boundary of the boundary of
-        a cell is zero over Z/2. All cells are checked at once; the message
-        comes from the per-cell rules applied to the first offending cell.
+        Rules: ids 1..n in order, dim >= 0, values finite and never
+        decreasing, face ids distinct, in range and earlier, of dim - 1 and,
+        for an L-cell, in L; a 1-cell has at most two faces, and the
+        boundary of the boundary of a cell is zero over Z/2. All cells are
+        checked at once; the message comes from the per-cell rules applied
+        to the first offending cell.
         """
         n = self.n
         if len(self.value) != n or len(self.in_l) != n or len(self.indptr) != n + 1:
@@ -143,7 +140,7 @@ class FilteredPair:
         if self.indptr[0] != 0 or (count < 0).any() or self.indptr[-1] != len(self.indices):
             raise InputError("boundary offsets do not describe the boundary ids")
         dim, idx = self.dim, self.indices
-        bad = dim < 0
+        bad = (dim < 0) | ~np.isfinite(self.value)
         if ids is not None:
             bad |= np.asarray(ids) != np.arange(1, n + 1)
         bad[1:] |= self.value[1:] < self.value[:-1]
@@ -179,6 +176,8 @@ class FilteredPair:
         dim = int(self.dim[i])
         if dim < 0:
             return f"cell {cid}: negative dimension"
+        if not np.isfinite(self.value[i]):
+            return f"cell {cid}: value {float(self.value[i])} is not finite"
         if i > 0 and self.value[i] < self.value[i - 1]:
             return f"cell {cid}: value {float(self.value[i])} below value of cell {cid - 1}"
         boundary = self.indices[self.indptr[i] : self.indptr[i + 1]].tolist()
@@ -218,10 +217,7 @@ def parse_explicit_pair(text: str) -> FilteredPair:
     """
     rows: list[tuple[int, int, float, bool, list[int]]] = []
     seen: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(text):
         parts = line.split()
         if len(parts) < 4:
             raise InputError(f"line {lineno}: expected `id dim value member [boundary...]`")

@@ -79,10 +79,10 @@ def clamp_triple(t: MixupTriple, t_max: float | None) -> MixupTriple:
     return MixupTriple(lo, max(lo, min(t.death_image, t_max)), max(lo, min(t.death, t_max)))
 
 
-def mixup(t: MixupTriple, clamp: float | None = None) -> float:
-    """Length d - d' of the mixup sub-bar."""
-    c = clamp_triple(t, clamp)
-    return c.death - c.death_image
+def check_clamp(clamp: float | None) -> None:
+    """The rule on a clamp given from outside: unset, or a finite number."""
+    if clamp is not None and not math.isfinite(clamp):
+        raise InputError(f"clamp must be a finite number, got {clamp}")
 
 
 def mixup_percentage(t: MixupTriple, clamp: float | None = None) -> float:
@@ -143,6 +143,7 @@ class StatsConfig:
 
     def __post_init__(self) -> None:
         check_rips_params(self.r_max, 0)
+        check_clamp(self.clamp)
         if self.subsample_a < 1 or self.subsample_b < 1:
             raise InputError("subsample sizes must be at least 1")
         if self.profile_aggregate not in ("total", "mean"):
@@ -261,21 +262,23 @@ def mixup_profile(
         if not np.array_equal(cloud.labels, ref.labels):
             raise InputError(f"cloud at {key} has a different label layout")
 
-    ref_dist = ref.cloud.distance_matrix()
+    dist = ref.cloud.distance_matrix()
     a_sel = {
-        lab: _subsampled(ref_dist, ref.indices_of(lab), config.subsample_a, degree)
+        lab: _subsampled(dist, ref.indices_of(lab), config.subsample_a, degree)
         for lab in labels
     }
     b_sel = {
-        lab: _subsampled(ref_dist, ref.indices_excluding(lab), config.subsample_b, degree)
+        lab: _subsampled(dist, ref.indices_excluding(lab), config.subsample_b, degree)
         for lab in labels
     }
 
     values = np.zeros((len(layers), len(steps)))
     for li, layer in enumerate(layers):
         for si, step in enumerate(steps):
-            cloud = series[(layer, step)]
-            dist = cloud.cloud.distance_matrix()
+            # keys[0] is the reference cloud: its matrix is dist already
+            if (layer, step) != keys[0]:
+                del dist
+                dist = series[(layer, step)].cloud.distance_matrix()
             best = 0.0
             for lab in labels:
                 bc = interaction_barcode(dist, a_sel[lab], b_sel[lab], degree, config)

@@ -1,6 +1,8 @@
 """Test-only helpers: the explicit-file writer, the restriction to L, and a
 per-simplex reference Rips construction to compare the array build with."""
 
+import math
+
 import numpy as np
 
 from mixbar.filtration import MEMBER_K, MEMBER_L, Cell, FilteredPair
@@ -81,6 +83,8 @@ def reference_error(cells) -> str | None:
             return f"cell ids must be 1..n in order; position {pos} has id {c.id}"
         if c.dim < 0:
             return f"cell {c.id}: negative dimension"
+        if not math.isfinite(c.value):
+            return f"cell {c.id}: value {c.value} is not finite"
         if pos > 1 and c.value < cells[pos - 2].value:
             return f"cell {c.id}: value {c.value} below value of cell {c.id - 1}"
         seen = set()

@@ -115,6 +115,73 @@ def test_missing_file_is_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["mixup", "--filtration", "missing.txt"],
+        ["mixup", "--a", "missing.csv", "--rmax", "1"],
+        ["pairwise", "--a", "missing.csv", "--rmax", "1"],
+        ["profile", "--a", "missing.txt", "--rmax", "1"],
+        ["plot", "--results", "missing.json"],
+    ],
+)
+def test_unreadable_input_file_exits_2(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read missing.")
+
+
+def test_manifest_entry_that_cannot_be_read_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "series.txt"
+    manifest.write_text("# layer step path\n0 0 missing.csv\n")
+    code, _, err = run(["profile", "--a", str(manifest), "--rmax", "1"], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot read {tmp_path / 'missing.csv'}")
+
+
+@pytest.mark.parametrize("command", ["pairwise", "profile"])
+@pytest.mark.parametrize("given,missing", [(["--rmax", "1"], "--a"), (["--a", "x"], "--rmax")])
+def test_stats_commands_require_a_and_rmax(command, given, missing, capsys):
+    code, out, err = run([command] + given, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"the following arguments are required: {missing}" in err
+
+
+@pytest.mark.parametrize("clamp", ["nan", "inf", "-inf"])
+def test_non_finite_clamp_exits_2_before_any_build(
+    clamp, square_center_files, labeled_file, monkeypatch, capsys
+):
+    from mixbar import cli, stats
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a Rips pair")
+
+    monkeypatch.setattr(cli, "build_rips_pair", no_build)
+    monkeypatch.setattr(stats, "rips_pair_from_distances", no_build)
+    a, b = square_center_files
+    for args in (
+        ["mixup", "--a", a, "--b", b, "--rmax", "2", "--degrees", "0"],
+        ["pairwise", "--a", labeled_file, "--rmax", "12"],
+    ):
+        code, out, err = run(args + [f"--clamp={clamp}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: clamp must be a finite number, got {float(clamp)}\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_filtration_value_exits_2(value, tmp_path, capsys):
+    pair = tmp_path / "pair.txt"
+    pair.write_text(f"1 0 0.0 L\n2 0 1.0 K\n3 1 {value} K 1 2\n")
+    code, out, err = run(["mixup", "--filtration", str(pair)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cell 3: value {value} is not finite\n"
+
+
 def test_unknown_flag_is_exit_2(six_cell_file, capsys):
     code = main(["mixup", "--filtration", six_cell_file, "--frobnicate"])
     capsys.readouterr()

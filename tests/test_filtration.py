@@ -13,9 +13,9 @@ def test_parse_six_cell(six_cell_pair):
     assert fp.n == 6
     assert fp.max_dim == 2
     assert fp.l_cell_count() == 4
-    assert fp.cell(3).member == "K"
-    assert fp.cell(5).boundary == (1, 2)
-    assert fp.cell(4).value == 4.0
+    assert fp.cells[2].member == "K"
+    assert fp.cells[4].boundary == (1, 2)
+    assert fp.cells[3].value == 4.0
 
 
 def test_format_parse_roundtrip(six_cell_pair):
@@ -87,9 +87,9 @@ def test_restrict_to_l(six_cell_pair):
     assert [c.value for c in sub.cells] == [1.0, 2.0, 5.0, 6.0]
     assert all(c.member == "L" for c in sub.cells)
     # boundaries renumbered: old cell 5 bounded {1, 2}, which keep their ids
-    assert sub.cell(3).boundary == (1, 2)
-    assert sub.cell(4).boundary == (1,)
-    assert sub.cell(3).value == 5.0
+    assert sub.cells[2].boundary == (1, 2)
+    assert sub.cells[3].boundary == (1,)
+    assert sub.cells[2].value == 5.0
 
 
 def test_restrict_is_parseable(six_cell_pair):
@@ -113,7 +113,7 @@ def test_accepts_cancelling_boundaries():
     fp = parse_explicit_pair(
         "1 0 0.0 L\n2 0 0.0 L\n3 1 1.0 L 1 2\n4 1 1.0 L 1 2\n5 2 2.0 L 3 4\n"
     )
-    assert fp.cell(5).boundary == (3, 4)
+    assert fp.cells[4].boundary == (3, 4)
 
 
 def test_rejects_edge_with_three_vertices():
@@ -160,7 +160,7 @@ def test_validate_agrees_with_the_per_cell_rules():
         for _ in range(int(rng.integers(1, 3))):
             i = int(rng.integers(len(cells)))
             c = cells[i]
-            kind = int(rng.integers(6))
+            kind = int(rng.integers(7))
             if kind == 0:
                 c = Cell(c.id + int(rng.choice([-1, 1])), c.dim, c.value, c.member, c.boundary)
             elif kind == 1:
@@ -172,6 +172,9 @@ def test_validate_agrees_with_the_per_cell_rules():
             elif kind == 4:
                 extra = int(rng.integers(-1, len(cells) + 2))
                 c = Cell(c.id, c.dim, c.value, c.member, tuple(sorted(c.boundary + (extra,))))
+            elif kind == 5:
+                value = rng.choice([np.nan, np.inf, -np.inf])
+                c = Cell(c.id, c.dim, float(value), c.member, c.boundary)
             elif c.boundary:
                 c = Cell(c.id, c.dim, c.value, c.member, c.boundary[1:])
             cells[i] = c
@@ -184,6 +187,12 @@ def test_validate_agrees_with_the_per_cell_rules():
             FilteredPair.from_cells(cells)
         assert str(err.value) == want
     assert rejected > 1000
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_rejects_non_finite_values(value):
+    with pytest.raises(InputError, match=f"cell 2: value {value} is not finite"):
+        parse_explicit_pair(f"1 0 0.0 L\n2 0 {value} L\n3 0 1.0 L\n")
 
 
 def test_constructor_rejects_inconsistent_arrays():

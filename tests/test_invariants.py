@@ -158,11 +158,11 @@ def test_index_deaths_follow_membership(params):
         image_deaths = [t.death_image for t in triples if t.death_image != INF]
         assert len(set(image_deaths)) == len(image_deaths)
         for t in triples:
-            assert fp.cell(t.birth).dim == degree
-            assert fp.cell(t.birth).member == "L"
+            assert fp.cells[t.birth - 1].dim == degree
+            assert fp.cells[t.birth - 1].member == "L"
             if t.death != INF:
-                killer = fp.cell(t.death)
+                killer = fp.cells[t.death - 1]
                 assert killer.dim == degree + 1
                 assert killer.member == "L"
             if t.death_image != INF:
-                assert fp.cell(t.death_image).dim == degree + 1
+                assert fp.cells[t.death_image - 1].dim == degree + 1

@@ -59,7 +59,15 @@ CASES = {
         [["pairwise", "--a", "lab.csv", "--rmax", "3", "--format", "csv"]],
         "450d21e68426cb47daf3b85f44edb50c8579baca55981d0a209ca0cce9e21670",
     ),
+    "pairwise_json": (
+        [["pairwise", "--a", "lab.csv", "--rmax", "3", "--kmax", "1", "--degrees", "0,1"]],
+        "5b579a2bcb0009d1312c11a2693e55e3c2b9c542f788a1e83dba8e6d5fa88649",
+    ),
     "profile_csv": ([PROFILE], "cc204e4dfd1ea5b6262db58f4a88cbf8febbb20d88f6d30881b7f269ae838a2b"),
+    "profile_json": (
+        [PROFILE[:5] + ["--subsample-a", "8", "--subsample-b", "3", "--profile-aggregate", "mean"]],
+        "8d8f045ba037e848f0df433c309ae197a42c0094745cd994a7d7d337638d57b8",
+    ),
     "subsample_json": (
         [SUBSAMPLE + ["3", "--a", "a.csv"]],
         "d52aa7baff6b37c07ce08c8696bca30f6bd20c347b74b38f9f72067b2f5859cd",

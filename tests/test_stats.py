@@ -9,6 +9,7 @@ from mixbar import (
     LabeledPointCloud,
     MixupTriple,
     PointCloud,
+    MixupBarcode,
     StatsConfig,
     build_rips_pair,
     compute_mixup_barcode,
@@ -24,7 +25,6 @@ from mixbar.stats import (
     clamp_triple,
     interaction_barcode,
     mean_mixup_percentage,
-    mixup,
     total_image_persistence,
     total_mixup_percentage,
     total_persistence,
@@ -47,7 +47,7 @@ def test_six_cell_statistics(six_cell_pair):
 
 def test_mixup_and_percentage():
     t = vt(1.0, 3.0, 5.0)
-    assert mixup(t) == 2.0
+    assert total_mixup(MixupBarcode(1, (), (t,))) == 2.0
     assert mixup_percentage(t) == 0.5
 
 
@@ -82,8 +82,8 @@ def test_clamp_resolves_infinite_deaths():
 
 def test_infinite_death_needs_clamp():
     with pytest.raises(InputError, match="clamp"):
-        mixup(vt(0.0, 1.0, INF))
-    assert mixup(vt(0.0, 1.0, INF), clamp=3.0) == 2.0
+        clamp_triple(vt(0.0, 1.0, INF), None)
+    assert total_mixup(MixupBarcode(1, (), (vt(0.0, 1.0, INF),), clamp=3.0)) == 2.0
 
 
 def test_square_center_statistics(square_center_pair):
@@ -289,3 +289,26 @@ def test_mixup_profile_subsamples_once_on_first_cloud():
         )
         assert prof.values[0][si] == want
     assert prof.values.min() > 0.0
+
+
+def test_mixup_profile_computes_one_distance_matrix_per_cloud(monkeypatch):
+    from mixbar import cloud
+
+    calls = []
+    real = cloud.pairwise_distances
+    monkeypatch.setattr(
+        cloud, "pairwise_distances", lambda *args: calls.append(args) or real(*args)
+    )
+    series = {
+        (layer, step): entangled_step((3.0 * (layer + step), 0.0))
+        for layer in (0, 1)
+        for step in (0, 1, 2)
+    }
+    mixup_profile(series, 1, StatsConfig(r_max=3.0, subsample_a=8, subsample_b=6))
+    assert len(calls) == len(series)
+
+
+@pytest.mark.parametrize("clamp", [math.nan, math.inf, -math.inf])
+def test_stats_config_rejects_non_finite_clamp(clamp):
+    with pytest.raises(InputError, match="clamp must be a finite number"):
+        StatsConfig(r_max=1.0, clamp=clamp)
