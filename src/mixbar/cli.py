@@ -379,6 +379,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _reject_input_options(args, "verify without --a or --filtration fuzzes its own instances")
         if args.instances <= 0:
             raise InputError(f"--instances must be positive, got {args.instances}")
+        if args.seed < 0:
+            raise InputError(f"--seed must be non-negative, got {args.seed}")
         checked, problems = run_fuzz(args.instances, seed=args.seed, degrees=degrees)
     summary = f"{len(problems)} mismatch(es)" if problems else "all match"
     _write(args, "".join(p + "\n" for p in problems) + f"checked {checked} instance(s): {summary}\n")

@@ -1,11 +1,13 @@
-"""Test-only helpers: the explicit-file writer, the restriction to L, and a
-per-simplex reference Rips construction to compare the array build with."""
+"""Test-only helpers: the explicit-file writer, the restriction to L, a
+per-simplex reference Rips construction to compare the array build with, and
+classic PAM's BUILD and SWAP to compare the k-medoids selection with."""
 
 import math
 
 import numpy as np
 
 from mixbar.filtration import MEMBER_K, MEMBER_L, Cell, FilteredPair
+from mixbar.subsample import _cost
 
 
 def format_explicit_pair(fp: FilteredPair) -> str:
@@ -111,3 +113,55 @@ def reference_error(cells) -> str | None:
                     f"(cells {sorted(odd)} appear an odd number of times)"
                 )
     return None
+
+
+def reference_build(dist: np.ndarray, k: int) -> list[int]:
+    """PAM's greedy BUILD, one n×(n−|selected|) temporary pair per step."""
+    n = dist.shape[0]
+    first = int(np.argmin(dist.sum(axis=0)))
+    selected = [first]
+    nearest = dist[:, first].copy()
+    chosen = np.zeros(n, dtype=bool)
+    chosen[first] = True
+    while len(selected) < k:
+        cands = np.flatnonzero(~chosen)
+        # cost after adding each candidate; argmin picks the lowest index on ties
+        costs = np.minimum(nearest[:, None], dist[:, cands]).sum(axis=0)
+        best = cands[int(np.argmin(costs))]
+        selected.append(int(best))
+        chosen[best] = True
+        nearest = np.minimum(nearest, dist[:, best])
+    return selected
+
+
+def reference_swap(dist: np.ndarray, selected: list[int]) -> list[int]:
+    """Classic PAM SWAP: every medoid position priced by its own pass over the
+    candidates, O(k·n·(n−k)) per iteration."""
+    n = dist.shape[0]
+    selected = list(selected)
+    k = len(selected)
+    current = _cost(dist, selected)
+    while True:
+        d_sel = dist[:, selected]
+        order = np.argsort(d_sel, axis=1, kind="stable")
+        rows = np.arange(n)
+        nearest_pos = order[:, 0]
+        nearest = d_sel[rows, nearest_pos]
+        second = d_sel[rows, order[:, 1]] if k > 1 else np.full(n, np.inf)
+        chosen = np.zeros(n, dtype=bool)
+        chosen[selected] = True
+        cands = np.flatnonzero(~chosen)
+        best_cost = current
+        best_swap = None
+        for pos in range(k):
+            base = np.where(nearest_pos == pos, second, nearest)
+            costs = np.minimum(base[:, None], dist[:, cands]).sum(axis=0)
+            at = int(np.argmin(costs))
+            if costs[at] < best_cost:
+                best_cost = float(costs[at])
+                best_swap = (pos, int(cands[at]))
+        if best_swap is None:
+            return selected
+        pos, newcomer = best_swap
+        selected[pos] = newcomer
+        current = best_cost

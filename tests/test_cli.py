@@ -330,6 +330,13 @@ def test_verify_fuzz(capsys):
     assert "all match" in out
 
 
+def test_verify_rejects_negative_seed(capsys):
+    code, out, err = run(["verify", "--instances", "2", "--degrees", "0", "--seed", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err
+
+
 def test_verify_explicit_input(six_cell_file, capsys):
     code, out, _ = run(
         ["verify", "--filtration", six_cell_file, "--degrees", "1"], capsys

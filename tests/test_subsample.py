@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixbar import InputError, k_medoids, k_medoids_indices, pairwise_distances
-from mixbar.subsample import _cost
+from mixbar.subsample import _build, _cost, _swap
+from helpers import reference_build, reference_swap
 
 
 def test_line_single_medoid():
@@ -71,3 +74,36 @@ def test_locally_optimal_under_single_swaps():
             trial = list(selected)
             trial[pos] = cand
             assert _cost(dist, trial) >= base - 1e-12
+
+
+@st.composite
+def pam_instances(draw):
+    """A distance matrix and k: random clouds, integer grids with duplicate
+    points, distances rounded to one decimal (many exact ties), and all-zero
+    matrices; k is 1, n - 1 or anything between."""
+    n = draw(st.integers(2, 24))
+    kind = draw(st.sampled_from(["cloud", "grid", "rounded", "zeros"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "cloud":
+        dist = pairwise_distances(rng.random((n, draw(st.integers(1, 4)))))
+    elif kind == "grid":
+        dist = pairwise_distances(rng.integers(0, 3, size=(n, 2)).astype(float))
+    elif kind == "rounded":
+        dist = np.round(pairwise_distances(rng.random((n, 2))), 1)
+    else:
+        dist = np.zeros((n, n))
+    k = draw(st.sampled_from([1, n - 1]) | st.integers(1, n - 1))
+    return dist, k, rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(pam_instances())
+def test_build_and_swap_match_classic_pam(instance):
+    """The same medoid list as classic PAM, in position order: from BUILD's
+    start, and from a random start, which takes SWAP through more exchanges."""
+    dist, k, rng = instance
+    start = _build(dist, k)
+    assert start == reference_build(dist, k)
+    assert _swap(dist, start) == reference_swap(dist, start)
+    start = [int(i) for i in rng.permutation(dist.shape[0])[:k]]
+    assert _swap(dist, start) == reference_swap(dist, start)
