@@ -16,6 +16,9 @@ from .errors import InputError
 
 METRICS = ("euclidean", "sqeuclidean")
 
+# Entries of the block of coordinate differences pairwise_distances holds.
+DIFF_BUDGET = 1 << 18
+
 
 @dataclass(eq=False)
 class PointCloud:
@@ -79,16 +82,23 @@ def pairwise_distances(points: np.ndarray, metric: str = "euclidean") -> np.ndar
 
     Each entry depends only on its own pair of rows, so the A-block of a
     stacked A+B matrix is bitwise identical to the matrix computed from A
-    alone. Several exactness tests rely on that.
+    alone. Several exactness tests rely on that. The (rows, n, d) coordinate
+    differences are formed a block of rows at a time, at most DIFF_BUDGET
+    entries, and each block's squared norms are written into its rows of
+    the result; the arithmetic per entry is that of the whole tensor at once.
     """
     if metric not in METRICS:
         raise InputError(f"cannot compute distances for metric {metric!r}")
     pts = np.asarray(points, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    n = len(pts)
+    out = np.empty((n, n))
+    block = max(1, DIFF_BUDGET // max(1, pts.size))
+    for start in range(0, n, block):
+        diff = pts[start : start + block, None, :] - pts[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[start : start + block])
     if metric == "euclidean":
-        return np.sqrt(sq)
-    return sq
+        np.sqrt(out, out=out)
+    return out
 
 
 def check_distance_matrix(d: np.ndarray) -> None:

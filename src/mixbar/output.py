@@ -9,8 +9,8 @@ always serializes to the same bytes.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 
 INDENT = 2
 
@@ -24,50 +24,62 @@ def format_float(x: float) -> str:
 
 
 def json_dumps(obj) -> str:
-    out: list[str] = []
-    _emit(obj, out, 0)
-    return "".join(out) + "\n"
+    """obj as JSON text indented by INDENT, with a final newline.
 
+    Values are dispatched on their exact type, each container's items are
+    joined once, and each key's `"key": ` is encoded once per call. A
+    subclass of a JSON type (a numpy float, say) goes through the same
+    rules by isinstance, bool before int.
+    """
+    prefixes: dict[str, str] = {}
+    step = " " * INDENT
 
-def _emit(obj, out: list[str], level: int) -> None:
-    pad = " " * (INDENT * (level + 1))
-    end_pad = " " * (INDENT * level)
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise ValueError(f"JSON object keys must be strings, got {key!r}")
-            out.append(pad + json.dumps(key) + ": ")
-            _emit(value, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(end_pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(pad)
-            _emit(value, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(end_pad + "]")
-    else:
-        raise ValueError(f"cannot serialize {type(obj).__name__}")
+    def encode(obj, pad: str) -> str:
+        kind = type(obj)
+        if kind is float:
+            return format_float(obj)
+        if kind is dict:
+            if not obj:
+                return "{}"
+            inner = pad + step
+            items = []
+            for key, value in obj.items():
+                prefix = prefixes.get(key)
+                if prefix is None:
+                    if not isinstance(key, str):
+                        raise ValueError(f"JSON object keys must be strings, got {key!r}")
+                    prefix = prefixes[key] = encode_basestring_ascii(key) + ": "
+                items.append(prefix + encode(value, inner))
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        if kind is list or kind is tuple:
+            if not obj:
+                return "[]"
+            inner = pad + step
+            items = [encode(value, inner) for value in obj]
+            return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        if kind is str:
+            return encode_basestring_ascii(obj)
+        if kind is int:
+            return str(obj)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, int):
+            return str(obj)
+        if isinstance(obj, float):
+            return format_float(obj)
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if isinstance(obj, dict):
+            return encode(dict(obj), pad)
+        if isinstance(obj, (list, tuple)):
+            return encode(list(obj), pad)
+        raise ValueError(f"cannot serialize {kind.__name__}")
+
+    return encode(obj, "") + "\n"
 
 
 def float_from_json(v) -> float:

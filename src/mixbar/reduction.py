@@ -12,16 +12,36 @@ Degree 0 needs no matrix. The pivot of an edge column is the youngest
 vertex of the component it merges into an older one (the elder rule), so
 union-find over the edges in filtration order gives both pairings: over
 all edges with vertices keyed by the image order for K, over the L-edges
-alone for L. The L-edges that merge nothing are the 1-cycle creators of L.
-An edge with one boundary vertex joins a ground node older than every
-vertex; an edge with none merges nothing. Columns of dimension 2 and up are
-Python ints over rows numbered densely within the face dimension: addition
-is `^` and the pivot is the highest set bit.
+alone for L. An edge with one boundary vertex joins a ground node older
+than every vertex; an edge with none merges nothing.
 
-Creators and cofaces are selected from the arrays of the pair by masks on
-`dim` and `in_l`, and the image row keys are computed once per degree with
-numpy; the union-find and the column reduction then run over plain int
-lists built from the CSR boundaries.
+Degree 1 reduces edge coboundaries instead of triangle boundaries. The
+pivot pairing of a matrix equals that of its anti-transpose, because both
+are read off the ranks of the same lower-left submatrices (de Silva,
+Morozov & Vejdemo-Johansson, "Dualities in persistent (co)homology",
+2011). So the columns are the 1-cells in reverse image order, a column's
+rows are its 2-cell cofaces, and its pivot is its earliest coface; each
+pair (1-cell, 2-cell) is the one the boundary matrix gives. Over L alone
+the same holds for the L-cells. Most columns never need reducing:
+
+- Clearing. One union-find runs over all 1-cells in image order, L first.
+  An edge that merges two components there has a boundary independent of
+  the image-earlier edges, so it is never a pivot row of the boundary
+  matrix under that order and its column is dropped, for K and for L. The
+  L prefix of that pass is the union-find of L alone, so its edges that
+  merge nothing are the 1-cycle creators of L. The order must be the image
+  order: clearing K by the filtration-order forest gives wrong triples.
+- Columns built on collision. Each column's first pivot comes from numpy.
+  A column whose pivot is unclaimed claims it as it stands (an emergent
+  pair, Bauer, "Ripser", 2021), and a column becomes a Python-int bitset
+  only when it, or an owner it must absorb, is added to.
+
+Degrees 2 and up keep boundary columns, with the same reducer. Clearing
+their coboundaries would need the pivots of the degree below under the
+image column order, which only degree 1 gets free from union-find; without
+clearing, the coboundary route reduces every negative cell to zero and is
+slower. Columns are Python ints over rows numbered densely within their
+dimension: addition is `^` and the pivot is the highest set bit.
 """
 
 from __future__ import annotations
@@ -37,29 +57,46 @@ from .filtration import FilteredPair
 INF = math.inf
 
 
-def reduce_columns(columns) -> tuple[dict[int, int], list[int]]:
-    """Left-to-right reduction of (column id, bitset) pairs in column order.
+def reduce_columns(pivots, build) -> tuple[dict[int, int], list[int]]:
+    """Left-to-right reduction of columns given as (column id, first pivot)
+    pairs in column order, the pivot -1 for a zero column.
 
-    Each column repeatedly absorbs the earlier reduced column owning its
-    pivot until its pivot is unclaimed or it is zero. Returns the pairing
-    (pivot row -> column id) and the ids of the columns that reduce to
-    zero; the pairing does not depend on the order of valid additions.
+    build(column id) returns the column as a Python-int bitset whose highest
+    set bit is its first pivot; addition is `^`. A column whose pivot no
+    earlier column owns is reduced as it stands and claims that pivot
+    unbuilt (an emergent pair), so build runs only for a column that has to
+    absorb an earlier one and for the owners it absorbs. Each column
+    absorbs the owner of its pivot until the pivot is unclaimed or the
+    column is zero. Returns the pairing (pivot row -> column id) and the ids
+    of the columns that reduce to zero; the pairing does not depend on the
+    order of valid additions.
     """
     owner: dict[int, int] = {}
-    pairs: dict[int, int] = {}
+    reduced: dict[int, int] = {}  # pivot row -> bitset of its owner, once built
     zeros: list[int] = []
-    for cid, col in columns:
-        while col:
-            p = col.bit_length() - 1
-            prev = owner.get(p)
-            if prev is None:
-                owner[p] = col
-                pairs[p] = cid
-                break
-            col ^= prev
-        else:
+    for cid, p in pivots:
+        if p < 0:
             zeros.append(cid)
-    return pairs, zeros
+            continue
+        if p not in owner:
+            owner[p] = cid
+            continue
+        col = build(cid)
+        while True:
+            prev = reduced.get(p)
+            if prev is None:
+                # claimed unbuilt, so never reduced: its column is as built
+                prev = reduced[p] = build(owner[p])
+            col ^= prev
+            if not col:
+                zeros.append(cid)
+                break
+            p = col.bit_length() - 1
+            if p not in owner:
+                owner[p] = cid
+                reduced[p] = col
+                break
+    return owner, zeros
 
 
 def merge_edges(edges, key) -> tuple[dict[int, int], list[int]]:
@@ -126,18 +163,59 @@ def _rows(fp: FilteredPair, dim: int, key: np.ndarray) -> tuple[list[int], np.nd
     return ids.tolist(), row
 
 
+def _reduce_csr(bits: np.ndarray, bounds: np.ndarray) -> tuple[dict[int, int], list[int]]:
+    """reduce_columns over columns in CSR form: column i holds the rows
+    bits[bounds[i]:bounds[i + 1]]. The first pivots (the highest rows) are
+    taken with numpy; a column becomes a bitset only when it is built.
+    Column ids are positions."""
+    lo, hi = bounds[:-1], bounds[1:]
+    first = np.full(len(lo), -1, dtype=np.int64)
+    full = hi > lo
+    if full.any():
+        first[full] = np.maximum.reduceat(bits, lo[full])
+    rows, lo, hi, top = bits.tolist(), lo.tolist(), hi.tolist(), first.tolist()
+
+    def build(i: int) -> int:
+        # one bytearray and one conversion, not a big int per row
+        col = bytearray((top[i] >> 3) + 1)
+        for r in rows[lo[i] : hi[i]]:
+            col[r >> 3] |= 1 << (r & 7)
+        return int.from_bytes(col, "little")
+
+    return reduce_columns(enumerate(top), build)
+
+
 def _bitset_pairs(fp: FilteredPair, ids: np.ndarray, rows) -> tuple[dict[int, int], list[int]]:
-    """reduce_columns over the boundaries of the cells ids, with rows as
-    given by _rows; the pairing is keyed by face id."""
+    """Reduced boundaries of the cells ids, with rows as given by _rows;
+    the pairing is keyed by face id."""
     faces, row = rows
     entries, bounds = fp.faces_of(ids)
-    bits, bounds = row[entries].tolist(), bounds.tolist()
-    bit = (1).__lshift__
-    pairs, zeros = reduce_columns(
-        (cid, sum(map(bit, bits[lo:hi])))
-        for cid, lo, hi in zip(ids.tolist(), bounds, bounds[1:])
-    )
-    return {faces[p]: cid for p, cid in pairs.items()}, zeros
+    pairs, zeros = _reduce_csr(row[entries], bounds)
+    ids = ids.tolist()
+    return {faces[p]: ids[i] for p, i in pairs.items()}, [ids[i] for i in zeros]
+
+
+def _coboundary_pairs(fp: FilteredPair, cols: np.ndarray, cofaces: np.ndarray) -> dict[int, int]:
+    """Pairing of the coboundaries of the 1-cells cols, in that column order,
+    restricted to the 2-cells cofaces (ids ascending), keyed by 1-cell.
+
+    Rows run backwards through cofaces, so a column's pivot is its earliest
+    coface; the pair (1-cell, 2-cell) is the one the reduced boundary matrix
+    gives.
+    """
+    place = np.full(fp.n + 1, -1, dtype=np.int64)
+    place[cols] = np.arange(len(cols))
+    entries, bounds = fp.faces_of(cofaces)
+    col = place[entries]
+    row = np.repeat(np.arange(len(cofaces) - 1, -1, -1), np.diff(bounds))
+    keep = col >= 0
+    col, row = col[keep], row[keep]
+    order = np.argsort(col, kind="stable")
+    starts = np.zeros(len(cols) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(col, minlength=len(cols)), out=starts[1:])
+    pairs = _reduce_csr(row[order], starts)[0]
+    cols, cofaces = cols.tolist(), cofaces.tolist()
+    return {cols[i]: cofaces[-1 - p] for p, i in pairs.items()}
 
 
 @dataclass(frozen=True)
@@ -170,7 +248,8 @@ def mixup_barcode_indices(fp: FilteredPair, k: int) -> list[MixupTriple]:
     For each k-cell of L whose reduced L-column is zero (it creates a class
     of H_k(L)), d is the column paired with it in the L-matrix and d' the
     column paired with it in the ambient matrix; either is +inf when no
-    column claims it.
+    column claims it. Degree 1 reads both pairings off edge coboundaries
+    (see the module docstring).
     """
     if not 0 <= k <= max(fp.max_dim, 0):
         raise InputError(f"degree {k} out of range for a complex of dimension {fp.max_dim}")
@@ -183,12 +262,18 @@ def mixup_barcode_indices(fp: FilteredPair, k: int) -> list[MixupTriple]:
         deaths_k = merge_edges(_edges(fp, cofaces), keys)[0]
         deaths_l = merge_edges(_edges(fp, l_cofaces), keys)[0]
         born = creators.tolist()
+    elif k == 1:
+        edges = np.flatnonzero(fp.dim == 1) + 1
+        edges = edges[np.argsort(key[edges])]
+        # the edges that merge nothing in image order; the others are cleared
+        kept = np.array(merge_edges(_edges(fp, edges), key.tolist())[1], dtype=np.int64)
+        born = kept[fp.in_l[kept - 1]]
+        deaths_k = _coboundary_pairs(fp, kept[::-1], cofaces)
+        deaths_l = _coboundary_pairs(fp, born[::-1], l_cofaces)
+        born = born.tolist()
     else:
         rows = _rows(fp, k, key)
         deaths_k = _bitset_pairs(fp, cofaces, rows)[0]
         deaths_l = _bitset_pairs(fp, l_cofaces, rows)[0]
-        if k == 1:
-            born = merge_edges(_edges(fp, creators), key.tolist())[1]
-        else:
-            born = _bitset_pairs(fp, creators, _rows(fp, k - 1, key))[1]
+        born = _bitset_pairs(fp, creators, _rows(fp, k - 1, key))[1]
     return [MixupTriple(c, deaths_k.get(c, INF), deaths_l.get(c, INF)) for c in born]

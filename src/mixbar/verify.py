@@ -1,13 +1,14 @@
 """Cross-checking the reduction fast path against the rank-function oracle.
 
 Both routes store columns as int bitsets, so their independence lies in
-the algorithm, not in the representation: the fast path pairs edges by
-union-find and reduces higher columns left to right under the image row
-order, while the oracle eliminates cycle and boundary spaces of every
-prefix and takes second differences of rank grids. On any instance small
-enough for the oracle, the (b, d) pairs of the triples must equal the
-oracle's standard barcode of L, and the (b, d') pairs must equal its image
-barcode, both as exact index multisets.
+the algorithm, not in the representation: the fast path pairs degree 0 by
+union-find, degree 1 by reducing edge coboundaries after clearing, and
+degrees 2 and up by reducing boundary columns left to right under the
+image row order, while the oracle eliminates cycle and boundary spaces of
+every prefix and takes second differences of rank grids. On any instance
+small enough for the oracle, the (b, d) pairs of the triples must equal
+the oracle's standard barcode of L, and the (b, d') pairs must equal its
+image barcode, both as exact index multisets.
 
 The fuzzer draws Rips pairs and explicit complexes in equal shares. An
 explicit complex has 1-cells with zero, one or two boundary vertices and

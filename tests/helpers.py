@@ -1,12 +1,16 @@
 """Test-only helpers: the explicit-file writer, the restriction to L, a
-per-simplex reference Rips construction to compare the array build with, and
-classic PAM's BUILD and SWAP to compare the k-medoids selection with."""
+per-simplex reference Rips construction to compare the array build with,
+classic PAM's BUILD and SWAP to compare the k-medoids selection with, the
+degree-1 triples by triangle-boundary reduction to compare the coboundary
+route with, and the one-shot distance matrix to compare the blocked one
+with."""
 
 import math
 
 import numpy as np
 
 from mixbar.filtration import MEMBER_K, MEMBER_L, Cell, FilteredPair
+from mixbar.reduction import INF, MixupTriple, _edges, _rows, image_row_order, merge_edges
 from mixbar.subsample import _cost
 
 
@@ -165,3 +169,59 @@ def reference_swap(dist: np.ndarray, selected: list[int]) -> list[int]:
         pos, newcomer = best_swap
         selected[pos] = newcomer
         current = best_cost
+
+
+def reference_reduce_columns(columns) -> tuple[dict[int, int], list[int]]:
+    """Left-to-right reduction of (column id, bitset) pairs in column order,
+    every column built up front."""
+    owner: dict[int, int] = {}
+    pairs: dict[int, int] = {}
+    zeros: list[int] = []
+    for cid, col in columns:
+        while col:
+            p = col.bit_length() - 1
+            prev = owner.get(p)
+            if prev is None:
+                owner[p] = col
+                pairs[p] = cid
+                break
+            col ^= prev
+        else:
+            zeros.append(cid)
+    return pairs, zeros
+
+
+def _reference_bitset_pairs(fp: FilteredPair, ids: np.ndarray, rows) -> tuple[dict[int, int], list[int]]:
+    """reference_reduce_columns over the boundaries of the cells ids, with
+    rows as given by _rows; the pairing is keyed by face id."""
+    faces, row = rows
+    entries, bounds = fp.faces_of(ids)
+    bits, bounds = row[entries].tolist(), bounds.tolist()
+    bit = (1).__lshift__
+    pairs, zeros = reference_reduce_columns(
+        (cid, sum(map(bit, bits[lo:hi])))
+        for cid, lo, hi in zip(ids.tolist(), bounds, bounds[1:])
+    )
+    return {faces[p]: cid for p, cid in pairs.items()}, zeros
+
+
+def reference_degree1(fp: FilteredPair) -> list[MixupTriple]:
+    """Degree-1 triples by reducing every 2-cell boundary column, of K and of
+    L, under the image row order; the creators come from union-find over the
+    L 1-cells alone."""
+    key = image_row_order(fp)
+    creators = np.flatnonzero((fp.dim == 1) & fp.in_l) + 1
+    cofaces = np.flatnonzero(fp.dim == 2) + 1
+    l_cofaces = cofaces[fp.in_l[cofaces - 1]]
+    rows = _rows(fp, 1, key)
+    deaths_k = _reference_bitset_pairs(fp, cofaces, rows)[0]
+    deaths_l = _reference_bitset_pairs(fp, l_cofaces, rows)[0]
+    born = merge_edges(_edges(fp, creators), key.tolist())[1]
+    return [MixupTriple(c, deaths_k.get(c, INF), deaths_l.get(c, INF)) for c in born]
+
+
+def reference_distances(points: np.ndarray, metric: str) -> np.ndarray:
+    """The distance matrix from the whole (n, n, d) difference tensor at once."""
+    diff = points[:, None, :] - points[None, :, :]
+    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    return np.sqrt(sq) if metric == "euclidean" else sq

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from mixbar import InputError, LabeledPointCloud, PointCloud, pairwise_distances
+from mixbar import InputError, LabeledPointCloud, PointCloud, cloud, pairwise_distances
 from mixbar.cloud import parse_distance_matrix, parse_point_table
+from helpers import reference_distances
 
 
 def test_parse_whitespace_table():
@@ -77,6 +80,19 @@ def test_block_of_joint_matrix_is_bitwise_identical():
     joint = pairwise_distances(np.vstack([a, b]))
     alone = pairwise_distances(a)
     assert np.array_equal(joint[:9, :9], alone)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "sqeuclidean"])
+@pytest.mark.parametrize("budget", [1, 50, 1000, None])
+@pytest.mark.parametrize("shape", [(0, 3), (1, 1), (7, 3), (40, 17), (65, 2)])
+def test_blocked_distances_equal_one_shot(shape, budget, metric):
+    """Row blocks of any size give the one-shot matrix bit for bit; budget 1
+    is one row per block, 50 a few rows, 1000 a ragged last block."""
+    pts = np.random.default_rng(shape[0]).normal(size=shape) * 10.0 ** np.arange(shape[1])
+    with mock.patch.object(cloud, "DIFF_BUDGET", budget or cloud.DIFF_BUDGET):
+        got = pairwise_distances(pts, metric)
+    want = reference_distances(pts, metric)
+    assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_parse_full_square_matrix():

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mixbar.output import csv_lines, float_from_json, format_float, json_dumps
@@ -45,6 +46,35 @@ def test_json_dumps_preserves_key_order():
 def test_json_dumps_rejects_non_string_keys():
     with pytest.raises(ValueError):
         json_dumps({1: "x"})
+
+
+def test_json_dumps_exact_text():
+    """Indentation, empty containers, tuples as lists, bool before int,
+    escapes, infinities and float subclasses, byte for byte."""
+    doc = {
+        "flags": [True, False, None, 1, (2, 3.5)],
+        "empty": {"d": {}, "l": [], "t": ()},
+        "esc": "a\"b\\c\u00e9",
+        "inf": [math.inf, -math.inf, np.float64(0.1)],
+        "n": {"deep": {"x": 1}},
+    }
+    assert json_dumps(doc) == (
+        '{\n  "flags": [\n    true,\n    false,\n    null,\n    1,\n    [\n      2,\n      3.5\n'
+        '    ]\n  ],\n  "empty": {\n    "d": {},\n    "l": [],\n    "t": []\n  },\n'
+        '  "esc": "a\\"b\\\\c\\u00e9",\n  "inf": [\n    "inf",\n    "-inf",\n    0.1\n  ],\n'
+        '  "n": {\n    "deep": {\n      "x": 1\n    }\n  }\n}\n'
+    )
+    assert json_dumps(True) == "true\n"
+    assert json.loads(json_dumps(doc))["flags"][:2] == [True, False]
+
+
+@pytest.mark.parametrize(
+    "doc", [[1.0, math.nan], {"a": {"b": math.nan}}, {"a": [{2: 1}]}, {"a": {1, 2}}, [np.int64(1)]]
+)
+def test_json_dumps_refuses(doc):
+    """NaN, a non-string key and a value of no JSON type raise at any depth."""
+    with pytest.raises(ValueError):
+        json_dumps(doc)
 
 
 def test_json_dumps_deterministic():

@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixbar import (
     INF,
     InputError,
     MixupTriple,
+    PointCloud,
+    build_rips_pair,
     compute_mixup_barcode,
     mixup_barcode_indices,
+    pairwise_distances,
     parse_explicit_pair,
 )
 from mixbar.reduction import image_row_order, merge_edges, reduce_columns
+from mixbar.verify import random_explicit_instance
+from helpers import reference_degree1
 
 FILLED_TRIANGLE = """\
 1 0 0.0 L
@@ -26,10 +33,16 @@ def bitset(rows):
     return sum(1 << r for r in rows)
 
 
+def reduce_bitsets(columns):
+    """reduce_columns over (column id, bitset) pairs given up front."""
+    cols = dict(columns)
+    return reduce_columns(((cid, col.bit_length() - 1) for cid, col in cols.items()), cols.get)
+
+
 def test_reduce_filled_triangle_degree0():
     fp = parse_explicit_pair(FILLED_TRIANGLE)
     edges = [c for c in fp.cells if c.dim == 1]
-    pairs, zeros = reduce_columns((e.id, bitset(e.boundary)) for e in edges)
+    pairs, zeros = reduce_bitsets((e.id, bitset(e.boundary)) for e in edges)
     # column 6 = {2,3} reduces to zero through columns 4 and 5; the pivot
     # rows are the younger vertices 2 and 3
     assert zeros == [6]
@@ -41,7 +54,7 @@ def test_reduce_filled_triangle_degree0():
 def test_reduce_keeps_input_intact():
     columns = [(1, 0b101), (2, 0b101), (3, 0b110)]
     before = list(columns)
-    reduce_columns(columns)
+    reduce_bitsets(columns)
     assert columns == before
 
 
@@ -134,7 +147,7 @@ def test_reduced_pivots_match_dense_rank():
         for _ in range(n_cols):
             mask = rng.random(n_rows) < 0.4
             cols.append(sorted(np.nonzero(mask)[0].tolist()))
-        pairs, zeros = reduce_columns((j + 1, bitset(c)) for j, c in enumerate(cols))
+        pairs, zeros = reduce_bitsets((j + 1, bitset(c)) for j, c in enumerate(cols))
         assert len(pairs) == _dense_rank_gf2(cols, int(n_rows))
         assert len(pairs) + len(zeros) == len(cols)
         # pivots are unique per row by construction
@@ -142,6 +155,83 @@ def test_reduced_pivots_match_dense_rank():
 
 
 def test_reduction_pivot_is_latest_row():
-    pairs, zeros = reduce_columns([(1, bitset([0, 2])), (2, bitset([0, 2]))])
+    pairs, zeros = reduce_bitsets([(1, bitset([0, 2])), (2, bitset([0, 2]))])
     assert pairs == {2: 1}
     assert zeros == [2]
+
+
+def test_reduce_builds_only_colliding_columns():
+    """A column whose first pivot is unclaimed is never built; a collision
+    builds the column and, once, the owner it absorbs."""
+    cols = {1: bitset([0, 3]), 2: bitset([1, 2]), 3: bitset([1, 3]), 4: bitset([0, 1])}
+    built = []
+
+    def build(cid):
+        built.append(cid)
+        return cols[cid]
+
+    pairs, zeros = reduce_columns(
+        [(cid, col.bit_length() - 1) for cid, col in cols.items()] + [(5, -1)], build
+    )
+    assert pairs == {3: 1, 2: 2, 1: 3}
+    assert zeros == [4, 5]
+    assert built == [3, 1, 4]
+
+
+@st.composite
+def rips_pairs(draw):
+    """Rips pairs in R^2 or R^10 with up to 60 points, some with tied
+    distances, some with B empty (L = K)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([2, 10]))
+    n_a = draw(st.integers(2, 48))
+    n_b = draw(st.integers(0, 12))
+    pts = rng.random((n_a + n_b, dim))
+    if draw(st.booleans()):
+        pts = np.round(pts, 1)
+    upper = pairwise_distances(pts)[np.triu_indices(len(pts), 1)]
+    # rounding can make every drawn distance 0, which is no valid r_max
+    r_max = float(np.quantile(upper, draw(st.floats(0.02, 0.35)))) or 1.0
+    b = PointCloud(pts[n_a:]) if n_b else None
+    return build_rips_pair(PointCloud(pts[:n_a]), b, r_max=r_max, k_max=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rips_pairs())
+def test_degree1_matches_boundary_reduction_on_rips(fp):
+    assert mixup_barcode_indices(fp, 1) == reference_degree1(fp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_degree1_matches_boundary_reduction_on_explicit(seed):
+    fp = random_explicit_instance(np.random.default_rng(seed))
+    if fp.max_dim >= 1:
+        assert mixup_barcode_indices(fp, 1) == reference_degree1(fp)
+
+
+EDGE_CASES = {
+    # no 2-cells: every L-loop lives forever
+    "no_2_cells": "1 0 0 L\n2 0 0 L\n3 0 0 K\n4 1 1 L 1 2\n5 1 1 L 1 2\n6 1 2 K 2 3\n7 1 2 K 1 3\n",
+    # no 1-cells: a 2-cell with an empty boundary
+    "no_1_cells": "1 0 0 L\n2 2 1 L\n",
+    # L = K: a filled square with a diagonal, 1-cells without vertices
+    "l_is_k": (
+        "1 0 0 L\n2 0 0 L\n3 0 0 L\n4 0 0 L\n5 1 1 L 1 2\n6 1 1 L 2 3\n"
+        "7 1 1 L 3 4\n8 1 1 L 1 4\n9 1 2 L 1 3\n10 1 2 L\n11 2 3 L 5 6 9\n"
+        "12 2 3 L 7 8 9\n13 2 4 L 10\n"
+    ),
+    # L empty: every cell is ambient-only
+    "empty_l": "1 0 0 K\n2 0 0 K\n3 1 1 K 1 2\n4 1 1 K 1 2\n5 2 2 K 3 4\n",
+    # no ambient-only 2-cells: L-loops die only in L
+    "no_ambient_2_cells": (
+        "1 0 0 L\n2 0 0 L\n3 0 0 K\n4 1 1 L 1 2\n5 1 1 L 1 2\n6 1 1 K 1 3\n"
+        "7 1 1 K 2 3\n8 2 2 L 4 5\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_degree1_matches_boundary_reduction_on_edge_cases(name):
+    fp = parse_explicit_pair(EDGE_CASES[name])
+    assert mixup_barcode_indices(fp, 1) == reference_degree1(fp)
