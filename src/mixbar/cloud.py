@@ -9,6 +9,7 @@ plain distance matrix: `parse_distance_matrix` reads one, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -68,7 +69,8 @@ class LabeledPointCloud:
 
     @property
     def label_values(self) -> list[int]:
-        return sorted(int(v) for v in np.unique(self.labels))
+        # not np.unique: in numpy 2 it imports numpy.ma, about 10 ms cold
+        return sorted(set(self.labels.tolist()))
 
     def indices_of(self, label: int) -> np.ndarray:
         return np.flatnonzero(self.labels == label)
@@ -99,6 +101,28 @@ def pairwise_distances(points: np.ndarray, metric: str = "euclidean") -> np.ndar
     if metric == "euclidean":
         np.sqrt(out, out=out)
     return out
+
+
+def distance_blocks(
+    points: np.ndarray, metric: str, index_sets: Sequence[np.ndarray]
+) -> Iterator[np.ndarray]:
+    """The matrix of pairwise_distances among points[s], for each s in turn.
+
+    When the blocks hold fewer entries than the matrix of all n points
+    (sum of |s|^2 < n^2) each is computed from its own rows; otherwise the
+    whole matrix is computed once and each block sliced from it. Both give
+    the same bits, since each entry depends only on its own pair of rows.
+    Blocks are computed as they are asked for.
+    """
+    sets = [np.asarray(s, dtype=np.intp) for s in index_sets]
+    n = len(points)
+    if sum(len(s) ** 2 for s in sets) < n * n:
+        for s in sets:
+            yield pairwise_distances(points[s], metric)
+        return
+    whole = pairwise_distances(points, metric)
+    for s in sets:
+        yield whole[np.ix_(s, s)]
 
 
 def check_distance_matrix(d: np.ndarray) -> None:

@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .cloud import LabeledPointCloud
+from .cloud import LabeledPointCloud, PointCloud, distance_blocks
 from .errors import InputError
 from .filtration import FilteredPair
 from .reduction import INF, MixupTriple, mixup_barcode_indices
@@ -156,22 +156,15 @@ class StatsConfig:
 
 
 def interaction_barcode(
-    dist: np.ndarray,
-    a_indices: np.ndarray,
-    b_indices: np.ndarray,
-    degree: int,
-    config: StatsConfig,
+    dist: np.ndarray, n_a: int, degree: int, config: StatsConfig
 ) -> MixupBarcode:
-    """Mixup barcode of (points a_indices) into (a_indices ∪ b_indices).
+    """Mixup barcode of the first n_a points of dist into all of its points.
 
-    dist is a dissimilarity matrix over the whole cloud the indices refer to.
     The Rips pair stops at dimension degree + 1: the degree-k pairing reads
     only k- and (k+1)-cells, and dropping the higher cells leaves their
     relative order, and so every value, unchanged.
     """
-    ids = np.concatenate([a_indices, b_indices]).astype(int)
-    sub = dist[np.ix_(ids, ids)]
-    fp = rips_pair_from_distances(sub, len(a_indices), config.r_max, degree)
+    fp = rips_pair_from_distances(dist, n_a, config.r_max, degree)
     return compute_mixup_barcode(fp, degree, config.effective_clamp())
 
 
@@ -182,13 +175,36 @@ def _aggregate(bc: MixupBarcode, which: str) -> float:
 
 
 def _subsampled(
-    dist: np.ndarray, indices: np.ndarray, size: int, degree: int
-) -> np.ndarray:
-    if degree == 0 or size >= len(indices):
-        return indices
-    sub = dist[np.ix_(indices, indices)]
-    local = k_medoids_indices(sub, size)
-    return indices[np.asarray(local, dtype=int)]
+    cloud: PointCloud, degree: int, requests: list[tuple[np.ndarray, tuple[int, ...]]]
+) -> list[list[np.ndarray]]:
+    """For each (indices, sizes), the k-medoids of those points of the cloud
+    at each size; all of the points in degree 0 or where a size covers
+    them. The distances of every request come from one distance_blocks
+    call, and each index set's block is formed once for all its sizes."""
+    picked = [[idx] * len(sizes) for idx, sizes in requests]
+    todo = [
+        i for i, (idx, sizes) in enumerate(requests) if degree > 0 and min(sizes) < len(idx)
+    ]
+    blocks = distance_blocks(cloud.points, cloud.metric, [requests[i][0] for i in todo])
+    for i, sub in zip(todo, blocks):
+        idx, sizes = requests[i]
+        picked[i] = [
+            idx[np.asarray(k_medoids_indices(sub, k), dtype=int)] if k < len(idx) else idx
+            for k in sizes
+        ]
+    return picked
+
+
+def _interactions(
+    cloud: PointCloud,
+    pairs: list[tuple[np.ndarray, np.ndarray]],
+    degree: int,
+    config: StatsConfig,
+) -> Iterator[MixupBarcode]:
+    """The interaction barcode of each (A indices, B indices) of the cloud."""
+    ids = [np.concatenate([a, b]) for a, b in pairs]
+    for (a, _), sub in zip(pairs, distance_blocks(cloud.points, cloud.metric, ids)):
+        yield interaction_barcode(sub, len(a), degree, config)
 
 
 def pairwise_matrix(
@@ -203,22 +219,13 @@ def pairwise_matrix(
     labels = x.label_values
     if len(labels) < 2:
         raise InputError("pairwise matrix needs at least two distinct labels")
-    dist = x.cloud.distance_matrix()
-    a_sel = {
-        lab: _subsampled(dist, x.indices_of(lab), config.subsample_a, degree)
-        for lab in labels
-    }
-    b_sel = {
-        lab: _subsampled(dist, x.indices_of(lab), config.subsample_b, degree)
-        for lab in labels
-    }
+    sizes = (config.subsample_a, config.subsample_b)
+    sel = _subsampled(x.cloud, degree, [(x.indices_of(lab), sizes) for lab in labels])
+    entries = [(i, j) for i in range(len(labels)) for j in range(len(labels)) if i != j]
     out = np.zeros((len(labels), len(labels)))
-    for i, la in enumerate(labels):
-        for j, lb in enumerate(labels):
-            if i == j:
-                continue
-            bc = interaction_barcode(dist, a_sel[la], b_sel[lb], degree, config)
-            out[i, j] = mean_mixup_percentage(bc)
+    barcodes = _interactions(x.cloud, [(sel[i][0], sel[j][1]) for i, j in entries], degree, config)
+    for (i, j), bc in zip(entries, barcodes):
+        out[i, j] = mean_mixup_percentage(bc)
     return labels, out
 
 
@@ -262,26 +269,19 @@ def mixup_profile(
         if not np.array_equal(cloud.labels, ref.labels):
             raise InputError(f"cloud at {key} has a different label layout")
 
-    dist = ref.cloud.distance_matrix()
-    a_sel = {
-        lab: _subsampled(dist, ref.indices_of(lab), config.subsample_a, degree)
-        for lab in labels
-    }
-    b_sel = {
-        lab: _subsampled(dist, ref.indices_excluding(lab), config.subsample_b, degree)
-        for lab in labels
-    }
+    sel = _subsampled(
+        ref.cloud,
+        degree,
+        [(ref.indices_of(lab), (config.subsample_a,)) for lab in labels]
+        + [(ref.indices_excluding(lab), (config.subsample_b,)) for lab in labels],
+    )
+    pairs = [(a[0], b[0]) for a, b in zip(sel[: len(labels)], sel[len(labels) :])]
 
     values = np.zeros((len(layers), len(steps)))
     for li, layer in enumerate(layers):
         for si, step in enumerate(steps):
-            # keys[0] is the reference cloud: its matrix is dist already
-            if (layer, step) != keys[0]:
-                del dist
-                dist = series[(layer, step)].cloud.distance_matrix()
             best = 0.0
-            for lab in labels:
-                bc = interaction_barcode(dist, a_sel[lab], b_sel[lab], degree, config)
+            for bc in _interactions(series[(layer, step)].cloud, pairs, degree, config):
                 best = max(best, _aggregate(bc, config.profile_aggregate))
             values[li, si] = best
     return ProfileResult(layers=layers, steps=steps, values=values)

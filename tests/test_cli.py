@@ -150,6 +150,20 @@ def test_stats_commands_require_a_and_rmax(command, given, missing, capsys):
     assert f"the following arguments are required: {missing}" in err
 
 
+def test_cell_budget_exits_2(square_center_files, monkeypatch, capsys):
+    from mixbar import rips
+
+    monkeypatch.setattr(rips, "MAX_CELLS", 20)
+    a, b = square_center_files
+    code, out, err = run(["mixup", "--a", a, "--b", b, "--rmax", "2.0", "--kmax", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the Rips complex holds more than 20 cells (25 counted so far); "
+        "lower --rmax or --kmax\n"
+    )
+
+
 @pytest.mark.parametrize("clamp", ["nan", "inf", "-inf"])
 def test_non_finite_clamp_exits_2_before_any_build(
     clamp, square_center_files, labeled_file, monkeypatch, capsys

@@ -2,9 +2,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixbar import InputError, LabeledPointCloud, PointCloud, cloud, pairwise_distances
-from mixbar.cloud import parse_distance_matrix, parse_point_table
+from mixbar.cloud import distance_blocks, parse_distance_matrix, parse_point_table
 from helpers import reference_distances
 
 
@@ -93,6 +95,52 @@ def test_blocked_distances_equal_one_shot(shape, budget, metric):
         got = pairwise_distances(pts, metric)
     want = reference_distances(pts, metric)
     assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def points_and_index_sets(draw):
+    """A cloud with some repeated rows, over several scales, and index sets
+    that are random subsets (in random order) or permutations of it."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+    if n > 1 and draw(st.booleans()):
+        pts[rng.integers(0, n, size=n // 2)] = pts[rng.integers(0, n, size=n // 2)]
+    sets = []
+    for _ in range(draw(st.integers(0, 5))):
+        size = n if draw(st.booleans()) else draw(st.integers(0, n))
+        sets.append(rng.permutation(n)[:size])
+    return pts, sets
+
+
+@settings(max_examples=200, deadline=None)
+@given(points_and_index_sets(), st.sampled_from(cloud.METRICS), st.booleans())
+def test_distances_of_a_subset_are_the_block_of_the_whole(case, metric, one_row):
+    """pairwise_distances(points[s]) is bit for bit the (s, s) block of the
+    whole matrix, so distance_blocks gives the same bits on either branch."""
+    pts, sets = case
+    with mock.patch.object(cloud, "DIFF_BUDGET", 1 if one_row else cloud.DIFF_BUDGET):
+        whole = pairwise_distances(pts, metric)
+        got = list(distance_blocks(pts, metric, sets))
+        assert len(got) == len(sets)
+        for s, block in zip(sets, got):
+            want = whole[np.ix_(s, s)]
+            assert np.array_equal(pairwise_distances(pts[s], metric), want)
+            assert block.shape == want.shape and np.array_equal(block, want)
+
+
+def test_distance_blocks_computes_the_cheaper_side():
+    rows = []
+    real = cloud.pairwise_distances
+    pts = np.random.default_rng(2).random((10, 2))
+    with mock.patch.object(
+        cloud, "pairwise_distances", lambda p, m: rows.append(len(p)) or real(p, m)
+    ):
+        list(distance_blocks(pts, "euclidean", [np.arange(7), np.arange(3, 10)]))
+        assert rows == [7, 7]  # 98 < 100 entries
+        list(distance_blocks(pts, "euclidean", [np.arange(8), np.arange(2, 8)]))
+        assert rows == [7, 7, 10]  # 100 entries: the whole matrix
 
 
 def test_parse_full_square_matrix():

@@ -90,6 +90,23 @@ def test_k_max_caps_dimension():
     assert fp.max_dim == 1
 
 
+@pytest.mark.parametrize("limit, counted", [(14, 15), (24, 25), (29, 30)])
+def test_cell_budget_stops_the_build(monkeypatch, limit, counted):
+    # square + center up to tetrahedra: 5 vertices, 10 edges, 10 triangles,
+    # 5 tetrahedra; the count is checked after the edges and each layer
+    a = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    b = PointCloud(np.array([[0.5, 0.5]]))
+    monkeypatch.setattr(rips, "MAX_CELLS", limit)
+    with pytest.raises(InputError) as err:
+        build_rips_pair(a, b, r_max=2.0, k_max=2)
+    assert str(err.value) == (
+        f"the Rips complex holds more than {limit} cells "
+        f"({counted} counted so far); lower --rmax or --kmax"
+    )
+    monkeypatch.setattr(rips, "MAX_CELLS", 30)
+    assert build_rips_pair(a, b, r_max=2.0, k_max=2).n == 30
+
+
 def test_deterministic_construction():
     rng = np.random.default_rng(3)
     a = PointCloud(rng.random((7, 3)))

@@ -194,7 +194,7 @@ def test_interaction_barcode_matches_direct_build():
     pts = rng.random((9, 2))
     dist = pairwise_distances(pts)
     config = StatsConfig(r_max=0.8)
-    bc = interaction_barcode(dist, np.arange(5), np.arange(5, 9), 0, config)
+    bc = interaction_barcode(dist, 5, 0, config)
     direct = build_rips_pair(
         PointCloud(pts[:5]), PointCloud(pts[5:]), r_max=0.8, k_max=1
     )
@@ -275,37 +275,137 @@ def test_mixup_profile_subsamples_once_on_first_cloud():
 
     for si, cloud in enumerate((first, moved)):
         dist = cloud.cloud.distance_matrix()
-        want = max(
-            total_mixup_percentage(
-                interaction_barcode(
-                    dist,
-                    medoids(first.indices_of(lab), 8),
-                    medoids(first.indices_excluding(lab), 6),
-                    1,
-                    config,
-                )
-            )
-            for lab in first.label_values
-        )
+
+        def percentage(lab):
+            ids = np.r_[medoids(first.indices_of(lab), 8), medoids(first.indices_excluding(lab), 6)]
+            return total_mixup_percentage(interaction_barcode(dist[np.ix_(ids, ids)], 8, 1, config))
+
+        want = max(percentage(lab) for lab in first.label_values)
         assert prof.values[0][si] == want
     assert prof.values.min() > 0.0
 
 
-def test_mixup_profile_computes_one_distance_matrix_per_cloud(monkeypatch):
-    from mixbar import cloud
+def trace_distance_blocks(monkeypatch):
+    """Per distance_blocks call: (points, set sizes, rows of each matrix
+    pairwise_distances computed for it). Each call is one decision between
+    per-set blocks and the whole matrix; the contract is that it computes
+    at most n^2 entries, exactly the sets' blocks when it picks blocks."""
+    from mixbar import cloud, stats
 
     calls = []
-    real = cloud.pairwise_distances
-    monkeypatch.setattr(
-        cloud, "pairwise_distances", lambda *args: calls.append(args) or real(*args)
-    )
+    real_distances = cloud.pairwise_distances
+    real_blocks = stats.distance_blocks
+
+    def distances(pts, *rest):
+        calls[-1][2].append(len(pts))
+        return real_distances(pts, *rest)
+
+    def blocks(points, metric, index_sets):
+        calls.append((len(points), [len(s) for s in index_sets], []))
+        return real_blocks(points, metric, index_sets)
+
+    monkeypatch.setattr(cloud, "pairwise_distances", distances)
+    monkeypatch.setattr(stats, "distance_blocks", blocks)
+    return calls
+
+
+def check_block_contract(calls):
+    for n, sizes, rows in calls:
+        assert sum(r * r for r in rows) <= n * n
+        if rows != [n]:
+            assert rows == sizes
+
+
+def test_mixup_profile_computes_the_blocks_it_reads(monkeypatch):
+    calls = trace_distance_blocks(monkeypatch)
     series = {
         (layer, step): entangled_step((3.0 * (layer + step), 0.0))
         for layer in (0, 1)
         for step in (0, 1, 2)
     }
     mixup_profile(series, 1, StatsConfig(r_max=3.0, subsample_a=8, subsample_b=6))
-    assert len(calls) == len(series)
+    check_block_contract(calls)
+    # 30 points; k-medoids reads each label's 20 or 10 points and the other
+    # 10 or 20: 2 * (20^2 + 10^2) > 30^2, so the whole reference matrix
+    assert calls[0] == (30, [20, 10, 10, 20], [30])
+    # each grid entry reads 8 A- and 6 B-medoids per label: 2 * 14^2 < 30^2
+    assert calls[1:] == [(30, [14, 14], [14, 14])] * len(series)
+
+
+def test_mixup_profile_degree0_computes_one_matrix_per_cloud(monkeypatch):
+    # degree 0 subsamples nothing and reads every point per label
+    calls = trace_distance_blocks(monkeypatch)
+    series = {(0, step): entangled_step((3.0 * step, 0.0)) for step in (0, 1, 2)}
+    mixup_profile(series, 0, StatsConfig(r_max=3.0))
+    check_block_contract(calls)
+    assert calls == [(30, [], [])] + [(30, [30, 30], [30])] * len(series)
+
+
+def test_pairwise_matrix_degree1_blocks_stay_below_class_and_pair_sizes(monkeypatch):
+    # four classes of 25; k-medoids reads each class once for both sizes,
+    # and each (i, j) entry reads 10 A- and 5 B-medoids
+    calls = trace_distance_blocks(monkeypatch)
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(100, 3)) + np.repeat(np.eye(4, 3) * 2.0, 25, axis=0)
+    x = LabeledPointCloud(PointCloud(pts), np.repeat(np.arange(4), 25))
+    pairwise_matrix(x, 1, StatsConfig(r_max=1.5, subsample_a=10, subsample_b=5))
+    check_block_contract(calls)
+    assert [rows for _, _, rows in calls] == [[25] * 4, [15] * 12]
+    assert max(max(rows) for _, _, rows in calls) <= max(25, 10 + 5)
+
+
+def whole_matrix_blocks(points, metric, index_sets):
+    whole = pairwise_distances(points, metric)
+    return (whole[np.ix_(s, s)] for s in index_sets)
+
+
+def per_set_blocks(points, metric, index_sets):
+    return (pairwise_distances(points[s], metric) for s in index_sets)
+
+
+def drifting_series(seed):
+    """A 2 x 2 grid of three noisy rings of 14 points in R^3 that drift apart."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat([0, 1, 2], 14)
+    circle = np.c_[np.tile(ring(14), (3, 1)), np.zeros(42)]
+    drift = 0.5 * np.eye(3)[labels]
+    return {
+        (layer, step): LabeledPointCloud(
+            PointCloud(circle + (layer + step) * drift + rng.normal(0, 0.05, (42, 3))), labels
+        )
+        for layer in (0, 1)
+        for step in (0, 1)
+    }
+
+
+@pytest.mark.parametrize(
+    "degree, sizes", [(0, (50, 50)), (1, (6, 3)), (1, (9, 10)), (1, (14, 28)), (1, (50, 50))]
+)
+def test_mixup_profile_is_the_same_from_blocks_or_whole_matrix(monkeypatch, degree, sizes):
+    from mixbar import stats
+
+    series = drifting_series(sum(sizes) + degree)
+    config = StatsConfig(r_max=2.5, subsample_a=sizes[0], subsample_b=sizes[1])
+    got = [mixup_profile(series, degree, config).values]
+    for forced in (whole_matrix_blocks, per_set_blocks):
+        monkeypatch.setattr(stats, "distance_blocks", forced)
+        got.append(mixup_profile(series, degree, config).values)
+    assert got[0].max() > 0.0
+    assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+
+
+@pytest.mark.parametrize("sizes", [(6, 3), (9, 5), (14, 14)])
+def test_pairwise_matrix_is_the_same_from_blocks_or_whole_matrix(monkeypatch, sizes):
+    from mixbar import stats
+
+    x = drifting_series(7)[(0, 0)]
+    config = StatsConfig(r_max=2.5, subsample_a=sizes[0], subsample_b=sizes[1])
+    got = [pairwise_matrix(x, 1, config)[1]]
+    for forced in (whole_matrix_blocks, per_set_blocks):
+        monkeypatch.setattr(stats, "distance_blocks", forced)
+        got.append(pairwise_matrix(x, 1, config)[1])
+    assert got[0].max() > 0.0
+    assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
 
 
 @pytest.mark.parametrize("clamp", [math.nan, math.inf, -math.inf])
