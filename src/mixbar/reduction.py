@@ -15,33 +15,36 @@ all edges with vertices keyed by the image order for K, over the L-edges
 alone for L. An edge with one boundary vertex joins a ground node older
 than every vertex; an edge with none merges nothing.
 
-Degree 1 reduces edge coboundaries instead of triangle boundaries. The
-pivot pairing of a matrix equals that of its anti-transpose, because both
-are read off the ranks of the same lower-left submatrices (de Silva,
-Morozov & Vejdemo-Johansson, "Dualities in persistent (co)homology",
-2011). So the columns are the 1-cells in reverse image order, a column's
-rows are its 2-cell cofaces, and its pivot is its earliest coface; each
-pair (1-cell, 2-cell) is the one the boundary matrix gives. Over L alone
-the same holds for the L-cells. Most columns never need reducing:
+Every degree k >= 1 reduces k-cell coboundaries instead of (k+1)-cell
+boundaries. The pivot pairing of a matrix equals that of its
+anti-transpose, because both are read off the ranks of the same lower-left
+submatrices (de Silva, Morozov & Vejdemo-Johansson, "Dualities in
+persistent (co)homology", 2011). So the columns are the k-cells in reverse
+image order, a column's rows are its (k+1)-cell cofaces, and its pivot is
+its earliest coface; each pair (k-cell, (k+1)-cell) is the one the
+boundary matrix gives. Over L alone the same holds for the L-cells. Most
+columns never need reducing:
 
-- Clearing. One union-find runs over all 1-cells in image order, L first.
-  An edge that merges two components there has a boundary independent of
-  the image-earlier edges, so it is never a pivot row of the boundary
-  matrix under that order and its column is dropped, for K and for L. The
-  L prefix of that pass is the union-find of L alone, so its edges that
-  merge nothing are the 1-cycle creators of L. The order must be the image
-  order: clearing K by the filtration-order forest gives wrong triples.
+- Clearing (Chen & Kerber, "Persistent homology computation with a
+  twist", 2011). A k-cell whose boundary column does not reduce to zero
+  under the image column order is never a pivot row of the (k+1)-boundary
+  matrix under the image row order, so its column is dropped. For k = 1
+  one union-find over all 1-cells in image order finds them: the edges
+  that merge two components. For each j = 2..k a coboundary pass over the
+  uncleared (j-1)-cells, with the j-cells as rows in image order, pairs
+  exactly the j-cells to drop. They are its pivot rows, and the set of
+  pivot rows of a matrix depends only on its row order, not on its column
+  order; in the boundary matrix they are the j-columns that do not reduce
+  to zero under the image order. The order must be the image order:
+  clearing K by the filtration-order forest gives wrong triples.
+- L needs no pass of its own. Image order lists the L-cells first, so
+  whether an L-column reduces to zero depends on L-columns alone, and the
+  uncleared L k-cells are the k-cycle creators of L.
 - Columns built on collision. Each column's first pivot comes from numpy.
   A column whose pivot is unclaimed claims it as it stands (an emergent
   pair, Bauer, "Ripser", 2021), and a column becomes a Python-int bitset
-  only when it, or an owner it must absorb, is added to.
-
-Degrees 2 and up keep boundary columns, with the same reducer. Clearing
-their coboundaries would need the pivots of the degree below under the
-image column order, which only degree 1 gets free from union-find; without
-clearing, the coboundary route reduces every negative cell to zero and is
-slower. Columns are Python ints over rows numbered densely within their
-dimension: addition is `^` and the pivot is the highest set bit.
+  only when it, or an owner it must absorb, is added to. Addition is `^`
+  and the pivot is the highest set bit.
 """
 
 from __future__ import annotations
@@ -154,15 +157,6 @@ def _edges(fp: FilteredPair, ids: np.ndarray):
     return zip(ids.tolist(), u.tolist(), w.tolist())
 
 
-def _rows(fp: FilteredPair, dim: int, key: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Ids of the dim-cells in image order, and each id's place in it."""
-    ids = np.flatnonzero(fp.dim == dim) + 1
-    ids = ids[np.argsort(key[ids])]
-    row = np.zeros(fp.n + 1, dtype=np.int64)
-    row[ids] = np.arange(len(ids))
-    return ids.tolist(), row
-
-
 def _reduce_csr(bits: np.ndarray, bounds: np.ndarray) -> tuple[dict[int, int], list[int]]:
     """reduce_columns over columns in CSR form: column i holds the rows
     bits[bounds[i]:bounds[i + 1]]. The first pivots (the highest rows) are
@@ -185,23 +179,14 @@ def _reduce_csr(bits: np.ndarray, bounds: np.ndarray) -> tuple[dict[int, int], l
     return reduce_columns(enumerate(top), build)
 
 
-def _bitset_pairs(fp: FilteredPair, ids: np.ndarray, rows) -> tuple[dict[int, int], list[int]]:
-    """Reduced boundaries of the cells ids, with rows as given by _rows;
-    the pairing is keyed by face id."""
-    faces, row = rows
-    entries, bounds = fp.faces_of(ids)
-    pairs, zeros = _reduce_csr(row[entries], bounds)
-    ids = ids.tolist()
-    return {faces[p]: ids[i] for p, i in pairs.items()}, [ids[i] for i in zeros]
-
-
 def _coboundary_pairs(fp: FilteredPair, cols: np.ndarray, cofaces: np.ndarray) -> dict[int, int]:
-    """Pairing of the coboundaries of the 1-cells cols, in that column order,
-    restricted to the 2-cells cofaces (ids ascending), keyed by 1-cell.
+    """Pairing of the coboundaries of the j-cells cols, in that column order,
+    restricted to the (j+1)-cells cofaces, keyed by j-cell.
 
     Rows run backwards through cofaces, so a column's pivot is its earliest
-    coface; the pair (1-cell, 2-cell) is the one the reduced boundary matrix
-    gives.
+    coface in the order given; the pair (j-cell, (j+1)-cell) is the one the
+    reduced boundary matrix gives when its columns are cofaces in that order
+    and its rows the j-cells in the reverse of cols.
     """
     place = np.full(fp.n + 1, -1, dtype=np.int64)
     place[cols] = np.arange(len(cols))
@@ -248,32 +233,32 @@ def mixup_barcode_indices(fp: FilteredPair, k: int) -> list[MixupTriple]:
     For each k-cell of L whose reduced L-column is zero (it creates a class
     of H_k(L)), d is the column paired with it in the L-matrix and d' the
     column paired with it in the ambient matrix; either is +inf when no
-    column claims it. Degree 1 reads both pairings off edge coboundaries
-    (see the module docstring).
+    column claims it. Degree 0 reads both pairings off union-find; every
+    higher degree off coboundaries, cleared by a chain of passes that starts
+    from union-find over the 1-cells (see the module docstring).
     """
     if not 0 <= k <= max(fp.max_dim, 0):
         raise InputError(f"degree {k} out of range for a complex of dimension {fp.max_dim}")
     key = image_row_order(fp)
-    creators = np.flatnonzero((fp.dim == k) & fp.in_l) + 1
     cofaces = np.flatnonzero(fp.dim == k + 1) + 1
     l_cofaces = cofaces[fp.in_l[cofaces - 1]]
     if k == 0:
         keys = key.tolist()
         deaths_k = merge_edges(_edges(fp, cofaces), keys)[0]
         deaths_l = merge_edges(_edges(fp, l_cofaces), keys)[0]
-        born = creators.tolist()
-    elif k == 1:
+        born = np.flatnonzero((fp.dim == 0) & fp.in_l) + 1
+    else:
+        # the cells whose reduced boundary column is zero under the image
+        # order; the others are never pivot rows one degree up, so cleared
         edges = np.flatnonzero(fp.dim == 1) + 1
         edges = edges[np.argsort(key[edges])]
-        # the edges that merge nothing in image order; the others are cleared
         kept = np.array(merge_edges(_edges(fp, edges), key.tolist())[1], dtype=np.int64)
+        for j in range(2, k + 1):
+            cells = np.flatnonzero(fp.dim == j) + 1
+            cells = cells[np.argsort(key[cells])]
+            cleared = np.fromiter(_coboundary_pairs(fp, kept[::-1], cells).values(), dtype=np.int64)
+            kept = cells[~np.isin(cells, cleared)]
         born = kept[fp.in_l[kept - 1]]
         deaths_k = _coboundary_pairs(fp, kept[::-1], cofaces)
         deaths_l = _coboundary_pairs(fp, born[::-1], l_cofaces)
-        born = born.tolist()
-    else:
-        rows = _rows(fp, k, key)
-        deaths_k = _bitset_pairs(fp, cofaces, rows)[0]
-        deaths_l = _bitset_pairs(fp, l_cofaces, rows)[0]
-        born = _bitset_pairs(fp, creators, _rows(fp, k - 1, key))[1]
-    return [MixupTriple(c, deaths_k.get(c, INF), deaths_l.get(c, INF)) for c in born]
+    return [MixupTriple(c, deaths_k.get(c, INF), deaths_l.get(c, INF)) for c in born.tolist()]

@@ -2,10 +2,9 @@
 
 Both routes store columns as int bitsets, so their independence lies in
 the algorithm, not in the representation: the fast path pairs degree 0 by
-union-find, degree 1 by reducing edge coboundaries after clearing, and
-degrees 2 and up by reducing boundary columns left to right under the
-image row order, while the oracle eliminates cycle and boundary spaces of
-every prefix and takes second differences of rank grids. On any instance
+union-find and every higher degree by reducing coboundaries after
+clearing, while the oracle eliminates cycle and boundary spaces of every
+prefix and takes second differences of rank grids. On any instance
 small enough for the oracle, the (b, d) pairs of the triples must equal
 the oracle's standard barcode of L, and the (b, d') pairs must equal its
 image barcode, both as exact index multisets.

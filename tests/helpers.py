@@ -1,16 +1,16 @@
 """Test-only helpers: the explicit-file writer, the restriction to L, a
 per-simplex reference Rips construction to compare the array build with,
 classic PAM's BUILD and SWAP to compare the k-medoids selection with, the
-degree-1 triples by triangle-boundary reduction to compare the coboundary
-route with, and the one-shot distance matrix to compare the blocked one
-with."""
+triples of any degree >= 1 by boundary reduction without clearing to
+compare the coboundary route with, and the one-shot distance matrix to
+compare the blocked one with."""
 
 import math
 
 import numpy as np
 
 from mixbar.filtration import MEMBER_K, MEMBER_L, Cell, FilteredPair
-from mixbar.reduction import INF, MixupTriple, _edges, _rows, image_row_order, merge_edges
+from mixbar.reduction import INF, MixupTriple, image_row_order
 from mixbar.subsample import _cost
 
 
@@ -191,6 +191,15 @@ def reference_reduce_columns(columns) -> tuple[dict[int, int], list[int]]:
     return pairs, zeros
 
 
+def _rows(fp: FilteredPair, dim: int, key: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Ids of the dim-cells in image order, and each id's place in it."""
+    ids = np.flatnonzero(fp.dim == dim) + 1
+    ids = ids[np.argsort(key[ids])]
+    row = np.zeros(fp.n + 1, dtype=np.int64)
+    row[ids] = np.arange(len(ids))
+    return ids.tolist(), row
+
+
 def _reference_bitset_pairs(fp: FilteredPair, ids: np.ndarray, rows) -> tuple[dict[int, int], list[int]]:
     """reference_reduce_columns over the boundaries of the cells ids, with
     rows as given by _rows; the pairing is keyed by face id."""
@@ -205,18 +214,21 @@ def _reference_bitset_pairs(fp: FilteredPair, ids: np.ndarray, rows) -> tuple[di
     return {faces[p]: cid for p, cid in pairs.items()}, zeros
 
 
-def reference_degree1(fp: FilteredPair) -> list[MixupTriple]:
-    """Degree-1 triples by reducing every 2-cell boundary column, of K and of
-    L, under the image row order; the creators come from union-find over the
-    L 1-cells alone."""
+def reference_degree(fp: FilteredPair, k: int) -> list[MixupTriple]:
+    """Degree-k triples, k >= 1, by reducing every boundary column without
+    clearing under the image row order: the (k+1)-cells of K and of L give
+    the deaths, and the creators are the L k-cells whose boundary columns
+    under the (k-1)-cell rows reduce to zero. For k = 1 these are the
+    1-cells that merge nothing in union-find, also with 0 or 1 ends: a
+    column with one vertex row acts as an edge to the ground node."""
     key = image_row_order(fp)
-    creators = np.flatnonzero((fp.dim == 1) & fp.in_l) + 1
-    cofaces = np.flatnonzero(fp.dim == 2) + 1
+    creators = np.flatnonzero((fp.dim == k) & fp.in_l) + 1
+    cofaces = np.flatnonzero(fp.dim == k + 1) + 1
     l_cofaces = cofaces[fp.in_l[cofaces - 1]]
-    rows = _rows(fp, 1, key)
+    rows = _rows(fp, k, key)
     deaths_k = _reference_bitset_pairs(fp, cofaces, rows)[0]
     deaths_l = _reference_bitset_pairs(fp, l_cofaces, rows)[0]
-    born = merge_edges(_edges(fp, creators), key.tolist())[1]
+    born = _reference_bitset_pairs(fp, creators, _rows(fp, k - 1, key))[1]
     return [MixupTriple(c, deaths_k.get(c, INF), deaths_l.get(c, INF)) for c in born]
 
 

@@ -16,7 +16,7 @@ from mixbar import (
 )
 from mixbar.reduction import image_row_order, merge_edges, reduce_columns
 from mixbar.verify import random_explicit_instance
-from helpers import reference_degree1
+from helpers import reference_degree
 
 FILLED_TRIANGLE = """\
 1 0 0.0 L
@@ -193,21 +193,24 @@ def rips_pairs(draw):
     # rounding can make every drawn distance 0, which is no valid r_max
     r_max = float(np.quantile(upper, draw(st.floats(0.02, 0.35)))) or 1.0
     b = PointCloud(pts[n_a:]) if n_b else None
-    return build_rips_pair(PointCloud(pts[:n_a]), b, r_max=r_max, k_max=1)
+    return build_rips_pair(PointCloud(pts[:n_a]), b, r_max=r_max, k_max=3)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
 @settings(max_examples=60, deadline=None)
 @given(rips_pairs())
-def test_degree1_matches_boundary_reduction_on_rips(fp):
-    assert mixup_barcode_indices(fp, 1) == reference_degree1(fp)
+def test_matches_boundary_reduction_on_rips(k, fp):
+    if fp.max_dim >= k:
+        assert mixup_barcode_indices(fp, k) == reference_degree(fp, k)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_degree1_matches_boundary_reduction_on_explicit(seed):
+def test_matches_boundary_reduction_on_explicit(k, seed):
     fp = random_explicit_instance(np.random.default_rng(seed))
-    if fp.max_dim >= 1:
-        assert mixup_barcode_indices(fp, 1) == reference_degree1(fp)
+    if fp.max_dim >= k:
+        assert mixup_barcode_indices(fp, k) == reference_degree(fp, k)
 
 
 EDGE_CASES = {
@@ -228,10 +231,23 @@ EDGE_CASES = {
         "1 0 0 L\n2 0 0 L\n3 0 0 K\n4 1 1 L 1 2\n5 1 1 L 1 2\n6 1 1 K 1 3\n"
         "7 1 1 K 2 3\n8 2 2 L 4 5\n"
     ),
+    # an L hollow tetrahedron filled by an ambient-only 3-cell (surrounding)
+    "hollow_tetrahedron": (
+        "1 0 0 L\n2 0 0 L\n3 0 0 L\n4 0 0 L\n5 1 1 L 1 2\n6 1 1 L 1 3\n"
+        "7 1 1 L 1 4\n8 1 1 L 2 3\n9 1 1 L 2 4\n10 1 1 L 3 4\n11 2 2 L 5 6 8\n"
+        "12 2 2 L 5 7 9\n13 2 2 L 6 7 10\n14 2 2 L 8 9 10\n15 3 3 K 11 12 13 14\n"
+    ),
+    # a square 2-cell bounded by four 1-cells
+    "square_2_cell": (
+        "1 0 0 L\n2 0 0 L\n3 0 0 L\n4 0 0 L\n5 1 1 L 1 2\n6 1 1 L 2 3\n"
+        "7 1 1 L 3 4\n8 1 1 L 1 4\n9 2 2 K 5 6 7 8\n"
+    ),
 }
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
-def test_degree1_matches_boundary_reduction_on_edge_cases(name):
+def test_matches_boundary_reduction_on_edge_cases(name, k):
     fp = parse_explicit_pair(EDGE_CASES[name])
-    assert mixup_barcode_indices(fp, 1) == reference_degree1(fp)
+    if fp.max_dim >= k:
+        assert mixup_barcode_indices(fp, k) == reference_degree(fp, k)
