@@ -26,7 +26,6 @@ from .errors import InputError
 from .filtration import FilteredPair, parse_explicit_pair
 from .output import csv_lines, float_from_json, json_dumps
 from .plot import plot_mixup_barcode
-from .reduction import MixupTriple
 from .rips import build_rips_pair, rips_pair_from_distances
 from .stats import (
     MixupBarcode,
@@ -203,20 +202,19 @@ def _default_degrees(args: argparse.Namespace, fp: FilteredPair) -> list[int]:
     return list(range(0, args.k_max + 1))
 
 
-def _index_row(t: MixupTriple) -> dict:
-    return {"birth": t.birth, "death_image": t.death_image, "death": t.death}
-
-
-def _triple_row(t: MixupTriple) -> dict:
-    return _index_row(t) | {"zero_persistence": t.zero_persistence}
+# The fields of a triple in JSON and CSV, in order.
+TRIPLE_KEYS = ("birth", "death_image", "death")
 
 
 def _degree_entry(bc: MixupBarcode) -> dict:
     return {
-        "triples": [_triple_row(t) for t in bc.triples],
-        "index_triples": [_index_row(t) for t in bc.index_triples],
+        "triples": [
+            dict(zip(TRIPLE_KEYS, row), zero_persistence=row[2] == row[0])
+            for row in bc.values.tolist()
+        ],
+        "index_triples": [t._asdict() for t in bc.index_triples],
         "statistics": {
-            "bars": len(bc.triples),
+            "bars": len(bc.values),
             "total_mixup": total_mixup(bc),
             "total_mixup_percentage": total_mixup_percentage(bc),
             "mean_mixup_percentage": mean_mixup_percentage(bc),
@@ -258,10 +256,9 @@ def cmd_mixup(args: argparse.Namespace) -> int:
         return 0
     barcodes = {k: compute_mixup_barcode(fp, k, clamp) for k in degrees}
     if args.format == "csv":
-        rows = [["degree", "birth", "death_image", "death", "zero_persistence"]]
+        rows = [["degree", *TRIPLE_KEYS, "zero_persistence"]]
         for k in degrees:
-            for t in barcodes[k].triples:
-                rows.append([k, t.birth, t.death_image, t.death, int(t.zero_persistence)])
+            rows += [[k, b, dp, d, int(d == b)] for b, dp, d in barcodes[k].values.tolist()]
         _write(args, csv_lines(rows))
         return 0
     result = {
@@ -394,7 +391,17 @@ def cmd_plot(args: argparse.Namespace) -> int:
         raise InputError(f"{args.results} is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or "degrees" not in data or data.get("command") != "mixup":
         raise InputError("plot expects the JSON written by the mixup subcommand")
-    available = sorted(int(k) for k in data["degrees"])
+    entries = {}  # degree -> (b, d', d) rows and clamp; every entry is read
+    try:
+        for key, entry in data["degrees"].items():
+            if type(entry["triples"]) is not list:
+                raise TypeError("triples is not a list")
+            rows = [[float_from_json(t[f]) for f in TRIPLE_KEYS] for t in entry["triples"]]
+            clamp = entry["statistics"].get("clamp")
+            entries[int(key)] = rows, None if clamp is None else float_from_json(clamp)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{args.results} is not a mixup result: {type(exc).__name__} {exc}") from None
+    available = sorted(entries)
     if not available:
         raise InputError("results hold no degrees")
     degrees = args.degrees or available[:1]
@@ -402,19 +409,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
     degree = degrees[0]
     if degree not in available:
         raise InputError(f"degree {degree} not present in results (has {available})")
-    entry = data["degrees"][str(degree)]
-    clamp = entry["statistics"].get("clamp")
-    triples = tuple(
-        MixupTriple(*(float_from_json(t[key]) for key in ("birth", "death_image", "death")))
-        for t in entry["triples"]
-    )
-    bc = MixupBarcode(
-        degree=degree,
-        index_triples=(),
-        triples=triples,
-        clamp=None if clamp is None else float(clamp),
-    )
-    _write(args, plot_mixup_barcode(bc))
+    rows, clamp = entries[degree]
+    check_clamp(clamp)
+    _write(args, plot_mixup_barcode(MixupBarcode(degree, (), rows, clamp)))
     return 0
 
 

@@ -83,11 +83,14 @@ def json_dumps(obj) -> str:
 
 
 def float_from_json(v) -> float:
-    """Inverse of format_float for values read back from our JSON."""
+    """Inverse of format_float for values read back from our JSON; any
+    other value, a bool or a numeric string say, is a ValueError."""
     if v == "inf":
         return math.inf
     if v == "-inf":
         return -math.inf
+    if type(v) not in (int, float):
+        raise ValueError(f"not a number: {v!r}")
     return float(v)
 
 

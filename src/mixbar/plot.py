@@ -37,16 +37,15 @@ def _fmt_value(x: float) -> str:
 def plot_mixup_barcode(bc: MixupBarcode) -> str:
     """Render one degree's barcode as an SVG document string."""
     try:
-        triples = bc.clamped_triples()
+        rows = bc.clamped.tolist()
     except InputError:
         raise InputError(
             "barcode holds infinite deaths and no clamp value; set a clamp before plotting"
         ) from None
-    bars = sorted(triples, key=lambda t: (t.birth, -(t.death - t.birth)))
+    bars = sorted(rows, key=lambda t: (t[0], -(t[2] - t[0])))
 
-    lo = min((t.birth for t in bars), default=0.0)
-    lo = min(lo, 0.0)
-    hi = max((t.death for t in bars), default=0.0)
+    lo = min([b for b, _, _ in bars] + [0.0])
+    hi = max((d for _, _, d in bars), default=0.0)
     if bc.clamp is not None:
         hi = max(hi, bc.clamp)
     if hi <= lo:
@@ -71,11 +70,9 @@ def plot_mixup_barcode(bc: MixupBarcode) -> str:
         f'fill="{AXIS_COLOR}">degree {bc.degree} mixup barcode '
         f"({len(bars)} bars)</text>"
     )
-    for row, t in enumerate(bars):
+    for row, (b, dp, d) in enumerate(bars):
         y = MARGIN_TOP + row * ROW_HEIGHT
-        x_b = x_of(t.birth)
-        x_di = x_of(t.death_image)
-        x_d = x_of(t.death)
+        x_b, x_di, x_d = x_of(b), x_of(dp), x_of(d)
         if x_di > x_b:
             parts.append(
                 f'<rect x="{_fmt(x_b)}" y="{_fmt(y)}" width="{_fmt(x_di - x_b)}" '

@@ -50,7 +50,7 @@ columns never need reducing:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -203,24 +203,18 @@ def _coboundary_pairs(fp: FilteredPair, cols: np.ndarray, cofaces: np.ndarray) -
     return {cols[i]: cofaces[-1 - p] for p, i in pairs.items()}
 
 
-@dataclass(frozen=True)
-class MixupTriple:
+class MixupTriple(NamedTuple):
     """(b, d', d): birth, image (premature) death, death, with b <= d' <= d.
 
     In filtration indices the entries are cell ids, in filtration values
     they are the values of those cells; a death is +inf for a class that
-    never dies (in K, respectively in L).
+    never dies (in K, respectively in L). The order is not checked here:
+    the reduction produces it, and a MixupBarcode checks every value row.
     """
 
     birth: float
     death_image: float
     death: float
-
-    def __post_init__(self) -> None:
-        if not self.birth <= self.death_image <= self.death:
-            raise InputError(
-                f"triple out of order: b={self.birth}, d'={self.death_image}, d={self.death}"
-            )
 
     @property
     def zero_persistence(self) -> bool:

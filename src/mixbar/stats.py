@@ -1,13 +1,16 @@
 """Summary statistics over mixup barcodes.
 
 Each bar [b, d) of the subcomplex splits at its premature death d' into an
-image sub-bar [b, d') and a mixup sub-bar [d', d). The mixup of a triple is
-d - d', the share of the bar lost to the ambient complex; percentages
-divide by the full persistence d - b. Infinite deaths must be clamped to a
-finite horizon before any length is computed; clamping never drops a bar,
-it only truncates. Zero-persistence bars keep their place in totals of
-absolute mixup but are excluded from percentage statistics, where they
-would divide by zero.
+image sub-bar [b, d') and a mixup sub-bar [d', d). A barcode holds its
+triples as one (m, 3) array of (b, d', d) rows, checked once for
+b <= d' <= d when it is built. The mixup of a triple is d - d', the share
+of the bar lost to the ambient complex; percentages divide by the full
+persistence d - b. Infinite deaths must be clamped to a finite horizon
+before any length is computed; clamping never drops a bar, it only
+truncates, and the clamped array is formed once per barcode. Every
+statistic is an exact sum (math.fsum) of a column expression over it.
+Zero-persistence bars keep their place in totals of absolute mixup but are
+excluded from percentage statistics, where they would divide by zero.
 """
 
 from __future__ import annotations
@@ -29,24 +32,47 @@ from .subsample import k_medoids_indices
 
 @dataclass(frozen=True)
 class MixupBarcode:
-    """All mixup triples of one degree, in both index and value form.
+    """All mixup triples of one degree: index triples and an (m, 3) array.
 
-    Triples are stored unclamped; `clamp` is the horizon used by the
-    statistics below (None means lengths involving +inf are an error).
+    Row i of `values` is (b, d', d) of index_triples[i] in filtration
+    values, unclamped, +inf for a death that never comes; the constructor
+    checks b <= d' <= d on every row. `clamp` is the horizon of `clamped`
+    and of the statistics below (None means lengths involving +inf are an
+    error).
     """
 
     degree: int
     index_triples: tuple[MixupTriple, ...]
-    triples: tuple[MixupTriple, ...]
+    values: np.ndarray
     clamp: float | None = None
 
-    @cached_property
-    def _clamped(self) -> tuple[MixupTriple, ...]:
-        return tuple(clamp_triple(t, self.clamp) for t in self.triples)
+    def __post_init__(self) -> None:
+        values = np.array(self.values, dtype=float).reshape(len(self.values), 3)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        bad = ~((values[:, 0] <= values[:, 1]) & (values[:, 1] <= values[:, 2]))
+        if bad.any():
+            b, dp, d = values[bad.argmax()].tolist()
+            raise InputError(f"triple out of order: b={b}, d'={dp}, d={d}")
 
-    def clamped_triples(self) -> tuple[MixupTriple, ...]:
-        """The value triples clamped at `clamp`, computed once per barcode."""
-        return self._clamped
+    @cached_property
+    def clamped(self) -> np.ndarray:
+        """`values` with both deaths truncated at `clamp`, never below the
+        birth; computed once per barcode."""
+        v = self.values
+        if self.clamp is None:
+            if np.isinf(v[:, 1:]).any():
+                raise InputError("triple has an infinite death and no clamp value is set")
+            return v
+        births = v[:, :1]
+        out = np.hstack([births, np.maximum(births, np.minimum(v[:, 1:], self.clamp))])
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def triples(self) -> tuple[MixupTriple, ...]:
+        """The rows of `values` as value triples."""
+        return tuple(MixupTriple(*row) for row in self.values.tolist())
 
 
 def compute_mixup_barcode(
@@ -57,26 +83,11 @@ def compute_mixup_barcode(
     A degree above the dimension of the complex has no cells to carry a
     class, so its barcode is empty.
     """
-    if degree > max(fp.max_dim, 0):
-        return MixupBarcode(degree, (), (), clamp)
-    idx = tuple(mixup_barcode_indices(fp, degree))
-    values = fp.value.tolist()
-
-    def val(cid: float) -> float:
-        return INF if cid == INF else values[cid - 1]
-
-    vals = tuple(MixupTriple(val(t.birth), val(t.death_image), val(t.death)) for t in idx)
-    return MixupBarcode(degree, idx, vals, clamp)
-
-
-def clamp_triple(t: MixupTriple, t_max: float | None) -> MixupTriple:
-    """Truncate both deaths at t_max (never below the birth)."""
-    if t_max is None:
-        if math.isinf(t.death) or math.isinf(t.death_image):
-            raise InputError("triple has an infinite death and no clamp value is set")
-        return t
-    lo = t.birth
-    return MixupTriple(lo, max(lo, min(t.death_image, t_max)), max(lo, min(t.death, t_max)))
+    idx = tuple(mixup_barcode_indices(fp, degree)) if degree <= max(fp.max_dim, 0) else ()
+    # cell id c sits at position c - 1; position n stands for +inf
+    ids = np.array(idx, dtype=float).reshape(-1, 3)
+    pos = np.where(np.isinf(ids), fp.n + 1, ids).astype(np.int64) - 1
+    return MixupBarcode(degree, idx, np.append(fp.value, INF)[pos], clamp)
 
 
 def check_clamp(clamp: float | None) -> None:
@@ -85,45 +96,40 @@ def check_clamp(clamp: float | None) -> None:
         raise InputError(f"clamp must be a finite number, got {clamp}")
 
 
+def _percentages(clamped: np.ndarray) -> np.ndarray:
+    """(d - d') / (d - b) of each clamped row of positive persistence."""
+    b, dp, d = clamped[clamped[:, 2] > clamped[:, 0]].T
+    return (d - dp) / (d - b)
+
+
 def mixup_percentage(t: MixupTriple, clamp: float | None = None) -> float:
     """Share (d - d') / (d - b) of the bar lost to the ambient complex."""
-    c = clamp_triple(t, clamp)
-    pers = c.death - c.birth
-    if pers <= 0:
+    pct = _percentages(MixupBarcode(0, (), [t], clamp).clamped)
+    if not len(pct):
         raise InputError("mixup percentage of a zero-persistence bar is undefined")
-    return (c.death - c.death_image) / pers
+    return float(pct[0])
 
 
 def total_mixup(bc: MixupBarcode) -> float:
-    return math.fsum(t.death - t.death_image for t in bc.clamped_triples())
+    return math.fsum((bc.clamped[:, 2] - bc.clamped[:, 1]).tolist())
 
 
 def total_persistence(bc: MixupBarcode) -> float:
-    return math.fsum(t.death - t.birth for t in bc.clamped_triples())
+    return math.fsum((bc.clamped[:, 2] - bc.clamped[:, 0]).tolist())
 
 
 def total_image_persistence(bc: MixupBarcode) -> float:
-    return math.fsum(t.death_image - t.birth for t in bc.clamped_triples())
-
-
-def _positive_percentages(bc: MixupBarcode) -> list[float]:
-    out = []
-    for t in bc.clamped_triples():
-        if t.death > t.birth:
-            out.append((t.death - t.death_image) / (t.death - t.birth))
-    return out
+    return math.fsum((bc.clamped[:, 1] - bc.clamped[:, 0]).tolist())
 
 
 def total_mixup_percentage(bc: MixupBarcode) -> float:
-    return math.fsum(_positive_percentages(bc))
+    return math.fsum(_percentages(bc.clamped).tolist())
 
 
 def mean_mixup_percentage(bc: MixupBarcode) -> float:
     """Average percentage over the positive-persistence bars, 0 if none."""
-    pcts = _positive_percentages(bc)
-    if not pcts:
-        return 0.0
-    return math.fsum(pcts) / len(pcts)
+    pcts = _percentages(bc.clamped).tolist()
+    return math.fsum(pcts) / len(pcts) if pcts else 0.0
 
 
 @dataclass(frozen=True)

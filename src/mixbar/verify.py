@@ -10,9 +10,9 @@ the oracle's standard barcode of L, and the (b, d') pairs must equal its
 image barcode, both as exact index multisets.
 
 The fuzzer draws Rips pairs and explicit complexes in equal shares. An
-explicit complex has 1-cells with zero, one or two boundary vertices and
-2-cells bounded by arbitrary 1-cycles, values with many ties, and L-cells
-only where all faces are in L.
+explicit complex has 1-cells with zero, one or two boundary vertices, 2- and
+3-cells bounded by arbitrary cycles one dimension down, values with many
+ties, and L-cells only where all faces are in L.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ MAX_B = 3
 MIN_DIM = 2
 MAX_DIM = 4
 K_MAX = 2
-# Explicit complexes: up to MAX_A vertices, MAX_EDGES 1-cells, MAX_DISKS 2-cells.
+# Explicit complexes: up to MAX_A vertices, MAX_EDGES 1-cells, MAX_DISKS 2- and 3-cells each.
 MAX_EDGES = 9
 MAX_DISKS = 4
 
@@ -56,7 +56,8 @@ def random_rips_instance(rng: np.random.Generator) -> FilteredPair:
 
 def random_explicit_instance(rng: np.random.Generator) -> FilteredPair:
     """A small random explicit pair: vertices, then 1-cells, then 2-cells
-    on random sums of a cycle basis of the 1-cells (of L for an L-cell)."""
+    and 3-cells, each on a random sum of a cycle basis of the cells one
+    dimension down (of L for an L-cell)."""
     n_v = int(rng.integers(1, MAX_A + 1))
     cells = [
         Cell(v + 1, 0, 0.0, MEMBER_L if v == 0 or rng.random() < 0.6 else MEMBER_K, ())
@@ -69,20 +70,21 @@ def random_explicit_instance(rng: np.random.Generator) -> FilteredPair:
         in_l = all(cells[v - 1].member == MEMBER_L for v in ends) and rng.random() < 0.7
         value += float(rng.choice([0.0, 1.0]))
         cells.append(Cell(len(cells) + 1, 1, value, MEMBER_L if in_l else MEMBER_K, ends))
-    for _ in range(int(rng.integers(0, MAX_DISKS + 1))):
-        member = MEMBER_L if rng.random() < 0.5 else MEMBER_K
-        edges = [c for c in cells if c.dim == 1 and (c.member == MEMBER_L or member == MEMBER_K)]
-        basis = _cycle_flag(edges)[1]
-        if not basis:
-            continue
-        chosen = rng.random(len(basis)) < 0.5
-        chosen[rng.integers(len(basis))] = True
-        chain = 0
-        for cycle, take in zip(basis, chosen):
-            chain ^= cycle if take else 0
-        value += float(rng.choice([0.0, 1.0]))
-        boundary = tuple(e for e in range(chain.bit_length()) if chain >> e & 1)
-        cells.append(Cell(len(cells) + 1, 2, value, member, boundary))
+    for dim in (2, 3):
+        for _ in range(int(rng.integers(0, MAX_DISKS + 1))):
+            member = MEMBER_L if rng.random() < 0.5 else MEMBER_K
+            faces = [c for c in cells if c.dim == dim - 1 and (c.member == MEMBER_L or member == MEMBER_K)]
+            basis = _cycle_flag(faces)[1]
+            if not basis:
+                continue
+            chosen = rng.random(len(basis)) < 0.5
+            chosen[rng.integers(len(basis))] = True
+            chain = 0
+            for cycle, take in zip(basis, chosen):
+                chain ^= cycle if take else 0
+            value += float(rng.choice([0.0, 1.0]))
+            boundary = tuple(e for e in range(chain.bit_length()) if chain >> e & 1)
+            cells.append(Cell(len(cells) + 1, dim, value, member, boundary))
     return FilteredPair.from_cells(cells)
 
 

@@ -267,6 +267,50 @@ def test_plot_rejects_foreign_json(tmp_path, capsys):
     assert code == 2
 
 
+def _set(path, value):
+    """Edit at path (keys and list positions) of a mixup result."""
+    def edit(data):
+        *head, last = path
+        for key in head:
+            data = data[key]
+        if value is KeyError:
+            del data[last]
+        else:
+            data[last] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set(("degrees", "1", "triples", 0, "death_image"), KeyError), "KeyError 'death_image'"),
+        (_set(("degrees", "1", "triples", 0, "birth"), "one"), "not a number: 'one'"),
+        (_set(("degrees", "1", "triples", 0, "birth"), True), "not a number: True"),
+        (_set(("degrees", "1", "triples"), {"birth": 0.0}), "triples is not a list"),
+        (_set(("degrees", "1", "statistics"), []), "AttributeError"),
+        (lambda data: data["degrees"].update({"one": data["degrees"]["1"]}), "ValueError"),
+        (_set(("degrees", "1", "statistics", "clamp"), "inf"), "clamp must be a finite number"),
+        (_set(("degrees", "1", "statistics", "clamp"), float("nan")), "clamp must be a finite number"),
+        (_set(("degrees", "1", "statistics", "clamp"), "nan"), "not a number: 'nan'"),
+        (_set(("degrees", "1", "triples", 0, "death"), 0.5), "triple out of order"),
+    ],
+    ids=[
+        "missing-death-image", "string-value", "bool-value", "triples-object", "statistics-list",
+        "degree-key-not-int", "clamp-inf", "clamp-nan", "clamp-nan-string", "out-of-order",
+    ],
+)
+def test_plot_rejects_malformed_results(edit, message, six_cell_file, tmp_path, capsys):
+    res = tmp_path / "res.json"
+    assert main(["mixup", "--filtration", six_cell_file, "--out", str(res)]) == 0
+    data = json.loads(res.read_text())
+    edit(data)
+    res.write_text(json.dumps(data))
+    code, out, err = run(["plot", "--results", str(res), "--degrees", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_subsample_csv(tmp_path, capsys):
     cloud = tmp_path / "pts.csv"
     cloud.write_text("0\n10\n20\n")
@@ -539,13 +583,15 @@ def test_metric_matrix_takes_no_b(tmp_path, capsys):
     assert "--split" in err
 
 
-def test_degree_entry_clamps_each_triple_once(square_center_pair, monkeypatch):
+def test_clamped_is_computed_once_per_barcode(square_center_pair, monkeypatch):
     from mixbar import cli, stats
 
     calls = []
-    clamp = stats.clamp_triple
-    monkeypatch.setattr(stats, "clamp_triple", lambda t, t_max: calls.append(t) or clamp(t, t_max))
+    minimum = np.minimum
+    monkeypatch.setattr(np, "minimum", lambda *a: calls.append(a) or minimum(*a))
     bc = stats.compute_mixup_barcode(square_center_pair, 1, clamp=2.0)
     entry = cli._degree_entry(bc)
-    assert entry["statistics"]["bars"] == len(bc.triples) > 0
-    assert len(calls) == len(bc.triples)
+    assert entry["statistics"]["bars"] == len(bc.values) > 0
+    assert len(calls) == 1
+    assert entry["statistics"]["total_persistence"] == stats.total_persistence(bc)
+    assert len(calls) == 1

@@ -103,8 +103,8 @@ def test_persistence_splits_exactly(params):
             continue
         bc = compute_mixup_barcode(fp, degree, clamp=r_max)
         pers = image = mix = Fraction(0)
-        for t in bc.clamped_triples():
-            b, dp, d = Fraction(t.birth), Fraction(t.death_image), Fraction(t.death)
+        for row in bc.clamped.tolist():
+            b, dp, d = map(Fraction, row)
             pers += d - b
             image += dp - b
             mix += d - dp

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mixbar import INF, InputError, MixupBarcode, MixupTriple, compute_mixup_barcode, plot_mixup_barcode
@@ -5,9 +6,8 @@ from mixbar.plot import DARK_COLOR, LIGHT_COLOR
 
 
 def barcode(triples, clamp=None, degree=0):
-    return MixupBarcode(
-        degree=degree, index_triples=(), triples=tuple(triples), clamp=clamp
-    )
+    rows = np.array(triples, dtype=float).reshape(-1, 3)
+    return MixupBarcode(degree=degree, index_triples=(), values=rows, clamp=clamp)
 
 
 def vt(b, dp, d):

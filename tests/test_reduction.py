@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 from mixbar import (
     INF,
     InputError,
+    MixupBarcode,
     MixupTriple,
     PointCloud,
     build_rips_pair,
     compute_mixup_barcode,
     mixup_barcode_indices,
+    mixup_percentage,
     pairwise_distances,
     parse_explicit_pair,
 )
@@ -106,10 +108,12 @@ def test_degree_out_of_range(six_cell_pair):
 
 
 def test_triple_ordering_enforced():
-    with pytest.raises(InputError):
-        MixupTriple(birth=3, death_image=2, death=4)
-    with pytest.raises(InputError):
-        MixupTriple(birth=0.0, death_image=2.0, death=1.0)
+    # value triples enter through a barcode's rows, each of them checked
+    for row in [(3, 2, 4), (0.0, 2.0, 1.0), (0.0, float("nan"), 1.0)]:
+        with pytest.raises(InputError, match="triple out of order"):
+            MixupBarcode(1, (), [(0.0, 1.0, 2.0), row, (1.0, 1.0, 1.0)], clamp=5.0)
+        with pytest.raises(InputError, match="triple out of order"):
+            mixup_percentage(MixupTriple(*row), clamp=5.0)
 
 
 def test_infinite_deaths_allowed():

@@ -22,7 +22,6 @@ from mixbar import (
     total_mixup,
 )
 from mixbar.stats import (
-    clamp_triple,
     interaction_barcode,
     mean_mixup_percentage,
     total_image_persistence,
@@ -62,28 +61,48 @@ def test_percentage_rejects_zero_persistence():
         mixup_percentage(vt(2.0, 2.0, 2.0))
 
 
+def clamped(rows, clamp):
+    return MixupBarcode(1, (), rows, clamp).clamped.tolist()
+
+
 def test_clamp_truncates_both_deaths():
-    t = clamp_triple(vt(1.0, 3.0, 5.0), 2.5)
-    assert (t.death_image, t.death) == (2.5, 2.5)
-    u = clamp_triple(vt(1.0, 3.0, 5.0), 4.0)
-    assert (u.death_image, u.death) == (3.0, 4.0)
+    assert clamped([vt(1.0, 3.0, 5.0)], 2.5) == [[1.0, 2.5, 2.5]]
+    assert clamped([vt(1.0, 3.0, 5.0)], 4.0) == [[1.0, 3.0, 4.0]]
+    # row by row, each against the same horizon
+    rows = [vt(1.0, 3.0, 5.0), vt(0.0, 1.0, 2.0), vt(2.0, 2.0, INF)]
+    assert clamped(rows, 2.5) == [[1.0, 2.5, 2.5], [0.0, 1.0, 2.0], [2.0, 2.0, 2.5]]
 
 
 def test_clamp_floors_at_birth():
-    t = clamp_triple(vt(2.0, 3.0, 4.0), 1.0)
-    assert (t.birth, t.death_image, t.death) == (2.0, 2.0, 2.0)
-    assert t.zero_persistence
+    bc = MixupBarcode(1, (), [vt(2.0, 3.0, 4.0)], 1.0)
+    assert bc.clamped.tolist() == [[2.0, 2.0, 2.0]]
+    # a bar clamped to zero persistence counts in no percentage
+    assert total_persistence(bc) == 0.0
+    assert mean_mixup_percentage(bc) == 0.0
 
 
 def test_clamp_resolves_infinite_deaths():
-    t = clamp_triple(vt(0.0, INF, INF), 7.0)
-    assert (t.death_image, t.death) == (7.0, 7.0)
+    assert clamped([vt(0.0, INF, INF)], 7.0) == [[0.0, 7.0, 7.0]]
 
 
 def test_infinite_death_needs_clamp():
     with pytest.raises(InputError, match="clamp"):
-        clamp_triple(vt(0.0, 1.0, INF), None)
+        MixupBarcode(1, (), [vt(0.0, 1.0, INF)]).clamped
+    with pytest.raises(InputError, match="clamp"):
+        mixup_percentage(vt(0.0, 1.0, INF))
     assert total_mixup(MixupBarcode(1, (), (vt(0.0, 1.0, INF),), clamp=3.0)) == 2.0
+
+
+def test_barcode_values_are_one_read_only_array(six_cell_pair):
+    bc = compute_mixup_barcode(six_cell_pair, 1, clamp=5.5)
+    assert bc.values.shape == (2, 3) and bc.values.dtype == np.float64
+    assert bc.triples == tuple(MixupTriple(*row) for row in bc.values.tolist())
+    assert bc.clamped.tolist() == [[min(v, 5.5) for v in row] for row in bc.values.tolist()]
+    for array in (bc.values, bc.clamped):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        MixupBarcode(1, (), [(0.0, 1.0)] * 3)
 
 
 def test_square_center_statistics(square_center_pair):
