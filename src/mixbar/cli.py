@@ -24,7 +24,7 @@ from .cloud import (
 )
 from .errors import InputError
 from .filtration import FilteredPair, parse_explicit_pair
-from .output import csv_lines, float_from_json, json_dumps
+from .output import Table, csv_lines, float_from_json, json_dumps
 from .plot import plot_mixup_barcode
 from .rips import build_rips_pair, rips_pair_from_distances
 from .stats import (
@@ -208,11 +208,10 @@ TRIPLE_KEYS = ("birth", "death_image", "death")
 
 def _degree_entry(bc: MixupBarcode) -> dict:
     return {
-        "triples": [
-            dict(zip(TRIPLE_KEYS, row), zero_persistence=row[2] == row[0])
-            for row in bc.values.tolist()
-        ],
-        "index_triples": [t._asdict() for t in bc.index_triples],
+        "triples": Table(
+            (*TRIPLE_KEYS, "zero_persistence"), [(*row, row[2] == row[0]) for row in bc.values.tolist()]
+        ),
+        "index_triples": Table(TRIPLE_KEYS, bc.index_triples),
         "statistics": {
             "bars": len(bc.values),
             "total_mixup": total_mixup(bc),

@@ -190,7 +190,11 @@ def parse_point_table(text: str, labeled: bool = False):
     labels = data[:, -1]
     if not np.array_equal(labels, np.round(labels)):
         raise InputError("label column must contain integers")
-    return data[:, :-1], labels.astype(int)
+    # 2**63 is exact in float64; a label cast from outside [-2**63, 2**63)
+    # would wrap, and distinct classes could become one
+    if not ((labels >= -(2.0**63)) & (labels < 2.0**63)).all():
+        raise InputError("label column must contain integers within the 64-bit range")
+    return data[:, :-1], labels.astype(np.int64)
 
 
 def load_point_cloud(path: str, metric: str = "euclidean") -> PointCloud:

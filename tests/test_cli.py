@@ -349,6 +349,21 @@ def test_pairwise_csv(labeled_file, capsys):
     assert lines[2].startswith("1,")
 
 
+@pytest.mark.parametrize(
+    "labels", [("1e19", "2e19"), ("0", "9223372036854775808"), ("-1e19", "0"), ("inf", "0")]
+)
+def test_pairwise_rejects_labels_beyond_int64(labels, tmp_path, capsys):
+    """Labels the int64 cast would wrap, which merged classes silently."""
+    rows = [f"{x},0,{labels[i >= 3]}" for i, x in enumerate((0, 0.3, 0.6, 9, 9.3, 9.6))]
+    path = tmp_path / "lab.csv"
+    path.write_text("\n".join(rows) + "\n")
+    code, out, err = run(
+        ["pairwise", "--a", str(path), "--rmax", "12", "--kmax", "0", "--format", "csv"], capsys
+    )
+    assert code == 2 and out == ""
+    assert "64-bit range" in err
+
+
 def test_profile_manifest(tmp_path, capsys):
     def ring(n, radius, shift, phase=0.0):
         th = np.linspace(0, 2 * np.pi, n, endpoint=False) + phase

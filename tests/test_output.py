@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mixbar.output import csv_lines, float_from_json, format_float, json_dumps
+from mixbar.output import Table, csv_lines, float_from_json, format_float, json_dumps
 
 
 def test_float_shortest_repr_roundtrips():
@@ -89,3 +91,62 @@ def test_csv_lines():
     assert lines[1] == "1,0.5"
     assert lines[2] == "2,inf"
     assert text.endswith("\n")
+
+
+def test_csv_lines_memo_keeps_signed_zeros_apart():
+    assert csv_lines([[0.0, -0.0, 0.5, 0.5, -0.0, 0.0, math.inf, -math.inf]]) == (
+        "0.0,-0.0,0.5,0.5,-0.0,0.0,inf,-inf\n"
+    )
+
+
+VALUE_KEYS = ("birth", "death_image", "death", "zero_persistence")
+INDEX_KEYS = ("birth", "death_image", "death")
+# a few floats that repr oddly or equal an int or a bool, plus any others
+FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 1e22, 1.0, 2.0, 0.1]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def mixup_tables(draw):
+    """Value rows (b, d', d, zero persistence) and index rows (ints, inf
+    deaths); a small pool of floats makes values repeat."""
+    pool = draw(st.lists(FLOATS, min_size=1, max_size=6))
+    deaths = st.sampled_from(pool + [math.inf])
+    values = []
+    for _ in range(draw(st.integers(0, 50))):
+        b, dp, d = draw(st.sampled_from(pool)), draw(deaths), draw(deaths)
+        values.append((b, dp, d, d == b))
+    index_deaths = st.integers(0, 3) | st.just(math.inf)
+    index = draw(st.lists(st.tuples(st.integers(0, 3), index_deaths, index_deaths), max_size=50))
+    return values, index
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixup_tables())
+def test_table_matches_list_of_dicts(tables):
+    """A Table gives the text of the equivalent list of dicts, at the top
+    level and nested in a mixup entry, with one float memo for both."""
+    values, index = tables
+
+    def doc(table):
+        return {
+            "top": table(VALUE_KEYS, values),
+            "degrees": {
+                "1": {"triples": table(VALUE_KEYS, values), "index_triples": table(INDEX_KEYS, index)}
+            },
+        }
+
+    as_dicts = doc(lambda keys, rows: [dict(zip(keys, row)) for row in rows])
+    assert json_dumps(doc(Table)) == json_dumps(as_dicts)
+
+
+def test_table_edge_cases():
+    rows = [(1, [2.5, {"x": True}], "s", None)]
+    keys = ("a%s", "b", 'c"', "d")
+    assert json_dumps({"t": Table(keys, rows)}) == json_dumps({"t": [dict(zip(keys, rows[0]))]})
+    assert json_dumps(Table((), [(), ()])) == json_dumps([{}, {}])
+    assert json_dumps(Table(("a",), [])) == "[]\n"
+    for bad in ([(1, 2), (3,)], [(math.nan, 1)]):
+        with pytest.raises(ValueError):
+            json_dumps(Table(("a", "b"), bad))
