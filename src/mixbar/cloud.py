@@ -9,6 +9,7 @@ plain distance matrix: `parse_distance_matrix` reads one, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -161,10 +162,8 @@ def read_text(path: str) -> str:
 
 
 def _data_rows(text: str) -> list[list[str]]:
-    return [
-        [f.strip() for f in line.split(",")] if "," in line else line.split()
-        for _, line in data_lines(text)
-    ]
+    # fields keep their surrounding blanks: float() and int() skip them
+    return [line.split(",") if "," in line else line.split() for _, line in data_lines(text)]
 
 
 def parse_point_table(text: str, labeled: bool = False):
@@ -182,19 +181,43 @@ def parse_point_table(text: str, labeled: bool = False):
     if labeled and width < 2:
         raise InputError("labeled point table needs at least one coordinate column plus the label")
     try:
-        data = np.array([[float(v) for v in r] for r in rows])
+        data = np.array(list(map(float, chain.from_iterable(rows)))).reshape(len(rows), width)
     except ValueError as exc:
         raise InputError(f"non-numeric entry in point table: {exc}") from None
     if not labeled:
         return data, None
-    labels = data[:, -1]
-    if not np.array_equal(labels, np.round(labels)):
-        raise InputError("label column must contain integers")
-    # 2**63 is exact in float64; a label cast from outside [-2**63, 2**63)
-    # would wrap, and distinct classes could become one
-    if not ((labels >= -(2.0**63)) & (labels < 2.0**63)).all():
-        raise InputError("label column must contain integers within the 64-bit range")
-    return data[:, :-1], labels.astype(np.int64)
+    return data[:, :-1], _labels([r[-1] for r in rows])
+
+
+def _labels(tokens: list[str]) -> np.ndarray:
+    """Class labels read as exact integers, so that distinct labels stay
+    distinct however large. An integral float token such as 3.0 is read
+    too, when below 2**53 in magnitude, where float64 holds every integer."""
+    try:
+        labels = [int(t) for t in tokens]
+    except ValueError:
+        labels = [_label(t) for t in tokens]
+    for extreme in (min(labels), max(labels)):
+        if not -(2**63) <= extreme < 2**63:
+            raise _label_error(str(extreme))
+    return np.array(labels, dtype=np.int64)
+
+
+def _label(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        value = float(token)  # parse_point_table has read every token as a float
+    if not (value.is_integer() and abs(value) < 2.0**53):
+        raise _label_error(token.strip())
+    return int(value)
+
+
+def _label_error(token: str) -> InputError:
+    return InputError(
+        "label column must contain integers within the 64-bit range (a label written "
+        f"as a float must be integral and below 2**53 in magnitude), got {token!r}"
+    )
 
 
 def load_point_cloud(path: str, metric: str = "euclidean") -> PointCloud:

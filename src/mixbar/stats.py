@@ -27,6 +27,7 @@ from .errors import InputError
 from .filtration import FilteredPair
 from .reduction import INF, MixupTriple, mixup_barcode_indices
 from .rips import check_rips_params, rips_pair_from_distances
+from . import subsample
 from .subsample import k_medoids_indices
 
 
@@ -181,22 +182,36 @@ def _aggregate(bc: MixupBarcode, which: str) -> float:
 
 
 def _subsampled(
-    cloud: PointCloud, degree: int, requests: list[tuple[np.ndarray, tuple[int, ...]]]
+    cloud: PointCloud, degree: int, requests: list[tuple[np.ndarray, dict[str, int]]]
 ) -> list[list[np.ndarray]]:
     """For each (indices, sizes), the k-medoids of those points of the cloud
-    at each size; all of the points in degree 0 or where a size covers
-    them. The distances of every request come from one distance_blocks
-    call, and each index set's block is formed once for all its sizes."""
+    at each size; sizes maps the option that set a size to it. All of the
+    points are kept in degree 0 or where a size covers them. The distances
+    of every request come from one distance_blocks call, and each index
+    set's block is formed once for all its sizes. k-medoids on more than
+    subsample.MAX_POINTS points is an input error, raised before any
+    distance is computed."""
     picked = [[idx] * len(sizes) for idx, sizes in requests]
     todo = [
-        i for i, (idx, sizes) in enumerate(requests) if degree > 0 and min(sizes) < len(idx)
+        i
+        for i, (idx, sizes) in enumerate(requests)
+        if degree > 0 and min(sizes.values()) < len(idx)
     ]
+    for i in todo:
+        idx, sizes = requests[i]
+        if len(idx) > subsample.MAX_POINTS:
+            options = " and ".join(opt for opt, k in sizes.items() if k < len(idx))
+            raise InputError(
+                f"k-medoids for {options} would choose among {len(idx):,} points, more than "
+                f"the budget of {subsample.MAX_POINTS:,} (mixbar.subsample.MAX_POINTS); "
+                f"use fewer points, or set {options} to at least {len(idx):,} to keep them all"
+            )
     blocks = distance_blocks(cloud.points, cloud.metric, [requests[i][0] for i in todo])
     for i, sub in zip(todo, blocks):
         idx, sizes = requests[i]
         picked[i] = [
             idx[np.asarray(k_medoids_indices(sub, k), dtype=int)] if k < len(idx) else idx
-            for k in sizes
+            for k in sizes.values()
         ]
     return picked
 
@@ -225,7 +240,7 @@ def pairwise_matrix(
     labels = x.label_values
     if len(labels) < 2:
         raise InputError("pairwise matrix needs at least two distinct labels")
-    sizes = (config.subsample_a, config.subsample_b)
+    sizes = {"--subsample-a": config.subsample_a, "--subsample-b": config.subsample_b}
     sel = _subsampled(x.cloud, degree, [(x.indices_of(lab), sizes) for lab in labels])
     entries = [(i, j) for i in range(len(labels)) for j in range(len(labels)) if i != j]
     out = np.zeros((len(labels), len(labels)))
@@ -278,8 +293,8 @@ def mixup_profile(
     sel = _subsampled(
         ref.cloud,
         degree,
-        [(ref.indices_of(lab), (config.subsample_a,)) for lab in labels]
-        + [(ref.indices_excluding(lab), (config.subsample_b,)) for lab in labels],
+        [(ref.indices_of(lab), {"--subsample-a": config.subsample_a}) for lab in labels]
+        + [(ref.indices_excluding(lab), {"--subsample-b": config.subsample_b}) for lab in labels],
     )
     pairs = [(a[0], b[0]) for a, b in zip(sel[: len(labels)], sel[len(labels) :])]
 

@@ -1,5 +1,5 @@
-"""Deterministic k-medoids subsampling: PAM's greedy BUILD, then an exact
-FastPAM1 SWAP.
+"""Deterministic k-medoids subsampling: PAM's greedy BUILD, then PAM's SWAP,
+both exact and both incremental.
 
 Cost is the sum over all points of the dissimilarity to the nearest chosen
 medoid. BUILD inserts, one at a time, the point that lowers the cost most.
@@ -8,19 +8,38 @@ non-medoid until none exists, so the result is locally optimal under single
 swaps. Ties break toward the lowest medoid position, then the lowest
 candidate index, which makes the procedure fully deterministic.
 
-Classic PAM prices each of the k medoid positions with its own pass over the
-n×(n−k) candidate block, O(k·n·(n−k)) per SWAP iteration. FastPAM1
-(Schubert & Rousseeuw, "Faster k-Medoids Clustering", SISAP 2019) prices all
-k·(n−k) exchanges in one O(n·(n−k)) pass: from each point's nearest and
-second-nearest medoid distance, the change in cost of putting candidate c at
-position p is a term shared by all positions plus a sum over the points whose
-nearest medoid is at p. Those deltas round differently from the totals PAM
-compares, so here they only screen. The positions whose best delta lies
-within a stated rounding bound of the overall best are the finalists, and
-their total costs are evaluated by PAM's own expression and compared in PAM's
-order. The chosen exchange, and so every result, is the one classic PAM
-picks. With one finalist, which is the usual case on real-valued data, an
-iteration costs a few O(n·(n−k)) passes instead of k of them.
+Classic PAM prices every candidate with its own pass over the n points: a
+BUILD step reads an n×(n−|selected|) block, a SWAP iteration one such block
+per medoid position, O(k·n·(n−k)). Here both keep their prices between
+steps and update them only from the points whose nearest medoids change:
+- BUILD keeps each candidate's gain, Σ_o max(0, nearest[o] − d(c, o)).
+  Adding a medoid lowers nearest[o] only for the points it is now nearest
+  to, so the gains move by those points' old-minus-new contributions:
+  O(|changed|·n) per step instead of O(n·(n−|selected|)).
+- SWAP keeps, per point, the position and distance of its nearest and
+  second-nearest medoid. FastPAM1 (Schubert & Rousseeuw, "Faster k-Medoids
+  Clustering", SISAP 2019) writes the change in cost of putting candidate c
+  at position p as minus c's BUILD gain, shared by all positions, plus a
+  sum over the points whose nearest medoid is at p; both are kept for
+  every candidate, as FasterPAM (Schubert & Rousseeuw, Information
+  Systems 2021) keeps its per-point state. After an exchange at p, only
+  the points whose nearest or second medoid was at p, or which the
+  newcomer is closer to than their second, change state, and only their
+  contributions are moved: O(|moved|·(n−k)) per iteration, plus one
+  O(n) column for the medoid that became a candidate and an O(k·(n−k))
+  scan for the best delta. FasterPAM's eager swapping changes results, so
+  it is not used.
+
+Updated values round differently from the totals PAM compares, so they
+only screen. Their rounding is bounded (see _rounding): the bound of their
+last computation from scratch plus the magnitude of every update since,
+and when that would exceed four times the bound on PAM's own sums they are
+computed from scratch again. The candidates (BUILD) or exchanges (SWAP)
+whose screening value lies within twice the slack of the best are the
+finalists; their totals are evaluated by PAM's own expression and compared
+in PAM's order. The chosen medoid or exchange, and so every result, is the
+one classic PAM picks. With one finalist, the usual case on real-valued
+data, a step costs a few passes over the changed points' rows.
 """
 
 from __future__ import annotations
@@ -32,6 +51,17 @@ import numpy as np
 
 from .cloud import check_distance_matrix
 from .errors import InputError
+
+EPS = float(np.finfo(float).eps)
+
+# Entries of any temporary block: rows are read in runs of at most this
+# many entries, so no step allocates more than 8 MB whatever n is.
+BLOCK = 1 << 20
+
+# The most points `pairwise` and `profile` run k-medoids on: their distance
+# block is then at most 5,000² doubles, 200 MB. stats._subsampled checks it
+# before any distance is computed.
+MAX_POINTS = 5_000
 
 
 @dataclass(frozen=True)
@@ -75,114 +105,252 @@ def _build(dist: np.ndarray, k: int) -> list[int]:
     n = dist.shape[0]
     first = int(np.argmin(dist.sum(axis=0)))
     selected = [first]
-    nearest = dist[:, first].copy()
-    chosen = np.zeros(n, dtype=bool)
-    chosen[first] = True
-    # One buffer holds every step's candidate block, so a step allocates no
-    # n×(n−1) temporaries. Its transpose has the values of dist[:, cands]
-    # (dist is symmetric) in the column-by-column layout numpy gives that
-    # gather, so the column sums are PAM's to the bit.
-    buf = np.empty(n * (n - 1))
+    nearest = dist[first].copy()
+    total = float(nearest.sum())
+    gain = _gains(dist, nearest, selected)
+    err = _rounding(n, total)
+    step = _step(n)
     while len(selected) < k:
-        cands = np.flatnonzero(~chosen)
-        cand_rows = buf[: cands.size * n].reshape(cands.size, n)
-        np.take(dist, cands, axis=0, out=cand_rows, mode="clip")
-        block = cand_rows.T
-        # cost after adding each candidate; argmin picks the lowest index on ties
-        costs = np.minimum(nearest[:, None], block, out=block).sum(axis=0)
-        best = cands[int(np.argmin(costs))]
-        selected.append(int(best))
-        chosen[best] = True
-        nearest = np.minimum(nearest, dist[:, best])
+        slack = _rounding(n, total) + err
+        finalists = (gain >= gain[gain.argmax()] - 2 * slack).nonzero()[0]
+        # PAM's own totals; argmin picks the lowest index on ties, as PAM's
+        # does. A lone finalist is PAM's pick without them.
+        at = np.argmin(_totals(dist, nearest[None], finalists)) if finalists.size > 1 else 0
+        best = int(finalists[at])
+        selected.append(best)
+        if len(selected) == k:
+            break
+        row = dist[best]
+        changed = (row < nearest).nonzero()[0]
+        old, new = nearest[changed], row[changed]
+        nearest[changed] = new
+        dropped = float(old.sum())
+        # both sums below add terms of at most the changed points' old
+        # distances; each addition into a gain is one rounding of a value at
+        # most twice the total
+        runs = range(0, changed.size, step)
+        err += EPS * ((changed.size + 1) * dropped + 2 * (len(runs) + 1) * total)
+        total = float(nearest.sum())
+        if err > 4 * _rounding(n, total):
+            gain = _gains(dist, nearest, selected)
+            err = _rounding(n, total)
+            continue
+        # Σ_o max(0, old − d) − max(0, new − d) = Σ_o old − clip(d, new, old)
+        for lo in runs:
+            block = dist[changed[lo : lo + step]]
+            np.minimum(block, old[lo : lo + step, None], out=block)
+            np.maximum(block, new[lo : lo + step, None], out=block)
+            gain += block.sum(axis=0)
+        gain -= dropped
+        gain[best] = -np.inf
     return selected
+
+
+def _gains(dist: np.ndarray, nearest: np.ndarray, selected: list[int]) -> np.ndarray:
+    """Each point's BUILD gain, Σ_o max(0, nearest[o] − d(c, o)), from
+    scratch; -inf for the selected points, so they are never picked."""
+    n = len(nearest)
+    gain = np.empty(n)
+    step = _step(n)
+    for lo in range(0, n, step):
+        block = np.minimum(dist[lo : lo + step], nearest)
+        gain[lo : lo + step] = np.subtract(nearest, block, out=block).sum(axis=1)
+    gain[selected] = -np.inf
+    return gain
 
 
 def _swap(dist: np.ndarray, selected: list[int]) -> list[int]:
     n = dist.shape[0]
     selected = list(selected)
     k = len(selected)
-    rows = np.arange(n)
-    current = _cost(dist, selected)
+    chosen = np.zeros(n, dtype=bool)
+    chosen[selected] = True
+    # the medoids, then the candidates; column s of the screening arrays
+    # prices candidate slots[s], and a medoid swapped out takes the column
+    # of the candidate swapped in
+    cols = np.concatenate([selected, np.flatnonzero(~chosen)])
+    medoids, slots = cols[:k], cols[k:]
+    slot_of = np.full(n, -1)
+    slot_of[slots] = np.arange(n - k)
+    # per point: the positions (row 0) and distances (row 1) of its nearest
+    # medoid (column 0) and of the nearest at any other position
+    pos, dists = _nearest_two(dist[:, medoids])
+    near, second = dists
+    # the values _cost sums, in its order, so the same bits
+    current = float(near.sum())
+    total = float(dists.sum())
+    gain, per = _screen(dist, slots, pos[0], dists, k)
+    err = _rounding(n, total)
+    step = _step(4 * n)
     while True:
-        d_sel = dist[:, selected]
-        nearest_pos = d_sel.argmin(axis=1)
-        nearest = d_sel[rows, nearest_pos]
-        d_sel[rows, nearest_pos] = np.inf
-        second = d_sel.min(axis=1)  # inf everywhere when k == 1
-        chosen = np.zeros(n, dtype=bool)
-        chosen[selected] = True
-        cands = np.flatnonzero(~chosen)
-        # as in _build, block is dist[:, cands] in values and layout
-        cand_rows = dist[cands]
-        block = cand_rows.T
-        best_delta = _swap_deltas(cand_rows, nearest_pos, nearest, second, k).min(axis=0)
-        lowest = float(best_delta.min())
-        slack = _delta_slack(n, nearest, second)
+        # delta[p, s] = per[p, s] − gain[s], the change in cost of putting
+        # slots[s] at position p; by_slot is its minimum over p
+        by_slot = per.min(axis=0)
+        by_slot -= gain
+        lowest = float(by_slot[by_slot.argmin()])
+        slack = _rounding(n, total) + err
         if lowest >= slack:
             return selected
-        best_cost = current
-        best_swap = None
-        for pos in np.flatnonzero(best_delta <= lowest + 2 * slack):
-            # PAM's own total for this position, so the comparison is PAM's
-            base = np.where(nearest_pos == pos, second, nearest)
-            costs = np.minimum(base[:, None], block).sum(axis=0)
-            at = int(np.argmin(costs))
-            if costs[at] < best_cost:
-                best_cost = float(costs[at])
-                best_swap = (int(pos), int(cands[at]))
-        if best_swap is None:
+        bar = lowest + 2 * slack
+        close = (by_slot <= bar).nonzero()[0]
+        at_pos, at_slot = (per[:, close] - gain[close] <= bar).nonzero()
+        cands = slots[close[at_slot]]
+        # PAM's own totals in PAM's order, positions ascending and then
+        # candidates, so argmin picks the exchange PAM picks
+        order = np.lexsort((cands, at_pos))
+        at_pos, cands = at_pos[order], cands[order]
+        costs = np.concatenate([
+            _totals(dist, np.where(pos[0] == at_pos[lo : lo + step, None], second, near),
+                    cands[lo : lo + step])
+            for lo in range(0, cands.size, step)
+        ])
+        i = int(costs.argmin())
+        if costs[i] >= current:
             return selected
-        pos, newcomer = best_swap
-        selected[pos] = newcomer
-        current = best_cost
+        p, newcomer = int(at_pos[i]), int(cands[i])
+        leaving = selected[p]
+        selected[p] = newcomer
+        current = float(costs[i])
+        s = slot_of[newcomer]
+        medoids[p], slots[s] = newcomer, leaving
+        slot_of[leaving] = s
+
+        # only these points' nearest or second medoid changes
+        moved = ((dist[newcomer] < second) | (pos[0] == p) | (pos[1] == p)).nonzero()[0]
+        mag = adds = 0
+        for lo in range(0, moved.size, step):
+            ids = moved[lo : lo + step]
+            rows = dist[ids][:, cols]
+            old_pos, old = pos[0, ids], dists[:, ids]
+            new_pos, new = _nearest_two(rows[:, :k])
+            pos[:, ids], dists[:, ids] = new_pos, new
+            run = _move(rows[:, k:], gain, per, (old_pos, new_pos[0]), (old, new))
+            mag += run[0]
+            adds += run[1]
+        new_total = float(dists.sum())
+        # each moved point's terms are one rounding of at most its nearest or
+        # second distance, summed over the moved points; each addition into a
+        # screening value is one more rounding, of a value at most the old
+        # total plus the moved points' distances
+        err += EPS * ((moved.size + 2) * mag + adds * (total + new_total))
+        total = new_total
+        if err > 4 * _rounding(n, total):
+            gain, per = _screen(dist, slots, pos[0], dists, k)
+            err = _rounding(n, total)
+            continue
+        # the swapped-out medoid's column, from scratch
+        low = np.minimum(dist[leaving], dists)
+        gain[s] = (near - low[0]).sum()
+        per[:, s] = np.bincount(pos[0], low[1] - low[0], k)
 
 
-def _swap_deltas(
-    cand_rows: np.ndarray, nearest_pos: np.ndarray, nearest: np.ndarray, second: np.ndarray, k: int
-) -> np.ndarray:
-    """FastPAM1: the (m, k) change in cost of putting candidate c, whose
-    distances are row c of cand_rows, at medoid position p.
+def _nearest_two(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """From the distances d (overwritten) of some points to the k medoids:
+    the (2, a) positions and distances of each point's nearest medoid, then
+    of the nearest among the other positions (inf when k == 1). Ties go to
+    the lowest position."""
+    rows = np.arange(d.shape[0])
+    first = d.argmin(axis=1)
+    near = d[rows, first]
+    d[rows, first] = np.inf
+    second = d.argmin(axis=1)
+    return np.array([first, second]), np.array([near, d[rows, second]])
 
-    With lo = min(d(c, o), nearest[o]), point o's cost after the exchange is
-    lo, unless its nearest medoid is the one leaving; then it is
-    min(d(c, o), second[o]). So delta[c, p] = Σ_o (lo − nearest[o]) +
-    Σ_{o: nearest_pos[o] = p} (min(d(c, o), second[o]) − lo). The points are
-    grouped by nearest position so np.add.reduceat sums the second term.
+
+def _screen(
+    dist: np.ndarray, slots: np.ndarray, pos: np.ndarray, dists: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """FastPAM1's screening arrays from scratch: gain[s] and per[p, s], whose
+    difference per[p, s] − gain[s] is the change in cost of putting
+    candidate c = slots[s] at medoid position p.
+
+    With near, second = dists and lo = min(d(c, o), near[o]), point o's
+    cost after the exchange is lo, unless its nearest medoid (at pos[o]) is
+    the one leaving; then it is min(d(c, o), second[o]). So gain[s] =
+    Σ_o (near[o] − lo), BUILD's gain, and per[p, s] =
+    Σ_{o: pos[o] = p} (min(d(c, o), second[o]) − lo). The points are grouped
+    by nearest position so np.add.reduceat sums the second term.
     """
-    order = np.argsort(nearest_pos, kind="stable")
-    counts = np.bincount(nearest_pos, minlength=k)
-    grouped = np.take(cand_rows, order, axis=1)
-    near = nearest[order]
-    lo = np.minimum(grouped, near)
-    gain = np.minimum(grouped, second[order], out=grouped)
-    gain -= lo
-    lo -= near
-    delta = np.zeros((cand_rows.shape[0], k))
+    order = np.argsort(pos, kind="stable")
+    counts = np.bincount(pos, minlength=k)
     # reduceat cannot sum an empty group (a medoid that is nobody's nearest,
     # such as a duplicate of one at a lower position), so those stay zero
     filled = counts > 0
-    delta[:, filled] = np.add.reduceat(gain, (np.cumsum(counts) - counts)[filled], axis=1)
-    delta += lo.sum(axis=1)[:, None]
-    return delta
+    starts = (np.cumsum(counts) - counts)[filled]
+    near, second = dists[:, order]
+    gain = np.empty(slots.size)
+    per = np.zeros((k, slots.size))
+    step = _step(len(pos))
+    for lo in range(0, slots.size, step):
+        part = slice(lo, lo + step)
+        rows = np.take(dist[slots[part]], order, axis=1)
+        low = np.minimum(rows, near)
+        gain[part] = (near - low).sum(axis=1)
+        rows = np.minimum(rows, second, out=rows)
+        per[filled, part] = np.add.reduceat(np.subtract(rows, low, out=rows), starts, axis=1).T
+    return gain, per
 
 
-def _delta_slack(n: int, nearest: np.ndarray, second: np.ndarray) -> float:
-    """A bound on the rounding that separates a screening delta from PAM's
-    comparison of totals, so that screening can never change the result.
+def _move(block: np.ndarray, gain: np.ndarray, per: np.ndarray, pos, dists) -> tuple[float, int]:
+    """Move the contributions of some points in gain and per from their old
+    to their new state. block holds their distances to the candidates, one
+    row per point; pos holds their old and new nearest positions, dists
+    their old and new (2, a) nearest and second distances. Returns the sum
+    of those distances and the most additions made to one value."""
+    bounds = np.concatenate(dists)
+    low = np.minimum(block, bounds[:, :, None])
+    sums = bounds.sum(axis=1)
+    # Σ_o (near[o] − lo), old minus new, out of each candidate's gain
+    gain += low[0].sum(axis=0) - low[2].sum(axis=0) + (sums[2] - sums[0])
+    # min(d, second) − lo out of each point's old position, into its new
+    terms = low[1::2] - low[0::2]
+    for i, (was, now) in enumerate(zip(pos[0].tolist(), pos[1].tolist())):
+        if was == now:
+            per[now] += terms[1, i] - terms[0, i]
+        else:
+            per[was] -= terms[0, i]
+            per[now] += terms[1, i]
+    return float(sums.sum()), int(np.bincount(np.concatenate(pos)).max())
 
-    With u = 2^-53, γ_j = j·u/(1 − j·u), S1 = Σ nearest and S2 = Σ second:
-    - PAM's total for an exchange sums n exact terms, each at most
-      second[o]; in any summation order it errs by at most γ_{n−1}·S2. The
-      current cost it is compared with sums the n nearest distances: at most
-      γ_{n−1}·S1.
-    - A delta's terms are one subtraction each, of magnitude at most
-      nearest[o] (shared term) or second[o] (per-position term), then sums of
-      at most n terms and one addition: at most γ_{n+1}·(S1 + S2).
-    So total = current + delta + e with |e| ≤ 2·γ_{n+1}·(S1 + S2), about
-    2·(n + 1)·u·(S1 + S2). The slack is four times that, 8·(n + 2)·u·(S1 + S2).
-    Then no exchange lowers PAM's total when min delta ≥ slack, and every
-    exchange PAM can pick has delta ≤ min delta + 2·slack. A larger slack
-    only evaluates more finalists. With k == 1, second is inf and so is the
-    slack: the one position is always evaluated.
+
+def _totals(dist: np.ndarray, bases: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """PAM's total Σ_o min(bases[j, o], d(c, o)) for each candidate c =
+    cands[j], or with the one row of bases for all, summed as classic PAM
+    sums it: down a column of the column-major block that dist[:, cands]
+    is. Taking rows and transposing gives the same values (dist is
+    symmetric) in that layout."""
+    out = np.empty(cands.size)
+    step = _step(dist.shape[0])
+    for lo in range(0, cands.size, step):
+        block = dist[cands[lo : lo + step]].T
+        base = bases if len(bases) == 1 else bases[lo : lo + step]
+        out[lo : lo + step] = np.minimum(base.T, block, out=block).sum(axis=0)
+    return out
+
+
+def _step(width: int) -> int:
+    """Rows of width entries per run, so that a run holds at most BLOCK."""
+    return max(1, BLOCK // max(1, width))
+
+
+def _rounding(n: int, total: float) -> float:
+    """A bound on the rounding of a sum of at most n + 1 computed terms whose
+    magnitudes add up to total: 2·(n + 2)·eps·total, with eps = 2^-52 = 2u,
+    about four times γ_{n+1}·total = (n + 1)·u/(1 − (n + 1)·u)·total.
+
+    It bounds both sides of every comparison screening stands in for:
+    - PAM's total for a candidate sums n exact terms, each at most the
+      point's current nearest (BUILD) or second distance (SWAP); the
+      current cost it is compared with sums the n nearest distances.
+    - Screening values computed from scratch: each term is one subtraction,
+      then sums of at most n terms and, for a SWAP delta, one subtraction.
+    With total = S1 (BUILD) or S1 + S2 (SWAP), S1 = Σ nearest and
+    S2 = Σ second, and err the bound on the screening values (the bound
+    when they were last computed from scratch, plus the magnitude of every
+    update since), slack = _rounding(n, total) + err. Then no exchange
+    lowers PAM's total when min delta ≥ slack, and every candidate or
+    exchange PAM can pick lies within 2·slack of the best screening value.
+    A larger slack only evaluates more finalists. With k == 1, second is inf
+    and so is the slack: every candidate is evaluated.
     """
-    return 4.0 * (n + 2) * float(np.finfo(float).eps) * float(nearest.sum() + second.sum())
+    return 2.0 * (n + 2) * EPS * total

@@ -610,3 +610,74 @@ def test_clamped_is_computed_once_per_barcode(square_center_pair, monkeypatch):
     assert len(calls) == 1
     assert entry["statistics"]["total_persistence"] == stats.total_persistence(bc)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["pairwise", "profile"])
+def test_kmedoids_budget_exits_2_before_any_distance(
+    command, labeled_file, manifest_file, monkeypatch, capsys
+):
+    """Three points per class against a budget of two: k-medoids on a class
+    (pairwise) or on a class complement (profile) stops with an input error
+    that names the option, before any distance is computed."""
+    from mixbar import stats, subsample
+
+    def no_distances(*args, **kwargs):
+        raise AssertionError("computed distances")
+
+    monkeypatch.setattr(subsample, "MAX_POINTS", 2)
+    monkeypatch.setattr(stats, "distance_blocks", no_distances)
+    path = labeled_file if command == "pairwise" else manifest_file
+    code, out, err = run(
+        [command, "--a", path, "--rmax", "12", "--degrees", "1",
+         "--subsample-a", "4", "--subsample-b", "1"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: k-medoids for --subsample-b would choose among 3 points, more than the "
+        "budget of 2 (mixbar.subsample.MAX_POINTS); use fewer points, or set "
+        "--subsample-b to at least 3 to keep them all\n"
+    )
+
+
+def test_kmedoids_budget_allows_clouds_at_the_limit(labeled_file, monkeypatch, capsys):
+    from mixbar import subsample
+
+    monkeypatch.setattr(subsample, "MAX_POINTS", 3)
+    code, _, _ = run(
+        ["pairwise", "--a", labeled_file, "--rmax", "12", "--degrees", "1",
+         "--subsample-a", "2", "--subsample-b", "1"],
+        capsys,
+    )
+    assert code == 0
+
+
+def test_labels_beyond_2_53_stay_distinct_and_exact(tmp_path, capsys):
+    """Labels are read as integers, not through float64, which rounds
+    9007199254740993 to 9007199254740992 and merged the two classes."""
+    labels = ("9007199254740992", "9007199254740993", "1234567890123456789")
+    rows = [
+        f"{x + 9 * c},0,{label}" for c, label in enumerate(labels) for x in (0, 0.3, 0.6)
+    ]
+    path = tmp_path / "lab.csv"
+    path.write_text("\n".join(rows) + "\n")
+    code, out, _ = run(
+        ["pairwise", "--a", str(path), "--rmax", "20", "--kmax", "0", "--format", "csv"], capsys
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "label," + ",".join(sorted(labels, key=int))
+    assert [line.split(",")[0] for line in lines[1:]] == sorted(labels, key=int)
+
+
+@pytest.mark.parametrize(
+    "label", ["0.5", "9007199254740992.0", "1e17", "nan", "-inf", "9223372036854775808"]
+)
+def test_labels_that_are_not_exact_integers_exit_2(label, tmp_path, capsys):
+    path = tmp_path / "lab.csv"
+    path.write_text(f"0,0,0\n0.3,0,0\n9,0,{label}\n9.3,0,{label}\n")
+    code, out, err = run(
+        ["pairwise", "--a", str(path), "--rmax", "12", "--kmax", "0", "--format", "csv"], capsys
+    )
+    assert code == 2 and out == ""
+    assert f"got {label!r}" in err

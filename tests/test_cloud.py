@@ -190,3 +190,19 @@ def test_cloud_has_no_matrix_metric():
 def test_parse_matrix_rejects_bad_shape():
     with pytest.raises(InputError):
         parse_distance_matrix("0 1 2\n1 0\n")
+
+
+def test_parse_labels_accept_integral_floats_below_2_53():
+    """np.savetxt writes labels as floats; those stay readable."""
+    text = "0 0 0.000000000000000000e+00\n1 1 3.0\n2 2 -4\n3 3 9007199254740991.0\n"
+    _, labels = parse_point_table(text, labeled=True)
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [0, 3, -4, 9007199254740991]
+
+
+def test_parse_labels_keep_the_int64_range_exactly():
+    text = "0 -9223372036854775808\n1 9223372036854775807\n"
+    _, labels = parse_point_table(text, labeled=True)
+    assert labels.tolist() == [-(2**63), 2**63 - 1]
+    with pytest.raises(InputError, match="64-bit range"):
+        parse_point_table("0 -9223372036854775809\n", labeled=True)

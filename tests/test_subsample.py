@@ -107,3 +107,48 @@ def test_build_and_swap_match_classic_pam(instance):
     assert _swap(dist, start) == reference_swap(dist, start)
     start = [int(i) for i in rng.permutation(dist.shape[0])[:k]]
     assert _swap(dist, start) == reference_swap(dist, start)
+
+
+def assert_classic(dist, k, start=None):
+    """BUILD, and SWAP from BUILD's start or from the given one, give classic
+    PAM's medoid list, in position order."""
+    if start is None:
+        start = _build(dist, k)
+        assert start == reference_build(dist, k)
+    assert _swap(dist, start) == reference_swap(dist, start)
+
+
+@pytest.mark.parametrize("k", [1, 30, 150, 299])
+def test_classic_pam_on_300_points(k):
+    """Long incremental runs: 299 BUILD steps, and SWAP with one medoid, with
+    one candidate, and in between."""
+    dist = pairwise_distances(np.random.default_rng(k).normal(size=(300, 4)))
+    assert_classic(dist, k)
+
+
+def test_classic_pam_on_duplicate_points():
+    """300 points on 60 sites, five copies of each: ties in every gain and
+    delta, medoids that are nobody's nearest, and zero-cost exchanges."""
+    rng = np.random.default_rng(5)
+    dist = pairwise_distances(np.repeat(rng.normal(size=(60, 3)), 5, axis=0)[rng.permutation(300)])
+    for k in (40, 60, 90):
+        assert_classic(dist, k)
+
+
+def test_classic_pam_across_twelve_orders_of_magnitude():
+    """Points at scales from 1e-6 to 1e6, so distances span 1e-6 to 1e6: the
+    cost falls by orders of magnitude as medoids are added, which is where
+    the rounding accumulated by the updates must be bounded or recomputed."""
+    rng = np.random.default_rng(6)
+    scales = 10.0 ** rng.integers(-6, 7, size=300)
+    dist = pairwise_distances(rng.normal(size=(300, 2)) * scales[:, None])
+    for k in (20, 150):
+        assert_classic(dist, k)
+
+
+@pytest.mark.parametrize("k", [1, 5, 30])
+def test_classic_swap_from_random_starts(k):
+    """A random start takes SWAP through many more exchanges than BUILD's."""
+    rng = np.random.default_rng(k + 100)
+    dist = pairwise_distances(rng.random((300, 2)))
+    assert_classic(dist, k, [int(i) for i in rng.permutation(300)[:k]])
