@@ -40,7 +40,7 @@ from .stats import (
     total_mixup_percentage,
     total_persistence,
 )
-from .subsample import k_medoids
+from .subsample import check_budget, k_medoids
 from .verify import check_instance, run_fuzz
 
 
@@ -349,20 +349,29 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_subsample(args: argparse.Namespace) -> int:
     if args.metric == "matrix":
-        dist = load_distance_matrix(args.a)
+        matrix = load_distance_matrix(args.a)
+        n, distances = len(matrix), lambda: matrix
     else:
-        dist = load_point_cloud(args.a, args.metric).distance_matrix()
-    sel = k_medoids(dist, args.subsample_a)
+        cloud = load_point_cloud(args.a, args.metric)
+        n, distances = cloud.n_points, cloud.distance_matrix
+    if 0 < n <= args.subsample_a:
+        # what k_medoids keeps at a size that covers every point, computed
+        # with no distance
+        indices, cost = list(range(n)), 0.0
+    else:
+        check_budget(n, "--subsample-a")
+        sel = k_medoids(distances(), args.subsample_a)
+        indices, cost = list(sel.indices), sel.cost
     if args.format == "json":
         result = {
             "command": "subsample",
             "params": _params(args),
-            "indices": list(sel.indices),
-            "cost": sel.cost,
+            "indices": indices,
+            "cost": cost,
         }
         _write(args, json_dumps(result))
         return 0
-    _write(args, "\n".join(str(i) for i in sel.indices) + "\n")
+    _write(args, "\n".join(str(i) for i in indices) + "\n")
     return 0
 
 

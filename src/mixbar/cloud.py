@@ -18,8 +18,16 @@ from .errors import InputError
 
 METRICS = ("euclidean", "sqeuclidean")
 
-# Entries of the block of coordinate differences pairwise_distances holds.
-DIFF_BUDGET = 1 << 18
+# Bytes of a block of rows: every blocked loop of cloud, rips and subsample
+# takes its rows in `runs`, so no block holds more than 2 MB whatever n is.
+# Larger blocks measured no faster, and 8 MB distance blocks 1.7x slower.
+BLOCK_BYTES = 1 << 21
+
+# The most points k-medoids chooses among, and the most whose whole matrix
+# distance_blocks forms: either is then at most 5,000² doubles, 200 MB.
+# subsample.check_budget raises before any distance of a larger k-medoids
+# input is computed.
+MAX_POINTS = 5_000
 
 
 @dataclass(eq=False)
@@ -86,19 +94,18 @@ def pairwise_distances(points: np.ndarray, metric: str = "euclidean") -> np.ndar
     Each entry depends only on its own pair of rows, so the A-block of a
     stacked A+B matrix is bitwise identical to the matrix computed from A
     alone. Several exactness tests rely on that. The (rows, n, d) coordinate
-    differences are formed a block of rows at a time, at most DIFF_BUDGET
-    entries, and each block's squared norms are written into its rows of
-    the result; the arithmetic per entry is that of the whole tensor at once.
+    differences are formed one run of rows at a time, and each run's squared
+    norms are written into its rows of the result; the arithmetic per entry
+    is that of the whole tensor at once.
     """
     if metric not in METRICS:
         raise InputError(f"cannot compute distances for metric {metric!r}")
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     out = np.empty((n, n))
-    block = max(1, DIFF_BUDGET // max(1, pts.size))
-    for start in range(0, n, block):
-        diff = pts[start : start + block, None, :] - pts[None, :, :]
-        np.einsum("ijk,ijk->ij", diff, diff, out=out[start : start + block])
+    for part in runs(n, pts.nbytes):
+        diff = pts[part, None, :] - pts[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[part])
     if metric == "euclidean":
         np.sqrt(out, out=out)
     return out
@@ -110,20 +117,28 @@ def distance_blocks(
     """The matrix of pairwise_distances among points[s], for each s in turn.
 
     When the blocks hold fewer entries than the matrix of all n points
-    (sum of |s|^2 < n^2) each is computed from its own rows; otherwise the
-    whole matrix is computed once and each block sliced from it. Both give
-    the same bits, since each entry depends only on its own pair of rows.
-    Blocks are computed as they are asked for.
+    (sum of |s|^2 < n^2), or n is above MAX_POINTS, each is computed from
+    its own rows; otherwise the whole matrix is computed once and each
+    block sliced from it. Both give the same bits, since each entry depends
+    only on its own pair of rows. Blocks are computed as they are asked for.
     """
     sets = [np.asarray(s, dtype=np.intp) for s in index_sets]
     n = len(points)
-    if sum(len(s) ** 2 for s in sets) < n * n:
+    if n > MAX_POINTS or sum(len(s) ** 2 for s in sets) < n * n:
         for s in sets:
             yield pairwise_distances(points[s], metric)
         return
     whole = pairwise_distances(points, metric)
     for s in sets:
         yield whole[np.ix_(s, s)]
+
+
+def runs(n: int, row_bytes: int) -> list[slice]:
+    """Slices that split n rows of row_bytes bytes each into runs processed
+    together, in order, each within BLOCK_BYTES (one row when a row alone
+    exceeds it). BLOCK_BYTES is read at each call."""
+    step = max(1, BLOCK_BYTES // max(1, row_bytes))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def check_distance_matrix(d: np.ndarray) -> None:

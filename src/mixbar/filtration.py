@@ -151,8 +151,13 @@ class FilteredPair:
         owner, faces = owner[in_range], idx[in_range] - 1
         bad[owner[dim[faces] != dim[owner] - 1]] = True
         bad[owner[self.in_l[owner] & ~self.in_l[faces]]] = True
+        # a face repeated in a row: a row stored strictly ascending, as every
+        # parser and the Rips build store them, has none; otherwise repeats
+        # are equal neighbours among the sorted (owner, face) keys
         same_row = owner[1:] == owner[:-1]
-        bad[owner[1:][same_row & (faces[1:] == faces[:-1])]] = True
+        if (same_row & (faces[1:] <= faces[:-1])).any():
+            key = np.sort(owner * (n + 1) + faces)
+            bad[key[1:][key[1:] == key[:-1]] // (n + 1)] = True
         # boundary of the boundary: each face-of-face id an even number of times
         up = dim[owner] >= 2
         owner, faces = owner[up], faces[up]

@@ -216,10 +216,6 @@ class MixupTriple(NamedTuple):
     death_image: float
     death: float
 
-    @property
-    def zero_persistence(self) -> bool:
-        return self.death == self.birth
-
 
 def mixup_barcode_indices(fp: FilteredPair, k: int) -> list[MixupTriple]:
     """Mixup triples of degree k, one per k-cycle creator of L.

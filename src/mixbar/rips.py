@@ -24,12 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cloud import PointCloud, check_distance_matrix, pairwise_distances
+from .cloud import PointCloud, check_distance_matrix, pairwise_distances, runs
 from .errors import InputError
 from .filtration import FilteredPair
-
-# Entries of the boolean block (simplices x points) one expansion step holds.
-MASK_BUDGET = 1 << 22
 
 # Cells a Rips build may hold. A build peaks at about 800 bytes per cell
 # (tracemalloc, k_max 2: 240,801 cells of 1,000 uniform points in R^3 at
@@ -130,16 +127,16 @@ def _expand(dist: np.ndarray, r_max: float, max_dim: int) -> list[_Layer]:
 
     Each layer extends every simplex of the one below by the common later
     neighbours of its vertices: the AND of their rows of `later`, over
-    blocks of simplices so the block x n mask holds at most MASK_BUDGET
-    entries. A face of a simplex (v_0..v_d) without v_j, j < d, is the face
-    of its parent without v_j, extended by v_d, so it is found by
+    runs of simplices (cloud.runs), one n-byte mask row each. A face of a
+    simplex (v_0..v_d) without v_j, j < d, is the face of its parent
+    without v_j, extended by v_d, so it is found by
     searchsorted on the key parent * n + last. That key is below n times
     the length of an array in memory, far from 2^63 for any n whose n x n
     matrix fits in memory; a mixed-radix key over the vertex tuple would
     overflow once n^(d+1) >= 2^63.
 
     The cells are counted as they are found, the edges before they are
-    listed and each block's cofaces before a layer is assembled; past
+    listed and each run's cofaces before a layer is assembled; past
     MAX_CELLS the build stops with an InputError.
     """
     n = dist.shape[0]
@@ -152,18 +149,17 @@ def _expand(dist: np.ndarray, r_max: float, max_dim: int) -> list[_Layer]:
     u, w = np.nonzero(later)
     layers.append(_Layer(u, w, dist[u, w], np.stack([w, u], axis=1)))
     simplices = np.stack([u, w], axis=1)  # vertices of the top layer
-    block = max(1, MASK_BUDGET // n)
     for d in range(2, max_dim + 1):
         below = layers[-1]
         parents, lasts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        for start in range(0, len(simplices), block):
-            rows = simplices[start : start + block]
+        for part in runs(len(simplices), n):
+            rows = simplices[part]
             mask = later[rows[:, 0]]
             for j in range(1, d):
                 mask &= later[rows[:, j]]
             p, v = np.nonzero(mask)
             cells = _counted(cells + len(p))
-            parents.append(p + start)
+            parents.append(p + part.start)
             lasts.append(v)
         parent = np.concatenate(parents)
         last = np.concatenate(lasts)

@@ -27,8 +27,7 @@ from .errors import InputError
 from .filtration import FilteredPair
 from .reduction import INF, MixupTriple, mixup_barcode_indices
 from .rips import check_rips_params, rips_pair_from_distances
-from . import subsample
-from .subsample import k_medoids_indices
+from .subsample import check_budget, k_medoids_indices
 
 
 @dataclass(frozen=True)
@@ -188,9 +187,8 @@ def _subsampled(
     at each size; sizes maps the option that set a size to it. All of the
     points are kept in degree 0 or where a size covers them. The distances
     of every request come from one distance_blocks call, and each index
-    set's block is formed once for all its sizes. k-medoids on more than
-    subsample.MAX_POINTS points is an input error, raised before any
-    distance is computed."""
+    set's block is formed once for all its sizes. Every k-medoids input
+    passes subsample.check_budget before any distance is computed."""
     picked = [[idx] * len(sizes) for idx, sizes in requests]
     todo = [
         i
@@ -199,13 +197,7 @@ def _subsampled(
     ]
     for i in todo:
         idx, sizes = requests[i]
-        if len(idx) > subsample.MAX_POINTS:
-            options = " and ".join(opt for opt, k in sizes.items() if k < len(idx))
-            raise InputError(
-                f"k-medoids for {options} would choose among {len(idx):,} points, more than "
-                f"the budget of {subsample.MAX_POINTS:,} (mixbar.subsample.MAX_POINTS); "
-                f"use fewer points, or set {options} to at least {len(idx):,} to keep them all"
-            )
+        check_budget(len(idx), " and ".join(opt for opt, k in sizes.items() if k < len(idx)))
     blocks = distance_blocks(cloud.points, cloud.metric, [requests[i][0] for i in todo])
     for i, sub in zip(todo, blocks):
         idx, sizes = requests[i]

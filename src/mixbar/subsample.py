@@ -49,19 +49,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .cloud import check_distance_matrix
+from . import cloud
+from .cloud import check_distance_matrix, runs
 from .errors import InputError
 
 EPS = float(np.finfo(float).eps)
-
-# Entries of any temporary block: rows are read in runs of at most this
-# many entries, so no step allocates more than 8 MB whatever n is.
-BLOCK = 1 << 20
-
-# The most points `pairwise` and `profile` run k-medoids on: their distance
-# block is then at most 5,000² doubles, 200 MB. stats._subsampled checks it
-# before any distance is computed.
-MAX_POINTS = 5_000
 
 
 @dataclass(frozen=True)
@@ -80,6 +72,18 @@ def k_medoids(dist: np.ndarray, k: int) -> MedoidSelection:
         raise InputError(f"k must be positive, got {k}")
     idx = k_medoids_indices(dist, k)
     return MedoidSelection(indices=tuple(int(i) for i in idx), cost=_cost(dist, idx))
+
+
+def check_budget(n: int, options: str) -> None:
+    """The rule on every k-medoids input, checked before any distance is
+    computed: at most cloud.MAX_POINTS points. options names the size
+    options that asked for k-medoids on the n points."""
+    if n > cloud.MAX_POINTS:
+        raise InputError(
+            f"k-medoids for {options} would choose among {n:,} points, more than the "
+            f"budget of {cloud.MAX_POINTS:,} (mixbar.cloud.MAX_POINTS); use fewer "
+            f"points, or set {options} to at least {n:,} to keep them all"
+        )
 
 
 def k_medoids_indices(dist: np.ndarray, k: int) -> list[int]:
@@ -109,13 +113,12 @@ def _build(dist: np.ndarray, k: int) -> list[int]:
     total = float(nearest.sum())
     gain = _gains(dist, nearest, selected)
     err = _rounding(n, total)
-    step = _step(n)
     while len(selected) < k:
         slack = _rounding(n, total) + err
         finalists = (gain >= gain[gain.argmax()] - 2 * slack).nonzero()[0]
         # PAM's own totals; argmin picks the lowest index on ties, as PAM's
         # does. A lone finalist is PAM's pick without them.
-        at = np.argmin(_totals(dist, nearest[None], finalists)) if finalists.size > 1 else 0
+        at = np.argmin(_totals(dist, finalists, lambda _: nearest[None])) if finalists.size > 1 else 0
         best = int(finalists[at])
         selected.append(best)
         if len(selected) == k:
@@ -128,18 +131,18 @@ def _build(dist: np.ndarray, k: int) -> list[int]:
         # both sums below add terms of at most the changed points' old
         # distances; each addition into a gain is one rounding of a value at
         # most twice the total
-        runs = range(0, changed.size, step)
-        err += EPS * ((changed.size + 1) * dropped + 2 * (len(runs) + 1) * total)
+        parts = runs(changed.size, 8 * n)
+        err += EPS * ((changed.size + 1) * dropped + 2 * (len(parts) + 1) * total)
         total = float(nearest.sum())
         if err > 4 * _rounding(n, total):
             gain = _gains(dist, nearest, selected)
             err = _rounding(n, total)
             continue
         # Σ_o max(0, old − d) − max(0, new − d) = Σ_o old − clip(d, new, old)
-        for lo in runs:
-            block = dist[changed[lo : lo + step]]
-            np.minimum(block, old[lo : lo + step, None], out=block)
-            np.maximum(block, new[lo : lo + step, None], out=block)
+        for part in parts:
+            block = dist[changed[part]]
+            np.minimum(block, old[part, None], out=block)
+            np.maximum(block, new[part, None], out=block)
             gain += block.sum(axis=0)
         gain -= dropped
         gain[best] = -np.inf
@@ -151,10 +154,9 @@ def _gains(dist: np.ndarray, nearest: np.ndarray, selected: list[int]) -> np.nda
     scratch; -inf for the selected points, so they are never picked."""
     n = len(nearest)
     gain = np.empty(n)
-    step = _step(n)
-    for lo in range(0, n, step):
-        block = np.minimum(dist[lo : lo + step], nearest)
-        gain[lo : lo + step] = np.subtract(nearest, block, out=block).sum(axis=1)
+    for part in runs(n, 8 * n):
+        block = np.minimum(dist[part], nearest)
+        gain[part] = np.subtract(nearest, block, out=block).sum(axis=1)
     gain[selected] = -np.inf
     return gain
 
@@ -181,7 +183,6 @@ def _swap(dist: np.ndarray, selected: list[int]) -> list[int]:
     total = float(dists.sum())
     gain, per = _screen(dist, slots, pos[0], dists, k)
     err = _rounding(n, total)
-    step = _step(4 * n)
     while True:
         # delta[p, s] = per[p, s] − gain[s], the change in cost of putting
         # slots[s] at position p; by_slot is its minimum over p
@@ -199,11 +200,9 @@ def _swap(dist: np.ndarray, selected: list[int]) -> list[int]:
         # candidates, so argmin picks the exchange PAM picks
         order = np.lexsort((cands, at_pos))
         at_pos, cands = at_pos[order], cands[order]
-        costs = np.concatenate([
-            _totals(dist, np.where(pos[0] == at_pos[lo : lo + step, None], second, near),
-                    cands[lo : lo + step])
-            for lo in range(0, cands.size, step)
-        ])
+        costs = _totals(
+            dist, cands, lambda part: np.where(pos[0] == at_pos[part, None], second, near)
+        )
         i = int(costs.argmin())
         if costs[i] >= current:
             return selected
@@ -218,8 +217,9 @@ def _swap(dist: np.ndarray, selected: list[int]) -> list[int]:
         # only these points' nearest or second medoid changes
         moved = ((dist[newcomer] < second) | (pos[0] == p) | (pos[1] == p)).nonzero()[0]
         mag = adds = 0
-        for lo in range(0, moved.size, step):
-            ids = moved[lo : lo + step]
+        # _move's (4, rows, n - k) minima are the largest block
+        for part in runs(moved.size, 32 * n):
+            ids = moved[part]
             rows = dist[ids][:, cols]
             old_pos, old = pos[0, ids], dists[:, ids]
             new_pos, new = _nearest_two(rows[:, :k])
@@ -280,9 +280,7 @@ def _screen(
     near, second = dists[:, order]
     gain = np.empty(slots.size)
     per = np.zeros((k, slots.size))
-    step = _step(len(pos))
-    for lo in range(0, slots.size, step):
-        part = slice(lo, lo + step)
+    for part in runs(slots.size, 8 * len(pos)):
         rows = np.take(dist[slots[part]], order, axis=1)
         low = np.minimum(rows, near)
         gain[part] = (near - low).sum(axis=1)
@@ -313,24 +311,18 @@ def _move(block: np.ndarray, gain: np.ndarray, per: np.ndarray, pos, dists) -> t
     return float(sums.sum()), int(np.bincount(np.concatenate(pos)).max())
 
 
-def _totals(dist: np.ndarray, bases: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """PAM's total Σ_o min(bases[j, o], d(c, o)) for each candidate c =
-    cands[j], or with the one row of bases for all, summed as classic PAM
-    sums it: down a column of the column-major block that dist[:, cands]
-    is. Taking rows and transposing gives the same values (dist is
-    symmetric) in that layout."""
+def _totals(dist: np.ndarray, cands: np.ndarray, bases) -> np.ndarray:
+    """PAM's total Σ_o min(base[o], d(c, o)) for each candidate c = cands[j],
+    where bases(part) gives the bases of the run cands[part], one row for
+    all of them or one per candidate. Each is summed as classic PAM sums it:
+    down a column of the column-major block that dist[:, cands] is. Taking
+    rows and transposing gives the same values (dist is symmetric) in that
+    layout."""
     out = np.empty(cands.size)
-    step = _step(dist.shape[0])
-    for lo in range(0, cands.size, step):
-        block = dist[cands[lo : lo + step]].T
-        base = bases if len(bases) == 1 else bases[lo : lo + step]
-        out[lo : lo + step] = np.minimum(base.T, block, out=block).sum(axis=0)
+    for part in runs(cands.size, 8 * dist.shape[0]):
+        block = dist[cands[part]].T
+        out[part] = np.minimum(bases(part).T, block, out=block).sum(axis=0)
     return out
-
-
-def _step(width: int) -> int:
-    """Rows of width entries per run, so that a run holds at most BLOCK."""
-    return max(1, BLOCK // max(1, width))
 
 
 def _rounding(n: int, total: float) -> float:

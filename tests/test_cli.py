@@ -76,6 +76,31 @@ def test_mixup_point_clouds(square_center_files, capsys):
     assert all(t["death_image"] == 0.7071067811865476 for t in finite)
 
 
+def test_mixup_clamp_json(square_center_files, square_center_pair, capsys):
+    """--clamp sets the horizon of every degree's statistics, and the JSON
+    echoes it."""
+    from mixbar import stats
+
+    a, b = square_center_files
+    code, out, _ = run(
+        ["mixup", "--a", a, "--b", b, "--rmax", "2.0", "--clamp", "1.25", "--degrees", "0,1"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    for k in (0, 1):
+        bc = stats.compute_mixup_barcode(square_center_pair, k, 1.25)
+        assert doc["degrees"][str(k)]["statistics"] == {
+            "bars": len(bc.values),
+            "total_mixup": stats.total_mixup(bc),
+            "total_mixup_percentage": stats.total_mixup_percentage(bc),
+            "mean_mixup_percentage": stats.mean_mixup_percentage(bc),
+            "total_persistence": stats.total_persistence(bc),
+            "total_image_persistence": stats.total_image_persistence(bc),
+            "clamp": 1.25,
+        }
+
+
 def test_mixup_csv(six_cell_file, capsys):
     code, out, _ = run(
         ["mixup", "--filtration", six_cell_file, "--format", "csv", "--degrees", "1"],
@@ -332,6 +357,34 @@ def test_subsample_json(tmp_path, capsys):
     doc = json.loads(out)
     assert len(doc["indices"]) == 2
     assert doc["cost"] >= 0.0
+
+
+def test_subsample_budget_exits_2_before_any_distance(tmp_path, monkeypatch, capsys):
+    """Three points against a budget of two: k-medoids stops with the
+    budget's input error, and a size that covers every point keeps them
+    all; neither computes a distance."""
+    from mixbar import cloud
+
+    def no_distances(*args, **kwargs):
+        raise AssertionError("computed distances")
+
+    monkeypatch.setattr(cloud, "MAX_POINTS", 2)
+    monkeypatch.setattr(cloud, "pairwise_distances", no_distances)
+    path = tmp_path / "pts.csv"
+    path.write_text("0\n10\n20\n")
+    code, out, err = run(["subsample", "--a", str(path), "--subsample-a", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: k-medoids for --subsample-a would choose among 3 points, more than the "
+        "budget of 2 (mixbar.cloud.MAX_POINTS); use fewer points, or set "
+        "--subsample-a to at least 3 to keep them all\n"
+    )
+    code, out, _ = run(
+        ["subsample", "--a", str(path), "--subsample-a", "3", "--format", "json"], capsys
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["indices"] == [0, 1, 2] and doc["cost"] == 0.0
 
 
 def test_pairwise_csv(labeled_file, capsys):
@@ -619,12 +672,12 @@ def test_kmedoids_budget_exits_2_before_any_distance(
     """Three points per class against a budget of two: k-medoids on a class
     (pairwise) or on a class complement (profile) stops with an input error
     that names the option, before any distance is computed."""
-    from mixbar import stats, subsample
+    from mixbar import cloud, stats
 
     def no_distances(*args, **kwargs):
         raise AssertionError("computed distances")
 
-    monkeypatch.setattr(subsample, "MAX_POINTS", 2)
+    monkeypatch.setattr(cloud, "MAX_POINTS", 2)
     monkeypatch.setattr(stats, "distance_blocks", no_distances)
     path = labeled_file if command == "pairwise" else manifest_file
     code, out, err = run(
@@ -635,21 +688,49 @@ def test_kmedoids_budget_exits_2_before_any_distance(
     assert code == 2 and out == ""
     assert err == (
         "error: k-medoids for --subsample-b would choose among 3 points, more than the "
-        "budget of 2 (mixbar.subsample.MAX_POINTS); use fewer points, or set "
+        "budget of 2 (mixbar.cloud.MAX_POINTS); use fewer points, or set "
         "--subsample-b to at least 3 to keep them all\n"
     )
 
 
 def test_kmedoids_budget_allows_clouds_at_the_limit(labeled_file, monkeypatch, capsys):
-    from mixbar import subsample
+    from mixbar import cloud
 
-    monkeypatch.setattr(subsample, "MAX_POINTS", 3)
+    monkeypatch.setattr(cloud, "MAX_POINTS", 3)
     code, _, _ = run(
         ["pairwise", "--a", labeled_file, "--rmax", "12", "--degrees", "1",
          "--subsample-a", "2", "--subsample-b", "1"],
         capsys,
     )
     assert code == 0
+
+
+def test_profile_forms_no_matrix_over_the_kmedoids_budget(tmp_path, monkeypatch, capsys):
+    """Two classes of five points against a budget of five: the k-medoids
+    blocks of the classes and their complements add up to the whole
+    10-point matrix, which distance_blocks then does not form; the output
+    is the same as with the whole matrix."""
+    from mixbar import cloud
+
+    rng = np.random.default_rng(0)
+    pts = np.repeat([[0.0, 0.0], [3.0, 0.0]], 5, axis=0) + rng.normal(size=(10, 2))
+    path = tmp_path / "lab.csv"
+    path.write_text("".join(f"{x},{y},{i // 5}\n" for i, (x, y) in enumerate(pts)))
+    manifest = tmp_path / "series.txt"
+    manifest.write_text(f"0 0 {path}\n")
+    args = ["profile", "--a", str(manifest), "--rmax", "4", "--degrees", "1",
+            "--subsample-a", "2", "--subsample-b", "2"]
+    code, want, _ = run(args, capsys)
+    assert code == 0
+    sizes = []
+    real = cloud.pairwise_distances
+    monkeypatch.setattr(
+        cloud, "pairwise_distances", lambda p, m: sizes.append(len(p)) or real(p, m)
+    )
+    monkeypatch.setattr(cloud, "MAX_POINTS", 5)
+    code, out, _ = run(args, capsys)
+    assert code == 0 and out == want
+    assert sizes and max(sizes) == 5
 
 
 def test_labels_beyond_2_53_stay_distinct_and_exact(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixbar import InputError, LabeledPointCloud, PointCloud, cloud, pairwise_distances
+from mixbar import InputError, LabeledPointCloud, PointCloud, cloud, pairwise_distances, rips, subsample
 from mixbar.cloud import distance_blocks, parse_distance_matrix, parse_point_table
 from helpers import reference_distances
 
@@ -88,10 +88,11 @@ def test_block_of_joint_matrix_is_bitwise_identical():
 @pytest.mark.parametrize("budget", [1, 50, 1000, None])
 @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (7, 3), (40, 17), (65, 2)])
 def test_blocked_distances_equal_one_shot(shape, budget, metric):
-    """Row blocks of any size give the one-shot matrix bit for bit; budget 1
-    is one row per block, 50 a few rows, 1000 a ragged last block."""
+    """Runs of any size give the one-shot matrix bit for bit; a budget of 1
+    difference entry is one row per run, 50 a few rows, 1000 a ragged last
+    run."""
     pts = np.random.default_rng(shape[0]).normal(size=shape) * 10.0 ** np.arange(shape[1])
-    with mock.patch.object(cloud, "DIFF_BUDGET", budget or cloud.DIFF_BUDGET):
+    with mock.patch.object(cloud, "BLOCK_BYTES", 8 * budget if budget else cloud.BLOCK_BYTES):
         got = pairwise_distances(pts, metric)
     want = reference_distances(pts, metric)
     assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -120,7 +121,7 @@ def test_distances_of_a_subset_are_the_block_of_the_whole(case, metric, one_row)
     """pairwise_distances(points[s]) is bit for bit the (s, s) block of the
     whole matrix, so distance_blocks gives the same bits on either branch."""
     pts, sets = case
-    with mock.patch.object(cloud, "DIFF_BUDGET", 1 if one_row else cloud.DIFF_BUDGET):
+    with mock.patch.object(cloud, "BLOCK_BYTES", 1 if one_row else cloud.BLOCK_BYTES):
         whole = pairwise_distances(pts, metric)
         got = list(distance_blocks(pts, metric, sets))
         assert len(got) == len(sets)
@@ -141,6 +142,18 @@ def test_distance_blocks_computes_the_cheaper_side():
         assert rows == [7, 7]  # 98 < 100 entries
         list(distance_blocks(pts, "euclidean", [np.arange(8), np.arange(2, 8)]))
         assert rows == [7, 7, 10]  # 100 entries: the whole matrix
+
+
+def test_runs_split_rows_within_the_budget():
+    """Runs cover the rows in order, each within BLOCK_BYTES or a single
+    row. rips and subsample split through this same function, which reads
+    the budget at each call, so one patch of it reaches every blocked loop."""
+    assert cloud.runs(0, 8) == []
+    assert cloud.runs(5, cloud.BLOCK_BYTES // 2) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+    assert cloud.runs(2, 2 * cloud.BLOCK_BYTES) == [slice(0, 1), slice(1, 2)]
+    with mock.patch.object(cloud, "BLOCK_BYTES", 1):
+        assert cloud.runs(3, 8) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert rips.runs is subsample.runs is cloud.runs
 
 
 def test_parse_full_square_matrix():

@@ -65,6 +65,16 @@ def test_rejects_repeated_face():
         parse_explicit_pair("1 0 0.0 L\n2 0 0.0 L\n3 1 1.0 L 1 1\n")
 
 
+@pytest.mark.parametrize("faces", [[5, 8, 6, 8, 7], [5, 6, 7, 8, 8]])
+def test_rejects_a_repeated_face_in_any_order(faces):
+    """Edge 8 listed twice keeps the boundary of the boundary of cell 9
+    even, so only the repeated face makes it invalid, in either order."""
+    edges = [1, 2, 2, 3, 1, 3, 3, 4]  # cells 5..8
+    indptr = np.cumsum([0, 0, 0, 0, 0, 2, 2, 2, 2, len(faces)])
+    with pytest.raises(InputError, match="^cell 9: duplicate boundary id 8$"):
+        FilteredPair([0] * 4 + [1] * 4 + [2], [0.0] * 4 + [1.0] * 5, [True] * 9, indptr, edges + faces)
+
+
 def test_rejects_l_cell_with_ambient_face():
     text = "1 0 0.0 K\n2 0 0.0 L\n3 1 1.0 L 1 2\n"
     with pytest.raises(InputError, match="subcomplex"):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixbar.cloud
 from mixbar import InputError, PointCloud, build_rips_pair, pairwise_distances, rips_pair_from_distances
 from mixbar import rips
 from helpers import reference_rips, restrict_to_L
@@ -194,7 +195,7 @@ def test_array_build_matches_reference(cloud, r_max, k_max, budget):
     budget splits each expansion step into blocks of one or a few simplices."""
     points, n_a = cloud
     dist = pairwise_distances(np.array(points, dtype=float))
-    with mock.patch.object(rips, "MASK_BUDGET", budget or rips.MASK_BUDGET):
+    with mock.patch.object(mixbar.cloud, "BLOCK_BYTES", budget or mixbar.cloud.BLOCK_BYTES):
         fp = rips_pair_from_distances(dist, n_a, r_max, k_max)
     cells, _ = reference_rips(dist, n_a, r_max, k_max)
     assert fp.cells == tuple(cells)

@@ -1,11 +1,12 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixbar import InputError, k_medoids, k_medoids_indices, pairwise_distances
+from mixbar import InputError, cloud, k_medoids, k_medoids_indices, pairwise_distances
 from mixbar.subsample import _build, _cost, _swap
 from helpers import reference_build, reference_swap
 
@@ -133,6 +134,19 @@ def test_classic_pam_on_duplicate_points():
     dist = pairwise_distances(np.repeat(rng.normal(size=(60, 3)), 5, axis=0)[rng.permutation(300)])
     for k in (40, 60, 90):
         assert_classic(dist, k)
+
+
+@pytest.mark.parametrize("k", [1, 30, 150, 299])
+def test_classic_pam_in_one_row_runs(k):
+    """Every blocked loop of BUILD and SWAP split into runs of one row; at
+    n = 300 the default budget makes each of them a single run."""
+    with mock.patch.object(cloud, "BLOCK_BYTES", 1):
+        test_classic_pam_on_300_points(k)
+
+
+def test_classic_pam_on_duplicate_points_in_one_row_runs():
+    with mock.patch.object(cloud, "BLOCK_BYTES", 1):
+        test_classic_pam_on_duplicate_points()
 
 
 def test_classic_pam_across_twelve_orders_of_magnitude():
