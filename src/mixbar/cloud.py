@@ -93,10 +93,11 @@ def pairwise_distances(points: np.ndarray, metric: str = "euclidean") -> np.ndar
 
     Each entry depends only on its own pair of rows, so the A-block of a
     stacked A+B matrix is bitwise identical to the matrix computed from A
-    alone. Several exactness tests rely on that. The (rows, n, d) coordinate
-    differences are formed one run of rows at a time, and each run's squared
-    norms are written into its rows of the result; the arithmetic per entry
-    is that of the whole tensor at once.
+    alone. Several exactness tests rely on that. Each run of rows is
+    differenced against the points from its first row on; its squared norms
+    fill its rows from the diagonal on and are mirrored below it. Entry
+    (j, i) of the whole (n, n, d) tensor has the bits of (i, j): its
+    differences are negated exactly and summed in the same order.
     """
     if metric not in METRICS:
         raise InputError(f"cannot compute distances for metric {metric!r}")
@@ -104,8 +105,10 @@ def pairwise_distances(points: np.ndarray, metric: str = "euclidean") -> np.ndar
     n = len(pts)
     out = np.empty((n, n))
     for part in runs(n, pts.nbytes):
-        diff = pts[part, None, :] - pts[None, :, :]
-        np.einsum("ijk,ijk->ij", diff, diff, out=out[part])
+        lo = part.start
+        diff = pts[part, None, :] - pts[None, lo:, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[part, lo:])
+        out[lo:, part] = out[part, lo:].T
     if metric == "euclidean":
         np.sqrt(out, out=out)
     return out
@@ -153,8 +156,11 @@ def check_distance_matrix(d: np.ndarray) -> None:
         raise InputError("distance matrix has negative entries")
     if np.diagonal(d).any():
         raise InputError("distance matrix has a nonzero diagonal")
-    if not np.array_equal(d, d.T):
-        raise InputError("distance matrix is not symmetric")
+    # in runs of rows, each from the diagonal on: no whole transposed copy
+    for part in runs(len(d), d[0].nbytes):
+        lo = part.start
+        if not np.array_equal(d[part, lo:], d[lo:, part].T):
+            raise InputError("distance matrix is not symmetric")
 
 
 def data_lines(text: str):

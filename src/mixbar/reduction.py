@@ -8,38 +8,36 @@ premature death); reducing only the L-columns pairs it with its death
 inside L. The two deaths bracket each bar of L into an image sub-bar
 [b, d') and a mixup sub-bar [d', d).
 
-Degree 0 needs no matrix. The pivot of an edge column is the youngest
-vertex of the component it merges into an older one (the elder rule), so
-union-find over the edges in filtration order gives both pairings: over
-all edges with vertices keyed by the image order for K, over the L-edges
-alone for L. An edge with one boundary vertex joins a ground node older
-than every vertex; an edge with none merges nothing.
+Both pairings of degree k come from passes over coboundaries. The pivot
+pairing of a matrix equals that of its anti-transpose, because both are
+read off the ranks of the same lower-left submatrices (de Silva, Morozov &
+Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011). So a
+pass takes k-cells as columns in reverse image order and their (k+1)-cell
+cofaces as rows, a column's pivot being its earliest coface; each pair
+(k-cell, (k+1)-cell) is the one the boundary matrix gives. The K pass
+runs over all (k+1)-cells in filtration order, the L pass over the
+L-cells alone. A pass over vertex columns is union-find: the pivot of an
+edge column is the youngest vertex of the component it merges into an
+older one (the elder rule), so union-find over the edges in the order
+given pairs the same cells and builds no column, where most vertex
+coboundaries collide. An edge with one boundary vertex joins a ground
+node older than every vertex; an edge with none merges nothing.
 
-Every degree k >= 1 reduces k-cell coboundaries instead of (k+1)-cell
-boundaries. The pivot pairing of a matrix equals that of its
-anti-transpose, because both are read off the ranks of the same lower-left
-submatrices (de Silva, Morozov & Vejdemo-Johansson, "Dualities in
-persistent (co)homology", 2011). So the columns are the k-cells in reverse
-image order, a column's rows are its (k+1)-cell cofaces, and its pivot is
-its earliest coface; each pair (k-cell, (k+1)-cell) is the one the
-boundary matrix gives. Over L alone the same holds for the L-cells. Most
-columns never need reducing:
+One chain gives the columns of every degree k, and most columns never
+need reducing:
 
 - Clearing (Chen & Kerber, "Persistent homology computation with a
-  twist", 2011). A k-cell whose boundary column does not reduce to zero
-  under the image column order is never a pivot row of the (k+1)-boundary
-  matrix under the image row order, so its column is dropped. For k = 1
-  one union-find over all 1-cells in image order finds them: the edges
-  that merge two components. For each j = 2..k a coboundary pass over the
-  uncleared (j-1)-cells, with the j-cells as rows in image order, pairs
-  exactly the j-cells to drop. They are its pivot rows, and the set of
-  pivot rows of a matrix depends only on its row order, not on its column
-  order; in the boundary matrix they are the j-columns that do not reduce
-  to zero under the image order. The order must be the image order:
-  clearing K by the filtration-order forest gives wrong triples.
-- L needs no pass of its own. Image order lists the L-cells first, so
+  twist", 2011). The chain keeps the vertices in image order. For each
+  j = 1..k a pass over the kept (j-1)-cells, with the j-cells as rows in
+  image order, pairs exactly the j-cells whose boundary columns do not
+  reduce to zero under the image order: the set of pivot rows of a matrix
+  depends only on its row order, not on its column order. Such a j-cell
+  is never a pivot row one degree up, so its column is dropped, and the
+  others are kept. The order must be the image order: clearing K by the
+  filtration-order forest gives wrong triples.
+- L needs no clearing of its own. Image order lists the L-cells first, so
   whether an L-column reduces to zero depends on L-columns alone, and the
-  uncleared L k-cells are the k-cycle creators of L.
+  kept L k-cells are the k-cycle creators of L.
 - Columns built on collision. Each column's first pivot comes from numpy.
   A column whose pivot is unclaimed claims it as it stands (an emergent
   pair, Bauer, "Ripser", 2021), and a column becomes a Python-int bitset
@@ -102,35 +100,31 @@ def reduce_columns(pivots, build) -> tuple[dict[int, int], list[int]]:
     return owner, zeros
 
 
-def merge_edges(edges, key) -> tuple[dict[int, int], list[int]]:
+def merge_edges(edges, key) -> dict[int, int]:
     """Elder-rule union-find over 1-cells in filtration order.
 
     edges are (edge id, end, end) with 0 for a missing end, which stands for
     the ground node, older than every vertex; key[v] is the row key of
     vertex id v, at least 1, and key[0] = 0. Returns the pairing (vertex id
     -> id of the edge that merges the component whose oldest vertex it is
-    into an older one) and the ids of the edges that merge nothing: exactly
-    the pivots and the zero columns of the reduced edge columns.
+    into an older one): exactly the pivots of the reduced edge columns. The
+    edges it leaves out merge nothing; their columns reduce to zero.
     """
     parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while (up := parent.get(v, v)) != v:
-            parent[v] = v = parent.get(up, up)
-        return v
-
     deaths: dict[int, int] = {}
-    cycles: list[int] = []
     for eid, u, w in edges:
-        u, w = find(u), find(w)
+        # the roots of u and w, halving their paths
+        while (up := parent.get(u, u)) != u:
+            parent[u] = u = parent.get(up, up)
+        while (up := parent.get(w, w)) != w:
+            parent[w] = w = parent.get(up, up)
         if u == w:
-            cycles.append(eid)
             continue
         if key[u] > key[w]:
             u, w = w, u
         parent[w] = u
         deaths[w] = eid
-    return deaths, cycles
+    return deaths
 
 
 def image_row_order(fp: FilteredPair) -> np.ndarray:
@@ -157,50 +151,41 @@ def _edges(fp: FilteredPair, ids: np.ndarray):
     return zip(ids.tolist(), u.tolist(), w.tolist())
 
 
-def _reduce_csr(bits: np.ndarray, bounds: np.ndarray) -> tuple[dict[int, int], list[int]]:
-    """reduce_columns over columns in CSR form: column i holds the rows
-    bits[bounds[i]:bounds[i + 1]]. The first pivots (the highest rows) are
-    taken with numpy; a column becomes a bitset only when it is built.
-    Column ids are positions."""
-    lo, hi = bounds[:-1], bounds[1:]
-    first = np.full(len(lo), -1, dtype=np.int64)
-    full = hi > lo
-    if full.any():
-        first[full] = np.maximum.reduceat(bits, lo[full])
-    rows, lo, hi, top = bits.tolist(), lo.tolist(), hi.tolist(), first.tolist()
+def _coboundary_pairs(fp: FilteredPair, cols: np.ndarray, cofaces: np.ndarray) -> dict[int, int]:
+    """Pairing of the coboundaries of the j-cells cols, given in image order
+    and reduced in the reverse of it, restricted to the (j+1)-cells cofaces,
+    keyed by j-cell.
+
+    A column's rows are its cofaces, the earliest in the order given the
+    highest, so its pivot is its earliest coface; the pair (j-cell,
+    (j+1)-cell) is the one the reduced boundary matrix gives when its
+    columns are cofaces in that order and its rows the j-cells in image
+    order. One sort of the keys column·m + coface position, m = len(cofaces),
+    lists each column's entries together, earliest coface first, and the
+    entries of column i are then its rows (i + 1)·m − 1 − key.
+    """
+    m = len(cofaces)
+    place = np.full(fp.n + 1, -1, dtype=np.int64)
+    place[cols] = np.arange(len(cols) - 1, -1, -1)
+    entries, bounds = fp.faces_of(cofaces)
+    key = place[entries] * m + np.repeat(np.arange(m), np.diff(bounds))
+    key = np.sort(key[key >= 0])
+    starts = np.searchsorted(key, np.arange(len(cols) + 1) * m)
+    full = starts[1:] > starts[:-1]
+    top = np.full(len(cols), -1, dtype=np.int64)
+    top[full] = (np.flatnonzero(full) + 1) * m - 1 - key[starts[:-1][full]]
+    top, starts = top.tolist(), starts.tolist()
 
     def build(i: int) -> int:
         # one bytearray and one conversion, not a big int per row
         col = bytearray((top[i] >> 3) + 1)
-        for r in rows[lo[i] : hi[i]]:
+        for r in ((i + 1) * m - 1 - key[starts[i] : starts[i + 1]]).tolist():
             col[r >> 3] |= 1 << (r & 7)
         return int.from_bytes(col, "little")
 
-    return reduce_columns(enumerate(top), build)
-
-
-def _coboundary_pairs(fp: FilteredPair, cols: np.ndarray, cofaces: np.ndarray) -> dict[int, int]:
-    """Pairing of the coboundaries of the j-cells cols, in that column order,
-    restricted to the (j+1)-cells cofaces, keyed by j-cell.
-
-    Rows run backwards through cofaces, so a column's pivot is its earliest
-    coface in the order given; the pair (j-cell, (j+1)-cell) is the one the
-    reduced boundary matrix gives when its columns are cofaces in that order
-    and its rows the j-cells in the reverse of cols.
-    """
-    place = np.full(fp.n + 1, -1, dtype=np.int64)
-    place[cols] = np.arange(len(cols))
-    entries, bounds = fp.faces_of(cofaces)
-    col = place[entries]
-    row = np.repeat(np.arange(len(cofaces) - 1, -1, -1), np.diff(bounds))
-    keep = col >= 0
-    col, row = col[keep], row[keep]
-    order = np.argsort(col, kind="stable")
-    starts = np.zeros(len(cols) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(col, minlength=len(cols)), out=starts[1:])
-    pairs = _reduce_csr(row[order], starts)[0]
+    pairs = reduce_columns(enumerate(top), build)[0]
     cols, cofaces = cols.tolist(), cofaces.tolist()
-    return {cols[i]: cofaces[-1 - p] for p, i in pairs.items()}
+    return {cols[-1 - i]: cofaces[-1 - p] for p, i in pairs.items()}
 
 
 class MixupTriple(NamedTuple):
@@ -223,32 +208,37 @@ def mixup_barcode_indices(fp: FilteredPair, k: int) -> list[MixupTriple]:
     For each k-cell of L whose reduced L-column is zero (it creates a class
     of H_k(L)), d is the column paired with it in the L-matrix and d' the
     column paired with it in the ambient matrix; either is +inf when no
-    column claims it. Degree 0 reads both pairings off union-find; every
-    higher degree off coboundaries, cleared by a chain of passes that starts
-    from union-find over the 1-cells (see the module docstring).
+    column claims it. One chain serves every degree (see the module
+    docstring): the vertices are kept, each degree j = 1..k keeps the
+    j-cells that a pass over the kept (j-1)-cells leaves unpaired, and the
+    kept k-cells of L are the creators. A pass over the kept k-cells and
+    all (k+1)-cells gives d', one over the creators and the (k+1)-cells of
+    L gives d.
     """
     if not 0 <= k <= max(fp.max_dim, 0):
         raise InputError(f"degree {k} out of range for a complex of dimension {fp.max_dim}")
     key = image_row_order(fp)
+    by_image = np.empty(fp.n, dtype=np.int64)
+    by_image[key[1:] - 1] = np.arange(1, fp.n + 1)
+    dims = fp.dim[by_image - 1]
+
+    def pairs(j: int, cols: np.ndarray, rows: np.ndarray) -> dict[int, int]:
+        # the pairing of the coboundaries of the j-cells cols, in image
+        # order, restricted to the (j+1)-cells rows; vertices pair by
+        # union-find, keyed by their places in cols, the ground node by 0
+        if j == 0:
+            place = dict(zip([0, *cols.tolist()], range(len(cols) + 1)))
+            return merge_edges(_edges(fp, rows), place)
+        return _coboundary_pairs(fp, cols, rows)
+
+    kept = by_image[dims == 0]
+    for j in range(1, k + 1):
+        cells = by_image[dims == j]
+        paired = np.zeros(fp.n + 1, dtype=bool)
+        paired[list(pairs(j - 1, kept, cells).values())] = True
+        kept = cells[~paired[cells]]
+    born = kept[fp.in_l[kept - 1]]
     cofaces = np.flatnonzero(fp.dim == k + 1) + 1
-    l_cofaces = cofaces[fp.in_l[cofaces - 1]]
-    if k == 0:
-        keys = key.tolist()
-        deaths_k = merge_edges(_edges(fp, cofaces), keys)[0]
-        deaths_l = merge_edges(_edges(fp, l_cofaces), keys)[0]
-        born = np.flatnonzero((fp.dim == 0) & fp.in_l) + 1
-    else:
-        # the cells whose reduced boundary column is zero under the image
-        # order; the others are never pivot rows one degree up, so cleared
-        edges = np.flatnonzero(fp.dim == 1) + 1
-        edges = edges[np.argsort(key[edges])]
-        kept = np.array(merge_edges(_edges(fp, edges), key.tolist())[1], dtype=np.int64)
-        for j in range(2, k + 1):
-            cells = np.flatnonzero(fp.dim == j) + 1
-            cells = cells[np.argsort(key[cells])]
-            cleared = np.fromiter(_coboundary_pairs(fp, kept[::-1], cells).values(), dtype=np.int64)
-            kept = cells[~np.isin(cells, cleared)]
-        born = kept[fp.in_l[kept - 1]]
-        deaths_k = _coboundary_pairs(fp, kept[::-1], cofaces)
-        deaths_l = _coboundary_pairs(fp, born[::-1], l_cofaces)
+    deaths_k = pairs(k, kept, cofaces)
+    deaths_l = pairs(k, born, cofaces[fp.in_l[cofaces - 1]])
     return [MixupTriple(c, deaths_k.get(c, INF), deaths_l.get(c, INF)) for c in born.tolist()]

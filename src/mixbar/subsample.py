@@ -176,7 +176,9 @@ def _swap(dist: np.ndarray, selected: list[int]) -> list[int]:
     slot_of[slots] = np.arange(n - k)
     # per point: the positions (row 0) and distances (row 1) of its nearest
     # medoid (column 0) and of the nearest at any other position
-    pos, dists = _nearest_two(dist[:, medoids])
+    pos, dists = np.empty((2, n), dtype=np.intp), np.empty((2, n))
+    for part in runs(n, 8 * k):
+        pos[:, part], dists[:, part] = _nearest_two(dist[part][:, medoids])
     near, second = dists
     # the values _cost sums, in its order, so the same bits
     current = float(near.sum())

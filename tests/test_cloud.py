@@ -96,6 +96,22 @@ def test_blocked_distances_equal_one_shot(shape, budget, metric):
         got = pairwise_distances(pts, metric)
     want = reference_distances(pts, metric)
     assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(got.view(np.int64), got.T.view(np.int64))
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (3, 27), (1, 0), (28, 29), (29, 28), (5, 4), (12, 11)])
+def test_asymmetry_found_in_any_tile(entry):
+    """check_distance_matrix compares the matrix with its transpose in
+    tiles of four rows here: one bad entry is found in the first tile, in
+    the ragged last one (rows 28 and 29) and just below the diagonal,
+    inside a tile or across two (12, 11)."""
+    d = pairwise_distances(np.random.default_rng(3).random((30, 2)))
+    with mock.patch.object(cloud, "BLOCK_BYTES", 8 * 30 * 4):
+        assert cloud.runs(30, 8 * 30)[-1] == slice(28, 32)
+        cloud.check_distance_matrix(d)
+        d[entry] += 0.5
+        with pytest.raises(InputError, match="distance matrix is not symmetric"):
+            cloud.check_distance_matrix(d)
 
 
 @st.composite

@@ -16,9 +16,9 @@ from mixbar import (
     pairwise_distances,
     parse_explicit_pair,
 )
-from mixbar.reduction import image_row_order, merge_edges, reduce_columns
+from mixbar.reduction import _coboundary_pairs, image_row_order, merge_edges, reduce_columns
 from mixbar.verify import random_explicit_instance
-from helpers import reference_degree
+from helpers import reference_degree, reference_reduce_columns
 
 FILLED_TRIANGLE = """\
 1 0 0.0 L
@@ -49,8 +49,8 @@ def test_reduce_filled_triangle_degree0():
     # rows are the younger vertices 2 and 3
     assert zeros == [6]
     assert pairs == {2: 4, 3: 5}
-    # union-find gives the same pairing and the same zero column
-    assert merge_edges([(e.id, *e.boundary) for e in edges], range(fp.n + 1)) == (pairs, zeros)
+    # union-find gives the same pairing
+    assert merge_edges([(e.id, *e.boundary) for e in edges], range(fp.n + 1)) == pairs
 
 
 def test_reduce_keeps_input_intact():
@@ -255,3 +255,28 @@ def test_matches_boundary_reduction_on_edge_cases(name, k):
     fp = parse_explicit_pair(EDGE_CASES[name])
     if fp.max_dim >= k:
         assert mixup_barcode_indices(fp, k) == reference_degree(fp, k)
+
+
+@pytest.mark.parametrize(
+    "cols,cofaces,pairing",
+    [
+        # edges in non-ascending id order, each in two of the four triangles,
+        # whose boundaries sum to zero: rank 3
+        ([7, 5, 10, 6, 9, 8], [11, 12, 13, 14], {8: 11, 9: 12, 6: 13}),
+        # edge 7 lies in no coface
+        ([5, 6, 7, 8, 9, 10], [14, 11], {10: 14, 8: 11}),
+        # a single coface
+        ([12, 14, 11, 13], [15], {13: 15}),
+    ],
+)
+def test_coboundary_pass_matches_reference_reduction(cols, cofaces, pairing):
+    """A pass reduces the columns cols from last to first, each column's
+    rows being its cofaces with the earliest the highest: the pairing of
+    every column built up front and reduced by reference_reduce_columns."""
+    fp = parse_explicit_pair(EDGE_CASES["hollow_tetrahedron"])
+    m = len(cofaces)
+    rows = {c: [m - 1 - r for r, f in enumerate(cofaces) if c in fp.cells[f - 1].boundary]
+            for c in cols}
+    pairs, _ = reference_reduce_columns((c, bitset(rows[c])) for c in reversed(cols))
+    assert {c: cofaces[m - 1 - p] for p, c in pairs.items()} == pairing
+    assert _coboundary_pairs(fp, np.array(cols), np.array(cofaces)) == pairing
