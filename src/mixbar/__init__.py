@@ -7,52 +7,44 @@ that K has already destroyed. This package computes the split for
 Vietoris-Rips pairs built from point clouds and for explicit filtered
 complexes, and derives summary statistics, pairwise class matrices and
 (layer, step) profiles from it.
+
+`import mixbar` executes no submodule: each public name, and each
+submodule such as `mixbar.oracle`, is imported on first use (PEP 562).
 """
 
-from .cloud import LabeledPointCloud, PointCloud, pairwise_distances
-from .errors import InputError
-from .filtration import parse_explicit_pair
-from .oracle import barcode_from_ranks, rank_function
-from .plot import plot_mixup_barcode
-from .reduction import INF, MixupTriple, mixup_barcode_indices
-from .rips import build_rips_pair, rips_pair_from_distances
-from .stats import (
-    MixupBarcode,
-    StatsConfig,
-    compute_mixup_barcode,
-    mixup_percentage,
-    mixup_profile,
-    pairwise_matrix,
-    total_mixup,
-)
-from .subsample import k_medoids, k_medoids_indices
-from .verify import random_rips_instance, run_fuzz
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INF",
-    "InputError",
-    "LabeledPointCloud",
-    "MixupBarcode",
-    "MixupTriple",
-    "PointCloud",
-    "StatsConfig",
-    "barcode_from_ranks",
-    "build_rips_pair",
-    "compute_mixup_barcode",
-    "k_medoids",
-    "k_medoids_indices",
-    "mixup_barcode_indices",
-    "mixup_percentage",
-    "mixup_profile",
-    "pairwise_distances",
-    "pairwise_matrix",
-    "parse_explicit_pair",
-    "plot_mixup_barcode",
-    "random_rips_instance",
-    "rank_function",
-    "rips_pair_from_distances",
-    "run_fuzz",
-    "total_mixup",
-]
+# The public names, each under the submodule that defines it.
+_EXPORTS = {
+    "cloud": ("LabeledPointCloud", "PointCloud", "pairwise_distances"),
+    "errors": ("InputError",),
+    "filtration": ("parse_explicit_pair",),
+    "oracle": ("barcode_from_ranks", "rank_function"),
+    "plot": ("plot_mixup_barcode",),
+    "reduction": ("INF", "MixupTriple", "mixup_barcode_indices"),
+    "rips": ("build_rips_pair", "rips_pair_from_distances"),
+    "stats": ("MixupBarcode", "StatsConfig", "compute_mixup_barcode", "mixup_percentage",
+              "mixup_profile", "pairwise_matrix", "total_mixup"),
+    "subsample": ("k_medoids", "k_medoids_indices"),
+    "verify": ("random_rips_instance", "run_fuzz"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "output"}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")  # binds it in the package
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -41,7 +41,6 @@ from .stats import (
     total_persistence,
 )
 from .subsample import check_budget, k_medoids
-from .verify import check_instance, run_fuzz
 
 
 # --metric matrix is an input format of the CLI: the file is a distance matrix
@@ -376,6 +375,7 @@ def cmd_subsample(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import check_instance, run_fuzz  # only verify loads the fuzzer and oracle
     degrees = args.degrees if args.degrees is not None else [0, 1, 2]
     if args.a is not None or args.filtration is not None:
         problems = check_instance(_load_pair(args), degrees)

@@ -150,17 +150,20 @@ def check_distance_matrix(d: np.ndarray) -> None:
         raise InputError(f"distance matrix must be square, got shape {d.shape}")
     if d.size == 0:
         return
-    if not np.isfinite(d).all():
+    # one pass over runs of rows, each compared from the diagonal on with its
+    # columns; a running min or max is NaN for good from the first NaN on
+    low, high, symmetric = 0.0, 0.0, True
+    for part in runs(len(d), d[0].nbytes):
+        low, high = np.minimum(low, d[part].min()), np.maximum(high, d[part].max())
+        symmetric = symmetric and np.array_equal(d[part, part.start :], d[part.start :, part].T)
+    if not (np.isfinite(low) and np.isfinite(high)):
         raise InputError("distance matrix has non-finite entries")
-    if (d < 0).any():
+    if low < 0:
         raise InputError("distance matrix has negative entries")
     if np.diagonal(d).any():
         raise InputError("distance matrix has a nonzero diagonal")
-    # in runs of rows, each from the diagonal on: no whole transposed copy
-    for part in runs(len(d), d[0].nbytes):
-        lo = part.start
-        if not np.array_equal(d[part, lo:], d[lo:, part].T):
-            raise InputError("distance matrix is not symmetric")
+    if not symmetric:
+        raise InputError("distance matrix is not symmetric")
 
 
 def data_lines(text: str):

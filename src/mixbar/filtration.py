@@ -165,10 +165,13 @@ class FilteredPair:
         fcount = np.diff(bounds)
         # a face with an id out of range is an earlier offending cell itself
         kept = (ff >= 1) & (ff <= np.repeat(faces, fcount))
-        pairs, times = np.unique(
-            np.repeat(owner, fcount)[kept] * (n + 1) + ff[kept], return_counts=True
-        )
-        bad[pairs[times % 2 == 1] // (n + 1)] = True
+        key = np.sort(np.repeat(owner, fcount)[kept] * (n + 1) + ff[kept])
+        # sorted keys pair off with their right neighbours while each occurs an
+        # even number of times: the first that does not, or a last key left
+        # over, is the least key that occurs an odd number of times
+        odd = np.append(key[:-1:2] != key[1::2], len(key) % 2 == 1)
+        if odd.any():
+            bad[key[2 * odd.argmax()] // (n + 1)] = True
         first = np.flatnonzero(bad)
         if first.size:
             raise InputError(self._cell_error(int(first[0]), ids))

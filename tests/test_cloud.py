@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -112,6 +113,46 @@ def test_asymmetry_found_in_any_tile(entry):
         d[entry] += 0.5
         with pytest.raises(InputError, match="distance matrix is not symmetric"):
             cloud.check_distance_matrix(d)
+
+
+@pytest.mark.parametrize(
+    "first,last,message",
+    [
+        (((0, 1), -1.0), ((5, 4), np.nan), "has non-finite entries"),
+        (((0, 1), -1.0), ((5, 4), np.inf), "has non-finite entries"),
+        (((0, 1), np.nan), ((5, 4), -1.0), "has non-finite entries"),
+        (((0, 0), 1.0), ((5, 4), -1.0), "has negative entries"),
+        (((0, 1), 2.0), ((5, 5), 1.0), "has a nonzero diagonal"),
+        (((0, 1), 2.0), ((5, 4), 3.0), "is not symmetric"),
+    ],
+)
+def test_errors_keep_their_order_across_runs(first, last, message):
+    """check_distance_matrix takes one row at a time here: of an entry in
+    the first run and one in the last, the one whose rule comes first is
+    reported (non-finite, negative, nonzero diagonal, not symmetric)."""
+    d = pairwise_distances(np.random.default_rng(4).random((6, 2)))
+    for entry, value in (first, last):
+        d[entry] = value
+    with mock.patch.object(cloud, "BLOCK_BYTES", 1):
+        assert len(cloud.runs(6, d[0].nbytes)) == 6
+        with pytest.raises(InputError, match=f"^distance matrix {message}$"):
+            cloud.check_distance_matrix(d)
+
+
+def test_distance_check_forms_no_whole_matrix_temporary():
+    """With runs of a sixteenth of the matrix's bytes, half the bytes of a
+    whole boolean matrix, the check's tracemalloc peak stays within them."""
+    d = pairwise_distances(np.random.default_rng(5).random((1000, 3)))
+    d[-1, 0] = np.nan
+    with mock.patch.object(cloud, "BLOCK_BYTES", d.nbytes // 16):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="non-finite"):
+                cloud.check_distance_matrix(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cloud.BLOCK_BYTES < d.size
 
 
 @st.composite

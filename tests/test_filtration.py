@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,28 @@ def test_rejects_nonzero_boundary_of_boundary():
     # the 2-cell 4 names the single edge {1, 2}, whose boundary survives
     with pytest.raises(InputError, match=r"cell 4: the boundary of its boundary"):
         parse_explicit_pair("1 0 0.0 L\n2 0 0.0 L\n3 1 1.0 L 1 2\n4 2 2.0 L 3\n")
+
+
+TRIANGLE = "1 0 0.0 L\n2 0 0.0 L\n3 0 0.0 L\n4 1 1.0 L 1 2\n5 1 1.0 L 2 3\n6 1 1.0 L 1 3\n7 2 2.0 L 4 5 6\n"
+
+
+@pytest.mark.parametrize(
+    "tail,cell,odd",
+    [
+        # cell 10's faces-of-faces sort to 1 1 2 2 2: every key before the
+        # last pairs off with its neighbour, and the last is left over
+        ("8 1 2.0 L 1 2\n9 1 2.0 L 2\n10 2 3.0 L 4 8 9\n", 10, [2]),
+        # cells 8 and 9 both break the rule: 8's keys sort to 1 2 2 3, whose
+        # first pair does not match
+        ("8 2 2.0 L 4 5\n9 2 2.0 L 4 6\n", 8, [1, 3]),
+        # and here to 1 1 2 3, whose first pair does
+        ("8 2 2.0 L 4 6\n9 2 2.0 L 5\n", 8, [2, 3]),
+    ],
+)
+def test_boundary_of_boundary_names_the_first_odd_cell(tail, cell, odd):
+    message = f"cell {cell}: the boundary of its boundary is not zero over Z/2 (cells {odd} appear"
+    with pytest.raises(InputError, match=re.escape(message)):
+        parse_explicit_pair(TRIANGLE + tail)
 
 
 def test_accepts_cancelling_boundaries():
