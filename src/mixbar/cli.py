@@ -26,7 +26,7 @@ from .errors import InputError
 from .filtration import FilteredPair, parse_explicit_pair
 from .output import Table, csv_lines, float_from_json, json_dumps
 from .plot import plot_mixup_barcode
-from .rips import build_rips_pair, rips_pair_from_distances
+from .rips import build_rips_pair, check_rips_params, rips_pair_from_distances
 from .stats import (
     MixupBarcode,
     StatsConfig,
@@ -273,6 +273,7 @@ def cmd_mixup(args: argparse.Namespace) -> int:
 def _stats_setup(args: argparse.Namespace, default_degrees: list[int], **extra):
     """The settings and degrees of pairwise and profile, checked before any
     input is read."""
+    check_rips_params(args.r_max, args.k_max)
     sconf = StatsConfig(
         r_max=args.r_max, subsample_a=args.subsample_a, subsample_b=args.subsample_b,
         clamp=args.clamp, **extra,
@@ -418,7 +419,6 @@ def cmd_plot(args: argparse.Namespace) -> int:
     if degree not in available:
         raise InputError(f"degree {degree} not present in results (has {available})")
     rows, clamp = entries[degree]
-    check_clamp(clamp)
     _write(args, plot_mixup_barcode(MixupBarcode(degree, (), rows, clamp)))
     return 0
 

@@ -58,7 +58,7 @@ from .filtration import FilteredPair
 INF = math.inf
 
 
-def reduce_columns(pivots, build) -> tuple[dict[int, int], list[int]]:
+def reduce_columns(pivots, build) -> dict[int, int]:
     """Left-to-right reduction of columns given as (column id, first pivot)
     pairs in column order, the pivot -1 for a zero column.
 
@@ -68,16 +68,13 @@ def reduce_columns(pivots, build) -> tuple[dict[int, int], list[int]]:
     unbuilt (an emergent pair), so build runs only for a column that has to
     absorb an earlier one and for the owners it absorbs. Each column
     absorbs the owner of its pivot until the pivot is unclaimed or the
-    column is zero. Returns the pairing (pivot row -> column id) and the ids
-    of the columns that reduce to zero; the pairing does not depend on the
-    order of valid additions.
+    column is zero. Returns the pairing (pivot row -> column id), which
+    does not depend on the order of valid additions.
     """
     owner: dict[int, int] = {}
     reduced: dict[int, int] = {}  # pivot row -> bitset of its owner, once built
-    zeros: list[int] = []
     for cid, p in pivots:
         if p < 0:
-            zeros.append(cid)
             continue
         if p not in owner:
             owner[p] = cid
@@ -90,29 +87,35 @@ def reduce_columns(pivots, build) -> tuple[dict[int, int], list[int]]:
                 prev = reduced[p] = build(owner[p])
             col ^= prev
             if not col:
-                zeros.append(cid)
                 break
             p = col.bit_length() - 1
             if p not in owner:
                 owner[p] = cid
                 reduced[p] = col
                 break
-    return owner, zeros
+    return owner
 
 
-def merge_edges(edges, key) -> dict[int, int]:
-    """Elder-rule union-find over 1-cells in filtration order.
+def merge_edges(fp: FilteredPair, cols: np.ndarray, rows: np.ndarray) -> dict[int, int]:
+    """Pairing of the coboundaries of the vertices cols, given in image
+    order, restricted to the 1-cells rows, keyed by vertex: elder-rule
+    union-find over rows in the order given.
 
-    edges are (edge id, end, end) with 0 for a missing end, which stands for
-    the ground node, older than every vertex; key[v] is the row key of
-    vertex id v, at least 1, and key[0] = 0. Returns the pairing (vertex id
-    -> id of the edge that merges the component whose oldest vertex it is
-    into an older one): exactly the pivots of the reduced edge columns. The
-    edges it leaves out merge nothing; their columns reduce to zero.
+    A vertex's key is its place in cols, counted from 1; a missing end of
+    an edge is the ground node, key 0, older than every vertex. An edge
+    pairs with the root of the younger of the two components it merges;
+    the edges left out merge nothing, and their columns reduce to zero.
     """
+    key = np.zeros(fp.n + 1, dtype=np.int64)
+    key[cols] = np.arange(1, len(cols) + 1)
+    key = key.tolist()
+    faces, bounds = fp.faces_of(rows)
+    padded = np.append(faces, [0, 0])
+    count = np.diff(bounds)
+    ends = [np.where(count > i, padded[bounds[:-1] + i], 0).tolist() for i in (0, 1)]
     parent: dict[int, int] = {}
     deaths: dict[int, int] = {}
-    for eid, u, w in edges:
+    for eid, u, w in zip(rows.tolist(), *ends):
         # the roots of u and w, halving their paths
         while (up := parent.get(u, u)) != u:
             parent[u] = u = parent.get(up, up)
@@ -125,30 +128,6 @@ def merge_edges(edges, key) -> dict[int, int]:
         parent[w] = u
         deaths[w] = eid
     return deaths
-
-
-def image_row_order(fp: FilteredPair) -> np.ndarray:
-    """Row keys, indexed by cell id, that list all L-cells before all
-    ambient-only cells; key 0 is left for the ground node.
-
-    Relative order inside each group stays the filtration order. Under these
-    keys a reduced ambient column kills the youngest ambient-only class
-    whenever one is available, which is what makes the pairing against
-    L-cycles the image pairing.
-    """
-    key = np.zeros(fp.n + 1, dtype=np.int64)
-    key[1:][np.argsort(~fp.in_l, kind="stable")] = np.arange(1, fp.n + 1)
-    return key
-
-
-def _edges(fp: FilteredPair, ids: np.ndarray):
-    """(id, end, end) of the 1-cells ids, 0 for a missing end."""
-    faces, bounds = fp.faces_of(ids)
-    padded = np.append(faces, [0, 0])
-    count = np.diff(bounds)
-    u = np.where(count >= 1, padded[bounds[:-1]], 0)
-    w = np.where(count >= 2, padded[bounds[:-1] + 1], 0)
-    return zip(ids.tolist(), u.tolist(), w.tolist())
 
 
 def _coboundary_pairs(fp: FilteredPair, cols: np.ndarray, cofaces: np.ndarray) -> dict[int, int]:
@@ -183,7 +162,7 @@ def _coboundary_pairs(fp: FilteredPair, cols: np.ndarray, cofaces: np.ndarray) -
             col[r >> 3] |= 1 << (r & 7)
         return int.from_bytes(col, "little")
 
-    pairs = reduce_columns(enumerate(top), build)[0]
+    pairs = reduce_columns(enumerate(top), build)
     cols, cofaces = cols.tolist(), cofaces.tolist()
     return {cols[-1 - i]: cofaces[-1 - p] for p, i in pairs.items()}
 
@@ -213,23 +192,21 @@ def mixup_barcode_indices(fp: FilteredPair, k: int) -> list[MixupTriple]:
     j-cells that a pass over the kept (j-1)-cells leaves unpaired, and the
     kept k-cells of L are the creators. A pass over the kept k-cells and
     all (k+1)-cells gives d', one over the creators and the (k+1)-cells of
-    L gives d.
+    L gives d. A degree above the dimension of the complex keeps no cells,
+    so it gives no triples; a negative degree is an InputError.
     """
-    if not 0 <= k <= max(fp.max_dim, 0):
-        raise InputError(f"degree {k} out of range for a complex of dimension {fp.max_dim}")
-    key = image_row_order(fp)
-    by_image = np.empty(fp.n, dtype=np.int64)
-    by_image[key[1:] - 1] = np.arange(1, fp.n + 1)
+    if k < 0:
+        raise InputError(f"degree must be non-negative, got {k}")
+    # the image order: L-cells first, then the ambient-only cells, each in
+    # filtration order. Under it a reduced ambient column kills the youngest
+    # ambient-only class whenever one is available, which makes the pairing
+    # against L-cycles the image pairing.
+    by_image = np.argsort(~fp.in_l, kind="stable") + 1
     dims = fp.dim[by_image - 1]
 
     def pairs(j: int, cols: np.ndarray, rows: np.ndarray) -> dict[int, int]:
-        # the pairing of the coboundaries of the j-cells cols, in image
-        # order, restricted to the (j+1)-cells rows; vertices pair by
-        # union-find, keyed by their places in cols, the ground node by 0
-        if j == 0:
-            place = dict(zip([0, *cols.tolist()], range(len(cols) + 1)))
-            return merge_edges(_edges(fp, rows), place)
-        return _coboundary_pairs(fp, cols, rows)
+        # vertices pair by union-find, which builds no column
+        return (merge_edges if j == 0 else _coboundary_pairs)(fp, cols, rows)
 
     kept = by_image[dims == 0]
     for j in range(1, k + 1):

@@ -30,6 +30,12 @@ from .rips import check_rips_params, rips_pair_from_distances
 from .subsample import check_budget, k_medoids_indices
 
 
+def check_clamp(clamp: float | None) -> None:
+    """The rule on a clamp given from outside: unset, or a finite number."""
+    if clamp is not None and not math.isfinite(clamp):
+        raise InputError(f"clamp must be a finite number, got {clamp}")
+
+
 @dataclass(frozen=True)
 class MixupBarcode:
     """All mixup triples of one degree: index triples and an (m, 3) array.
@@ -38,7 +44,7 @@ class MixupBarcode:
     values, unclamped, +inf for a death that never comes; the constructor
     checks b <= d' <= d on every row. `clamp` is the horizon of `clamped`
     and of the statistics below (None means lengths involving +inf are an
-    error).
+    error); the constructor checks it first, by check_clamp.
     """
 
     degree: int
@@ -47,6 +53,7 @@ class MixupBarcode:
     clamp: float | None = None
 
     def __post_init__(self) -> None:
+        check_clamp(self.clamp)
         values = np.array(self.values, dtype=float).reshape(len(self.values), 3)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -83,17 +90,11 @@ def compute_mixup_barcode(
     A degree above the dimension of the complex has no cells to carry a
     class, so its barcode is empty.
     """
-    idx = tuple(mixup_barcode_indices(fp, degree)) if degree <= max(fp.max_dim, 0) else ()
+    idx = tuple(mixup_barcode_indices(fp, degree))
     # cell id c sits at position c - 1; position n stands for +inf
     ids = np.array(idx, dtype=float).reshape(-1, 3)
     pos = np.where(np.isinf(ids), fp.n + 1, ids).astype(np.int64) - 1
     return MixupBarcode(degree, idx, np.append(fp.value, INF)[pos], clamp)
-
-
-def check_clamp(clamp: float | None) -> None:
-    """The rule on a clamp given from outside: unset, or a finite number."""
-    if clamp is not None and not math.isfinite(clamp):
-        raise InputError(f"clamp must be a finite number, got {clamp}")
 
 
 def _percentages(clamped: np.ndarray) -> np.ndarray:

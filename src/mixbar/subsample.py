@@ -68,8 +68,6 @@ def k_medoids(dist: np.ndarray, k: int) -> MedoidSelection:
     check_distance_matrix(dist)
     if dist.shape[0] == 0:
         raise InputError("cannot subsample an empty cloud")
-    if k <= 0:
-        raise InputError(f"k must be positive, got {k}")
     idx = k_medoids_indices(dist, k)
     return MedoidSelection(indices=tuple(int(i) for i in idx), cost=_cost(dist, idx))
 
@@ -92,6 +90,8 @@ def k_medoids_indices(dist: np.ndarray, k: int) -> list[int]:
     dist must pass cloud.check_distance_matrix (k_medoids checks it). The
     search reads candidate columns as rows, which needs dist symmetric.
     """
+    if k <= 0:
+        raise InputError(f"k must be positive, got {k}")
     dist = np.asarray(dist, dtype=float)
     n = dist.shape[0]
     if k >= n:

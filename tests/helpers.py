@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from mixbar.filtration import MEMBER_K, MEMBER_L, Cell, FilteredPair
-from mixbar.reduction import INF, MixupTriple, image_row_order
+from mixbar.reduction import INF, MixupTriple
 from mixbar.subsample import _cost
 
 
@@ -221,7 +221,8 @@ def reference_degree(fp: FilteredPair, k: int) -> list[MixupTriple]:
     under the (k-1)-cell rows reduce to zero. For k = 1 these are the
     1-cells that merge nothing in union-find, also with 0 or 1 ends: a
     column with one vertex row acts as an edge to the ground node."""
-    key = image_row_order(fp)
+    # the image order: L-cells by id, then the ambient-only cells by id
+    key = np.arange(fp.n + 1) + np.append(0, np.where(fp.in_l, 0, fp.n))
     creators = np.flatnonzero((fp.dim == k) & fp.in_l) + 1
     cofaces = np.flatnonzero(fp.dim == k + 1) + 1
     l_cofaces = cofaces[fp.in_l[cofaces - 1]]

@@ -538,7 +538,7 @@ def test_params_echo_the_options_read(command, keys, labeled_file, manifest_file
     assert list(json.loads(out)["params"]) == keys
 
 
-def test_rmax_rule_is_shared(square_center_files, labeled_file, capsys):
+def test_rmax_rule_is_shared(square_center_files, labeled_file, manifest_file, capsys):
     a, b = square_center_files
     errors = []
     for args in (
@@ -550,6 +550,16 @@ def test_rmax_rule_is_shared(square_center_files, labeled_file, capsys):
         errors.append(err)
     assert errors[0] == errors[1]
     assert "r_max" in errors[0]
+    # --kmax below 0 gets the same rule and message on every command
+    for args in (
+        ["mixup", "--a", a, "--b", b, "--rmax", "2"],
+        ["pairwise", "--a", labeled_file, "--rmax", "12"],
+        ["profile", "--a", manifest_file, "--rmax", "12"],
+        ["verify", "--a", a, "--b", b, "--rmax", "2"],
+    ):
+        code, out, err = run(args + ["--kmax", "-1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: k_max must be non-negative, got -1\n"
 
 
 @pytest.mark.parametrize("command", ["mixup", "pairwise", "profile"])

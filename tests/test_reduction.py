@@ -16,7 +16,7 @@ from mixbar import (
     pairwise_distances,
     parse_explicit_pair,
 )
-from mixbar.reduction import _coboundary_pairs, image_row_order, merge_edges, reduce_columns
+from mixbar.reduction import _coboundary_pairs, merge_edges, reduce_columns
 from mixbar.verify import random_explicit_instance
 from helpers import reference_degree, reference_reduce_columns
 
@@ -44,13 +44,51 @@ def reduce_bitsets(columns):
 def test_reduce_filled_triangle_degree0():
     fp = parse_explicit_pair(FILLED_TRIANGLE)
     edges = [c for c in fp.cells if c.dim == 1]
-    pairs, zeros = reduce_bitsets((e.id, bitset(e.boundary)) for e in edges)
-    # column 6 = {2,3} reduces to zero through columns 4 and 5; the pivot
-    # rows are the younger vertices 2 and 3
-    assert zeros == [6]
+    pairs = reduce_bitsets((e.id, bitset(e.boundary)) for e in edges)
+    # column 6 = {2,3} reduces to zero through columns 4 and 5, so it owns
+    # no pivot; the pivot rows are the younger vertices 2 and 3
     assert pairs == {2: 4, 3: 5}
     # union-find gives the same pairing
-    assert merge_edges([(e.id, *e.boundary) for e in edges], range(fp.n + 1)) == pairs
+    assert merge_edges(fp, np.array([1, 2, 3]), np.array([4, 5, 6])) == pairs
+
+
+# Vertices of L (2, 3) and of K only (1, 4), so the image order 2, 3, 1, 4
+# is not the filtration order; edge 7 has no ends and edge 8 one.
+MIXED_VERTICES = """\
+1 0 0 K
+2 0 0 L
+3 0 0 L
+4 0 0 K
+5 1 1 K 1 2
+6 1 1 L 2 3
+7 1 1 K
+8 1 1 K 4
+9 1 2 K 3 4
+10 1 2 K 1 4
+"""
+
+
+@pytest.mark.parametrize(
+    "cols,rows,pairing",
+    [
+        # the K pass: every vertex in image order, every edge
+        ([2, 3, 1, 4], [5, 6, 7, 8, 9, 10], {1: 5, 3: 6, 4: 8, 2: 9}),
+        # the L pass: the L vertices and the L edge
+        ([2, 3], [6], {3: 6}),
+    ],
+)
+def test_merge_edges_matches_reference_reduction(cols, rows, pairing):
+    """Union-find over the edges rows pairs as the reduced boundary matrix
+    whose rows are the vertices cols in the order given (a vertex's row is
+    its place in cols, the latest the highest) and whose columns are the
+    edges rows; an edge's one end is a column with one row."""
+    fp = parse_explicit_pair(MIXED_VERTICES)
+    place = {v: i for i, v in enumerate(cols)}
+    pairs, _ = reference_reduce_columns(
+        (e, bitset(place[v] for v in fp.cells[e - 1].boundary)) for e in rows
+    )
+    assert {cols[p]: e for p, e in pairs.items()} == pairing
+    assert merge_edges(fp, np.array(cols), np.array(rows)) == pairing
 
 
 def test_reduce_keeps_input_intact():
@@ -58,12 +96,6 @@ def test_reduce_keeps_input_intact():
     before = list(columns)
     reduce_bitsets(columns)
     assert columns == before
-
-
-def test_image_row_order_puts_l_first(six_cell_pair):
-    order = image_row_order(six_cell_pair)
-    ranks = [order[i] for i in (1, 2, 5, 6, 3, 4)]
-    assert ranks == sorted(order[1:].tolist())  # L cells 1,2,5,6 first, then 3,4
 
 
 def test_six_cell_triples(six_cell_pair):
@@ -101,10 +133,22 @@ def test_square_center_degree1(square_center_pair):
 
 
 def test_degree_out_of_range(six_cell_pair):
-    with pytest.raises(InputError):
-        mixup_barcode_indices(six_cell_pair, 3)
-    with pytest.raises(InputError):
-        mixup_barcode_indices(six_cell_pair, -1)
+    """A degree past the dimension of the complex gives no triples and an
+    empty barcode; only a negative degree raises."""
+    vertices_only = build_rips_pair(
+        PointCloud(np.array([[0.0, 0.0], [5.0, 0.0]])), PointCloud(np.array([[0.0, 5.0]])),
+        r_max=1.0, k_max=2,
+    )
+    assert vertices_only.max_dim == 0
+    for fp, k in [(six_cell_pair, 3), (six_cell_pair, 7), (parse_explicit_pair(""), 0),
+                  (parse_explicit_pair(""), 2), (vertices_only, 1), (vertices_only, 3)]:
+        assert mixup_barcode_indices(fp, k) == []
+        bc = compute_mixup_barcode(fp, k, clamp=1.0)
+        assert bc.index_triples == () and bc.values.shape == (0, 3)
+        with pytest.raises(InputError, match="degree must be non-negative, got -1"):
+            mixup_barcode_indices(fp, -1)
+        with pytest.raises(InputError, match="degree must be non-negative"):
+            compute_mixup_barcode(fp, -2, clamp=1.0)
 
 
 def test_triple_ordering_enforced():
@@ -151,17 +195,15 @@ def test_reduced_pivots_match_dense_rank():
         for _ in range(n_cols):
             mask = rng.random(n_rows) < 0.4
             cols.append(sorted(np.nonzero(mask)[0].tolist()))
-        pairs, zeros = reduce_bitsets((j + 1, bitset(c)) for j, c in enumerate(cols))
+        pairs = reduce_bitsets((j + 1, bitset(c)) for j, c in enumerate(cols))
         assert len(pairs) == _dense_rank_gf2(cols, int(n_rows))
-        assert len(pairs) + len(zeros) == len(cols)
         # pivots are unique per row by construction
         assert len(set(pairs.values())) == len(pairs)
 
 
 def test_reduction_pivot_is_latest_row():
-    pairs, zeros = reduce_bitsets([(1, bitset([0, 2])), (2, bitset([0, 2]))])
+    pairs = reduce_bitsets([(1, bitset([0, 2])), (2, bitset([0, 2]))])
     assert pairs == {2: 1}
-    assert zeros == [2]
 
 
 def test_reduce_builds_only_colliding_columns():
@@ -174,11 +216,11 @@ def test_reduce_builds_only_colliding_columns():
         built.append(cid)
         return cols[cid]
 
-    pairs, zeros = reduce_columns(
+    pairs = reduce_columns(
         [(cid, col.bit_length() - 1) for cid, col in cols.items()] + [(5, -1)], build
     )
+    # column 4 reduces to zero and column 5 is zero: neither owns a pivot
     assert pairs == {3: 1, 2: 2, 1: 3}
-    assert zeros == [4, 5]
     assert built == [3, 1, 4]
 
 

@@ -56,6 +56,19 @@ def test_degree_above_dimension_gives_empty_barcode(six_cell_pair):
     assert total_mixup(bc) == 0.0
 
 
+@pytest.mark.parametrize("clamp", [float("nan"), INF, -INF])
+def test_barcode_rejects_non_finite_clamp(six_cell_pair, clamp):
+    """The clamp rule holds wherever a barcode is built, before its rows are
+    checked."""
+    msg = f"clamp must be a finite number, got {clamp}"
+    with pytest.raises(InputError, match=msg):
+        compute_mixup_barcode(six_cell_pair, 0, clamp=clamp)
+    with pytest.raises(InputError, match=msg):
+        MixupBarcode(1, (), [vt(2.0, 1.0, 0.0)], clamp)
+    with pytest.raises(InputError, match=msg):
+        mixup_percentage(vt(1.0, 3.0, 5.0), clamp=clamp)
+
+
 def test_percentage_rejects_zero_persistence():
     with pytest.raises(InputError):
         mixup_percentage(vt(2.0, 2.0, 2.0))

@@ -28,6 +28,11 @@ def test_rejects_bad_k():
         k_medoids(np.zeros((3, 3)), 0)
     with pytest.raises(InputError):
         k_medoids(np.zeros((0, 0)), 1)
+    # the rule lives in k_medoids_indices, which k_medoids calls
+    dist = pairwise_distances(np.arange(10.0)[:, None])
+    for k in (0, -3):
+        with pytest.raises(InputError, match=f"k must be positive, got {k}"):
+            k_medoids_indices(dist, k)
 
 
 def test_rejects_invalid_matrix():
