@@ -270,13 +270,12 @@ def cmd_mixup(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stats_setup(args: argparse.Namespace, default_degrees: list[int], **extra):
+def _stats_setup(args: argparse.Namespace, default_degrees: list[int]):
     """The settings and degrees of pairwise and profile, checked before any
     input is read."""
     check_rips_params(args.r_max, args.k_max)
     sconf = StatsConfig(
-        r_max=args.r_max, subsample_a=args.subsample_a, subsample_b=args.subsample_b,
-        clamp=args.clamp, **extra,
+        args.r_max, subsample_a=args.subsample_a, subsample_b=args.subsample_b, clamp=args.clamp
     )
     degrees = _within_kmax(args, args.degrees if args.degrees is not None else default_degrees)
     if args.format == "csv":
@@ -315,7 +314,7 @@ def cmd_pairwise(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_manifest(path: str, metric: str = "euclidean") -> dict[tuple[int, int], LabeledPointCloud]:
+def _load_manifest(path: str, metric: str) -> dict[tuple[int, int], LabeledPointCloud]:
     base = os.path.dirname(os.path.abspath(path))
     series: dict[tuple[int, int], LabeledPointCloud] = {}
     for lineno, line in data_lines(read_text(path)):
@@ -335,9 +334,9 @@ def _load_manifest(path: str, metric: str = "euclidean") -> dict[tuple[int, int]
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    sconf, degrees = _stats_setup(args, [0, 1], profile_aggregate=args.profile_aggregate)
+    sconf, degrees = _stats_setup(args, [0, 1])
     series = _load_manifest(args.a, args.metric)
-    profiles = {k: mixup_profile(series, k, sconf) for k in degrees}
+    profiles = {k: mixup_profile(series, k, sconf, args.profile_aggregate) for k in degrees}
     first = profiles[degrees[0]]
     _write_grid(
         args, degrees, "layer", first.layers, first.steps,
@@ -354,12 +353,12 @@ def cmd_subsample(args: argparse.Namespace) -> int:
     else:
         cloud = load_point_cloud(args.a, args.metric)
         n, distances = cloud.n_points, cloud.distance_matrix
-    if 0 < n <= args.subsample_a:
+    if n and not check_budget(n, {"--subsample-a": args.subsample_a}):
         # what k_medoids keeps at a size that covers every point, computed
         # with no distance
         indices, cost = list(range(n)), 0.0
     else:
-        check_budget(n, "--subsample-a")
+        # an empty cloud is k_medoids' input error
         sel = k_medoids(distances(), args.subsample_a)
         indices, cost = list(sel.indices), sel.cost
     if args.format == "json":

@@ -8,7 +8,7 @@ plain distance matrix: `parse_distance_matrix` reads one, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Sequence
 
@@ -28,6 +28,11 @@ BLOCK_BYTES = 1 << 21
 # subsample.check_budget raises before any distance of a larger k-medoids
 # input is computed.
 MAX_POINTS = 5_000
+
+# Bytes of a distance matrix from coordinates with the boolean mask a Rips
+# build lays over it, 9 per entry, that pairwise_distances allows before it
+# allocates: the ~8 GB of rips.MAX_CELLS, so at most 29,814 points.
+MAX_MATRIX_BYTES = 8 * 10**9
 
 
 @dataclass(eq=False)
@@ -64,7 +69,7 @@ class LabeledPointCloud:
     """A point cloud whose rows carry an integer class label."""
 
     cloud: PointCloud
-    labels: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    labels: np.ndarray
 
     def __post_init__(self) -> None:
         self.labels = np.asarray(self.labels)
@@ -103,6 +108,11 @@ def pairwise_distances(points: np.ndarray, metric: str = "euclidean") -> np.ndar
         raise InputError(f"cannot compute distances for metric {metric!r}")
     pts = np.asarray(points, dtype=float)
     n = len(pts)
+    if 9 * n * n > MAX_MATRIX_BYTES:
+        raise InputError(
+            f"the distance matrix of {n:,} points would take {9 * n * n:,} bytes with its Rips "
+            f"mask, more than the budget of {MAX_MATRIX_BYTES:,} (mixbar.cloud.MAX_MATRIX_BYTES)"
+        )
     out = np.empty((n, n))
     for part in runs(n, pts.nbytes):
         lo = part.start
@@ -244,12 +254,12 @@ def _label_error(token: str) -> InputError:
     )
 
 
-def load_point_cloud(path: str, metric: str = "euclidean") -> PointCloud:
+def load_point_cloud(path: str, metric: str) -> PointCloud:
     points, _ = parse_point_table(read_text(path), labeled=False)
     return PointCloud(points, metric)
 
 
-def load_labeled_point_cloud(path: str, metric: str = "euclidean") -> LabeledPointCloud:
+def load_labeled_point_cloud(path: str, metric: str) -> LabeledPointCloud:
     points, labels = parse_point_table(read_text(path), labeled=True)
     return LabeledPointCloud(PointCloud(points, metric), labels)
 

@@ -67,10 +67,10 @@ def json_dumps(obj) -> str:
     """obj as JSON text indented by INDENT, with a final newline.
 
     Values are dispatched on their exact type, each container's items are
-    joined once, and each key's `"key": ` is encoded once per call. A
-    subclass of a JSON type (a numpy float, say) goes through the same
-    rules by isinstance, bool before int. A Table is written through one
-    row template, with its float cells formatted through the call's memo.
+    joined once, and each key's `"key": ` is encoded once per call. Any
+    other type, a subclass of a JSON type such as a numpy float included,
+    cannot be serialized. A Table is written through one row template,
+    with its float cells formatted through the call's memo.
     """
     prefixes: dict[str, str] = {}
     floats = _memoised(format_float)
@@ -79,7 +79,7 @@ def json_dumps(obj) -> str:
     def prefix(key) -> str:
         text = prefixes.get(key)
         if text is None:
-            if not isinstance(key, str):
+            if type(key) is not str:
                 raise ValueError(f"JSON object keys must be strings, got {key!r}")
             text = prefixes[key] = encode_basestring_ascii(key) + ": "
         return text
@@ -130,16 +130,6 @@ def json_dumps(obj) -> str:
             return "true"
         if obj is False:
             return "false"
-        if isinstance(obj, int):
-            return str(obj)
-        if isinstance(obj, float):
-            return format_float(obj)
-        if isinstance(obj, str):
-            return encode_basestring_ascii(obj)
-        if isinstance(obj, dict):
-            return encode(dict(obj), pad)
-        if isinstance(obj, (list, tuple)):
-            return encode(list(obj), pad)
         raise ValueError(f"cannot serialize {kind.__name__}")
 
     return encode(obj, "") + "\n"

@@ -192,11 +192,13 @@ def mixup_barcode_indices(fp: FilteredPair, k: int) -> list[MixupTriple]:
     j-cells that a pass over the kept (j-1)-cells leaves unpaired, and the
     kept k-cells of L are the creators. A pass over the kept k-cells and
     all (k+1)-cells gives d', one over the creators and the (k+1)-cells of
-    L gives d. A degree above the dimension of the complex keeps no cells,
-    so it gives no triples; a negative degree is an InputError.
+    L gives d. A degree above the dimension of the complex has no cells, so
+    it gives no triples, at once; a negative degree is an InputError.
     """
     if k < 0:
         raise InputError(f"degree must be non-negative, got {k}")
+    if k > fp.max_dim:
+        return []
     # the image order: L-cells first, then the ambient-only cells, each in
     # filtration order. Under it a reduced ambient column kills the youngest
     # ambient-only class whenever one is available, which makes the pairing

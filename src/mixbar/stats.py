@@ -137,7 +137,7 @@ def mean_mixup_percentage(bc: MixupBarcode) -> float:
 class StatsConfig:
     """Settings shared by the interaction statistics.
 
-    clamp defaults to r_max. Subsampling uses k-medoids with subsample_a
+    An unset clamp is r_max. Subsampling uses k-medoids with subsample_a
     points on the A side and subsample_b on the B side; in degree 0 all
     points are used.
     """
@@ -146,20 +146,12 @@ class StatsConfig:
     subsample_a: int = 500
     subsample_b: int = 100
     clamp: float | None = None
-    profile_aggregate: str = "total"
 
     def __post_init__(self) -> None:
         check_rips_params(self.r_max, 0)
         check_clamp(self.clamp)
         if self.subsample_a < 1 or self.subsample_b < 1:
             raise InputError("subsample sizes must be at least 1")
-        if self.profile_aggregate not in ("total", "mean"):
-            raise InputError(
-                f"profile aggregate must be 'total' or 'mean', got {self.profile_aggregate!r}"
-            )
-
-    def effective_clamp(self) -> float:
-        return self.clamp if self.clamp is not None else self.r_max
 
 
 def interaction_barcode(
@@ -172,7 +164,8 @@ def interaction_barcode(
     relative order, and so every value, unchanged.
     """
     fp = rips_pair_from_distances(dist, n_a, config.r_max, degree)
-    return compute_mixup_barcode(fp, degree, config.effective_clamp())
+    clamp = config.r_max if config.clamp is None else config.clamp
+    return compute_mixup_barcode(fp, degree, clamp)
 
 
 def _aggregate(bc: MixupBarcode, which: str) -> float:
@@ -186,26 +179,18 @@ def _subsampled(
 ) -> list[list[np.ndarray]]:
     """For each (indices, sizes), the k-medoids of those points of the cloud
     at each size; sizes maps the option that set a size to it. All of the
-    points are kept in degree 0 or where a size covers them. The distances
-    of every request come from one distance_blocks call, and each index
-    set's block is formed once for all its sizes. Every k-medoids input
-    passes subsample.check_budget before any distance is computed."""
+    points are kept in degree 0 and where subsample.check_budget, which
+    checks every request before any distance, finds that no k-medoids runs.
+    The distances of every request come from one distance_blocks call, and
+    each index set's block is formed once for all its sizes."""
     picked = [[idx] * len(sizes) for idx, sizes in requests]
     todo = [
-        i
-        for i, (idx, sizes) in enumerate(requests)
-        if degree > 0 and min(sizes.values()) < len(idx)
+        i for i, (idx, sizes) in enumerate(requests) if degree > 0 and check_budget(len(idx), sizes)
     ]
-    for i in todo:
-        idx, sizes = requests[i]
-        check_budget(len(idx), " and ".join(opt for opt, k in sizes.items() if k < len(idx)))
     blocks = distance_blocks(cloud.points, cloud.metric, [requests[i][0] for i in todo])
     for i, sub in zip(todo, blocks):
         idx, sizes = requests[i]
-        picked[i] = [
-            idx[np.asarray(k_medoids_indices(sub, k), dtype=int)] if k < len(idx) else idx
-            for k in sizes.values()
-        ]
+        picked[i] = [idx[np.asarray(k_medoids_indices(sub, k), dtype=int)] for k in sizes.values()]
     return picked
 
 
@@ -254,15 +239,19 @@ def mixup_profile(
     series: Mapping[tuple[int, int], LabeledPointCloud],
     degree: int,
     config: StatsConfig,
+    aggregate: str = "total",
 ) -> ProfileResult:
     """Per-(layer, step) entanglement: the worst class-vs-rest mixup percentage.
 
     For every cloud in the series and every label j, measures class j
-    against the union of the other classes and keeps the maximum over j.
+    against the union of the other classes and keeps the maximum over j of
+    the total or the mean mixup percentage, as aggregate says.
     Subsampling indices are chosen once on the reference cloud (the first
     key in sorted order) and reused everywhere, so the profile tracks the
     same examples across the whole series.
     """
+    if aggregate not in ("total", "mean"):
+        raise InputError(f"profile aggregate must be 'total' or 'mean', got {aggregate!r}")
     if not series:
         raise InputError("profile needs a nonempty series")
     keys = sorted(series)
@@ -296,6 +285,6 @@ def mixup_profile(
         for si, step in enumerate(steps):
             best = 0.0
             for bc in _interactions(series[(layer, step)].cloud, pairs, degree, config):
-                best = max(best, _aggregate(bc, config.profile_aggregate))
+                best = max(best, _aggregate(bc, aggregate))
             values[li, si] = best
     return ProfileResult(layers=layers, steps=steps, values=values)

@@ -45,7 +45,7 @@ data, a step costs a few passes over the changed points' rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -72,16 +72,20 @@ def k_medoids(dist: np.ndarray, k: int) -> MedoidSelection:
     return MedoidSelection(indices=tuple(int(i) for i in idx), cost=_cost(dist, idx))
 
 
-def check_budget(n: int, options: str) -> None:
-    """The rule on every k-medoids input, checked before any distance is
-    computed: at most cloud.MAX_POINTS points. options names the size
-    options that asked for k-medoids on the n points."""
-    if n > cloud.MAX_POINTS:
+def check_budget(n: int, sizes: Mapping[str, int]) -> bool:
+    """Whether k-medoids chooses among n points, at sizes that map each size
+    option to its value: not when every size covers the n points, which are
+    then all kept. Otherwise, before any distance is computed, the n points
+    must be at most cloud.MAX_POINTS; the error names the options that fall
+    short."""
+    options = " and ".join(opt for opt, k in sizes.items() if k < n)
+    if options and n > cloud.MAX_POINTS:
         raise InputError(
             f"k-medoids for {options} would choose among {n:,} points, more than the "
             f"budget of {cloud.MAX_POINTS:,} (mixbar.cloud.MAX_POINTS); use fewer "
             f"points, or set {options} to at least {n:,} to keep them all"
         )
+    return bool(options)
 
 
 def k_medoids_indices(dist: np.ndarray, k: int) -> list[int]:

@@ -703,6 +703,74 @@ def test_kmedoids_budget_exits_2_before_any_distance(
     )
 
 
+@pytest.mark.parametrize(
+    "command, sizes, call",
+    [
+        ("subsample", ["--subsample-a", "1"], (3, {"--subsample-a": 1})),
+        ("pairwise", ["--subsample-a", "1", "--subsample-b", "1"],
+         (3, {"--subsample-a": 1, "--subsample-b": 1})),
+        ("profile", ["--subsample-a", "1", "--subsample-b", "4"], (3, {"--subsample-a": 1})),
+    ],
+)
+def test_every_kmedoids_route_asks_the_one_sizing_rule(
+    command, sizes, call, tmp_path, labeled_file, manifest_file, monkeypatch, capsys
+):
+    """subsample, pairwise and profile each ask subsample.check_budget with
+    the n points and the map of their size options, and print its error."""
+    from mixbar import cli, cloud, stats, subsample
+
+    calls = []
+
+    def spy(n, sizes):
+        calls.append((n, dict(sizes)))
+        return subsample.check_budget(n, sizes)
+
+    monkeypatch.setattr(cloud, "MAX_POINTS", 2)
+    monkeypatch.setattr(cli, "check_budget", spy)
+    monkeypatch.setattr(stats, "check_budget", spy)
+    points = tmp_path / "pts.csv"
+    points.write_text("0\n10\n20\n")
+    path = {"subsample": str(points), "pairwise": labeled_file, "profile": manifest_file}[command]
+    rips = [] if command == "subsample" else ["--rmax", "12", "--degrees", "1"]
+    code, out, err = run([command, "--a", path, *rips, *sizes], capsys)
+    assert code == 2 and out == ""
+    assert calls == [call]
+    options = " and ".join(call[1])
+    assert err == (
+        f"error: k-medoids for {options} would choose among 3 points, more than the "
+        "budget of 2 (mixbar.cloud.MAX_POINTS); use fewer points, or set "
+        f"{options} to at least 3 to keep them all\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["mixup", "pairwise"])
+def test_distance_matrix_over_the_byte_budget_exits_2(command, tmp_path, monkeypatch, capsys):
+    """A budget that 5 points exceed and 4 do not: mixup on 3 + 2 points and
+    degree-0 pairwise on a cloud of 5 stop with an input error before their
+    matrix is allocated; 4 points still run."""
+    from mixbar import cloud
+
+    monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", 9 * 5 * 5 - 1)
+    coords = ["0,0", "0.3,0", "0,0.3", "9,0", "9.3,0"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("\n".join(coords[:3]) + "\n")
+    labeled = tmp_path / "lab.csv"
+    if command == "mixup":
+        args = ["mixup", "--a", str(a), "--b", str(b), "--rmax", "12", "--degrees", "0"]
+    else:
+        args = ["pairwise", "--a", str(labeled), "--rmax", "12", "--degrees", "0"]
+    for n, want in ((4, 0), (5, 2)):
+        b.write_text("\n".join(coords[3:n]) + "\n")
+        labeled.write_text("".join(f"{p},{i // 3}\n" for i, p in enumerate(coords[:n])))
+        code, out, err = run(args, capsys)
+        assert code == want
+    assert out == ""
+    assert err == (
+        "error: the distance matrix of 5 points would take 225 bytes with its Rips mask, "
+        "more than the budget of 224 (mixbar.cloud.MAX_MATRIX_BYTES)\n"
+    )
+
+
 def test_kmedoids_budget_allows_clouds_at_the_limit(labeled_file, monkeypatch, capsys):
     from mixbar import cloud
 

@@ -201,6 +201,27 @@ def test_distance_blocks_computes_the_cheaper_side():
         assert rows == [7, 7, 10]  # 100 entries: the whole matrix
 
 
+def test_distance_matrix_over_the_byte_budget_is_refused_before_allocation(monkeypatch):
+    """9 bytes per entry (the matrix and a Rips mask) against
+    MAX_MATRIX_BYTES, which allows 29,814 points; past it nothing of the
+    matrix's size is allocated. The bound is lowered to 400 points here, so
+    a regression allocates 1.3 MB rather than 7 GB."""
+    assert 9 * 29_814**2 <= cloud.MAX_MATRIX_BYTES < 9 * 29_815**2
+    monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", 9 * 400**2)
+    pts = np.zeros((401, 1))
+    assert pairwise_distances(pts[:400]).shape == (400, 400)
+    tracemalloc.start()
+    with pytest.raises(InputError) as exc:
+        pairwise_distances(pts)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 401 * 401
+    assert str(exc.value) == (
+        "the distance matrix of 401 points would take 1,447,209 bytes with its Rips "
+        "mask, more than the budget of 1,440,000 (mixbar.cloud.MAX_MATRIX_BYTES)"
+    )
+
+
 def test_runs_split_rows_within_the_budget():
     """Runs cover the rows in order, each within BLOCK_BYTES or a single
     row. rips and subsample split through this same function, which reads

@@ -52,12 +52,12 @@ def test_json_dumps_rejects_non_string_keys():
 
 def test_json_dumps_exact_text():
     """Indentation, empty containers, tuples as lists, bool before int,
-    escapes, infinities and float subclasses, byte for byte."""
+    escapes and infinities, byte for byte."""
     doc = {
         "flags": [True, False, None, 1, (2, 3.5)],
         "empty": {"d": {}, "l": [], "t": ()},
         "esc": "a\"b\\c\u00e9",
-        "inf": [math.inf, -math.inf, np.float64(0.1)],
+        "inf": [math.inf, -math.inf, 0.1],
         "n": {"deep": {"x": 1}},
     }
     assert json_dumps(doc) == (
@@ -71,10 +71,15 @@ def test_json_dumps_exact_text():
 
 
 @pytest.mark.parametrize(
-    "doc", [[1.0, math.nan], {"a": {"b": math.nan}}, {"a": [{2: 1}]}, {"a": {1, 2}}, [np.int64(1)]]
+    "doc",
+    [
+        [1.0, math.nan], {"a": {"b": math.nan}}, {"a": [{2: 1}]}, {"a": {1, 2}}, [np.int64(1)],
+        {"a": [np.float64(0.1)]}, Table(("a",), [(np.float64(0.1),)]),
+    ],
 )
 def test_json_dumps_refuses(doc):
-    """NaN, a non-string key and a value of no JSON type raise at any depth."""
+    """NaN, a non-string key and a value of no JSON type raise at any depth;
+    a numpy scalar is no JSON type, in a table cell too."""
     with pytest.raises(ValueError):
         json_dumps(doc)
 

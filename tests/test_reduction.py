@@ -151,6 +151,20 @@ def test_degree_out_of_range(six_cell_pair):
             compute_mixup_barcode(fp, -2, clamp=1.0)
 
 
+def test_degree_past_the_complex_runs_no_pass(six_cell_pair, monkeypatch):
+    """A degree past the dimension of the complex is answered before the
+    chain: no pairing pass runs, however large the degree."""
+    from mixbar import reduction
+
+    def no_pass(*args):
+        raise AssertionError("a pairing pass ran")
+
+    monkeypatch.setattr(reduction, "merge_edges", no_pass)
+    monkeypatch.setattr(reduction, "_coboundary_pairs", no_pass)
+    assert mixup_barcode_indices(six_cell_pair, 10**6) == []
+    assert compute_mixup_barcode(six_cell_pair, 10**6, clamp=1.0).index_triples == ()
+
+
 def test_triple_ordering_enforced():
     # value triples enter through a barcode's rows, each of them checked
     for row in [(3, 2, 4), (0.0, 2.0, 1.0), (0.0, float("nan"), 1.0)]:

@@ -241,10 +241,8 @@ def test_stats_config_validation():
         StatsConfig(r_max=-1.0)
     with pytest.raises(InputError):
         StatsConfig(r_max=1.0, subsample_a=0)
-    with pytest.raises(InputError):
-        StatsConfig(r_max=1.0, profile_aggregate="median")
-    config = StatsConfig(r_max=1.0)
-    assert config.effective_clamp() == 1.0
+    with pytest.raises(InputError, match="profile aggregate must be 'total' or 'mean', got 'median'"):
+        mixup_profile(drifting_series(0), 1, StatsConfig(r_max=1.0), aggregate="median")
 
 
 def ring(n, radius=1.0, phase=0.0, shift=(0.0, 0.0)):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixbar import InputError, cloud, k_medoids, k_medoids_indices, pairwise_distances
-from mixbar.subsample import _build, _cost, _swap
+from mixbar.subsample import _build, _cost, _swap, check_budget
 from helpers import reference_build, reference_swap
 
 
@@ -33,6 +33,30 @@ def test_rejects_bad_k():
     for k in (0, -3):
         with pytest.raises(InputError, match=f"k must be positive, got {k}"):
             k_medoids_indices(dist, k)
+
+
+def test_check_budget_is_the_one_sizing_rule(monkeypatch):
+    """k-medoids chooses among n points only where some size falls short of
+    n, and then only within cloud.MAX_POINTS; the error names the options
+    that fall short. A size equal to n covers the points, as do all sizes
+    of an empty set."""
+    monkeypatch.setattr(cloud, "MAX_POINTS", 4)
+    both = {"--subsample-a": 4, "--subsample-b": 2}
+    assert check_budget(0, both) is False
+    assert check_budget(2, both) is False
+    assert check_budget(3, both) is True
+    assert check_budget(4, both) is True
+    assert check_budget(4, {"--subsample-a": 4}) is False
+    assert check_budget(9, {"--subsample-a": 9, "--subsample-b": 10}) is False
+    with pytest.raises(InputError) as exc:
+        check_budget(5, both)
+    assert str(exc.value) == (
+        "k-medoids for --subsample-a and --subsample-b would choose among 5 points, more than "
+        "the budget of 4 (mixbar.cloud.MAX_POINTS); use fewer points, or set --subsample-a and "
+        "--subsample-b to at least 5 to keep them all"
+    )
+    with pytest.raises(InputError, match="k-medoids for --subsample-b would choose among 5 points"):
+        check_budget(5, {"--subsample-a": 5, "--subsample-b": 2})
 
 
 def test_rejects_invalid_matrix():
