@@ -138,8 +138,10 @@ def _parse_degrees(text: str | None) -> list[int] | None:
     return degrees
 
 
-def _load_pair(args: argparse.Namespace) -> FilteredPair:
-    """Parse --filtration, or build the Rips pair of --a and --b.
+def _load_pair(args: argparse.Namespace) -> tuple[FilteredPair, list[int]]:
+    """Parse --filtration, or build the Rips pair of --a and --b; return it
+    with --degrees, by default 0..max_dim of an explicit pair and 0..--kmax
+    of a Rips build, whose degrees pass --kmax before any file is read.
 
     Fills in the defaults of --metric and --kmax, which the parser leaves
     unset so that an option given with --filtration can be told apart.
@@ -153,11 +155,14 @@ def _load_pair(args: argparse.Namespace) -> FilteredPair:
     if args.split is not None and args.metric != "matrix":
         raise InputError("--split marks A in a joint distance matrix; it needs --metric matrix")
     if args.filtration is not None:
-        return parse_explicit_pair(read_text(args.filtration))
+        fp = parse_explicit_pair(read_text(args.filtration))
+        return fp, args.degrees or list(range(max(fp.max_dim, 0) + 1))
     if args.a is None:
         raise InputError("an input is required: --a (with optional --b) or --filtration")
     if args.r_max is None:
         raise InputError("--rmax is required for point-cloud input")
+    check_rips_params(args.r_max, args.k_max)
+    degrees = _within_kmax(args, args.degrees or list(range(args.k_max + 1)))
     if args.metric == "matrix":
         if args.b is not None:
             raise InputError("--metric matrix takes a single joint matrix via --a; use --split to mark A")
@@ -166,10 +171,10 @@ def _load_pair(args: argparse.Namespace) -> FilteredPair:
         if n == 0:
             raise InputError("empty distance matrix")
         n_a = args.split if args.split is not None else n
-        return rips_pair_from_distances(dist, n_a, args.r_max, args.k_max)
+        return rips_pair_from_distances(dist, n_a, args.r_max, args.k_max), degrees
     a = load_point_cloud(args.a, args.metric)
     b = load_point_cloud(args.b, args.metric) if args.b is not None else None
-    return build_rips_pair(a, b, r_max=args.r_max, k_max=args.k_max)
+    return build_rips_pair(a, b, r_max=args.r_max, k_max=args.k_max), degrees
 
 
 def _reject_input_options(args: argparse.Namespace, why: str) -> None:
@@ -191,14 +196,6 @@ def _within_kmax(args: argparse.Namespace, degrees: list[int]) -> list[int]:
     if any(d > args.k_max for d in degrees):
         raise InputError(f"degrees {degrees} exceed --kmax {args.k_max}; raise --kmax")
     return degrees
-
-
-def _default_degrees(args: argparse.Namespace, fp: FilteredPair) -> list[int]:
-    if args.degrees is not None:
-        return args.degrees if args.filtration is not None else _within_kmax(args, args.degrees)
-    if args.filtration is not None:
-        return list(range(0, max(fp.max_dim, 0) + 1))
-    return list(range(0, args.k_max + 1))
 
 
 # The fields of a triple in JSON and CSV, in order.
@@ -240,14 +237,13 @@ def _write(args: argparse.Namespace, text: str) -> None:
 
 def cmd_mixup(args: argparse.Namespace) -> int:
     check_clamp(args.clamp)
-    fp = _load_pair(args)
+    fp, degrees = _load_pair(args)
     if args.clamp is not None:
         clamp = args.clamp
     elif args.filtration is not None:
         clamp = float(fp.value.max()) if fp.n else 0.0
     else:
         clamp = args.r_max
-    degrees = _default_degrees(args, fp)
     if args.format == "svg":
         _one_degree(degrees, "--format svg plots a single degree")
         _write(args, plot_mixup_barcode(compute_mixup_barcode(fp, degrees[0], clamp)))
@@ -376,17 +372,15 @@ def cmd_subsample(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import check_instance, run_fuzz  # only verify loads the fuzzer and oracle
-    degrees = args.degrees if args.degrees is not None else [0, 1, 2]
     if args.a is not None or args.filtration is not None:
-        problems = check_instance(_load_pair(args), degrees)
-        checked = 1
+        checked, problems = 1, check_instance(*_load_pair(args))
     else:
         _reject_input_options(args, "verify without --a or --filtration fuzzes its own instances")
         if args.instances <= 0:
             raise InputError(f"--instances must be positive, got {args.instances}")
         if args.seed < 0:
             raise InputError(f"--seed must be non-negative, got {args.seed}")
-        checked, problems = run_fuzz(args.instances, seed=args.seed, degrees=degrees)
+        checked, problems = run_fuzz(args.instances, seed=args.seed, degrees=args.degrees)
     summary = f"{len(problems)} mismatch(es)" if problems else "all match"
     _write(args, "".join(p + "\n" for p in problems) + f"checked {checked} instance(s): {summary}\n")
     return 1 if problems else 0

@@ -100,9 +100,10 @@ def pairwise_distances(points: np.ndarray, metric: str = "euclidean") -> np.ndar
     stacked A+B matrix is bitwise identical to the matrix computed from A
     alone. Several exactness tests rely on that. Each run of rows is
     differenced against the points from its first row on; its squared norms
-    fill its rows from the diagonal on and are mirrored below it. Entry
-    (j, i) of the whole (n, n, d) tensor has the bits of (i, j): its
-    differences are negated exactly and summed in the same order.
+    fill its rows from the diagonal on and, once one max has found them
+    finite, are mirrored below it. Entry (j, i) of the whole (n, n, d)
+    tensor has the bits of (i, j): its differences are negated exactly and
+    summed in the same order.
     """
     if metric not in METRICS:
         raise InputError(f"cannot compute distances for metric {metric!r}")
@@ -116,9 +117,13 @@ def pairwise_distances(points: np.ndarray, metric: str = "euclidean") -> np.ndar
     out = np.empty((n, n))
     for part in runs(n, pts.nbytes):
         lo = part.start
-        diff = pts[part, None, :] - pts[None, lo:, :]
-        np.einsum("ijk,ijk->ij", diff, diff, out=out[part, lo:])
-        out[lo:, part] = out[part, lo:].T
+        with np.errstate(over="ignore"):  # an overflow is the InputError below
+            diff = pts[part, None, :] - pts[None, lo:, :]
+        block = out[part, lo:]
+        np.einsum("ijk,ijk->ij", diff, diff, out=block)
+        if block.max() == np.inf:
+            raise InputError("squared distances between the points overflow to inf; rescale the coordinates")
+        out[lo:, part] = block.T
     if metric == "euclidean":
         np.sqrt(out, out=out)
     return out
@@ -227,10 +232,7 @@ def _labels(tokens: list[str]) -> np.ndarray:
     """Class labels read as exact integers, so that distinct labels stay
     distinct however large. An integral float token such as 3.0 is read
     too, when below 2**53 in magnitude, where float64 holds every integer."""
-    try:
-        labels = [int(t) for t in tokens]
-    except ValueError:
-        labels = [_label(t) for t in tokens]
+    labels = [_label(t) for t in tokens]
     for extreme in (min(labels), max(labels)):
         if not -(2**63) <= extreme < 2**63:
             raise _label_error(str(extreme))
@@ -276,25 +278,20 @@ def parse_distance_matrix(text: str) -> np.ndarray:
     if not rows:
         return np.zeros((0, 0))
     try:
-        values = [[float(v) for v in r] for r in rows]
+        flat = np.array(list(map(float, chain.from_iterable(rows))))
     except ValueError as exc:
         raise InputError(f"non-numeric entry in distance matrix: {exc}") from None
-    n = len(values)
-    lengths = [len(r) for r in values]
+    n = len(rows)
+    lengths = [len(r) for r in rows]
     if lengths == [n] * n:
-        d = np.array(values)
+        d = flat.reshape(n, n)
     elif lengths == list(range(1, n + 1)):
-        if all(values[i][i] == 0.0 for i in range(n)):
-            # triangle with its zero diagonal
-            d = np.zeros((n, n))
-            for i, row in enumerate(values):
-                d[i, : i + 1] = row
-        else:
-            # strict triangle: observed rows are points 1..n of an
-            # (n+1)-point space, point 0 has an empty row
-            d = np.zeros((n + 1, n + 1))
-            for i, row in enumerate(values):
-                d[i + 1, : i + 1] = row
+        # with a zero diagonal the rows are points 0..n-1; else they are the
+        # strict triangle of points 1..n, and point 0 has an empty row
+        diagonal = flat[np.cumsum(np.arange(1, n + 1)) - 1]
+        m, k = (n, 0) if (diagonal == 0.0).all() else (n + 1, -1)
+        d = np.zeros((m, m))
+        d[np.tril_indices(m, k)] = flat
         d = d + d.T
     else:
         raise InputError("distance matrix rows must form a square or a lower triangle")

@@ -142,9 +142,13 @@ def _expand(dist: np.ndarray, r_max: float, max_dim: int) -> list[_Layer]:
     n = dist.shape[0]
     verts = np.arange(n)
     layers = [_Layer(verts, verts, np.zeros(n), np.empty((n, 0), dtype=np.int64))]
-    if max_dim == 0:
-        return layers
-    later = np.triu(dist <= r_max, 1)
+    # keep the mask above the diagonal, clearing it a run of rows at a time:
+    # one temporary within BLOCK_BYTES, so the build's peak is the 9 bytes per
+    # entry cloud.MAX_MATRIX_BYTES counts (np.triu would add two n^2 masks)
+    later = dist <= r_max
+    for part in runs(n, n):
+        block = later[part, : part.stop]
+        block &= np.tri(block.shape[1], len(block), -part.start - 1, dtype=bool).T  # j > i
     cells = _counted(n + np.count_nonzero(later))
     u, w = np.nonzero(later)
     layers.append(_Layer(u, w, dist[u, w], np.stack([w, u], axis=1)))

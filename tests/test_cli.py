@@ -562,13 +562,14 @@ def test_rmax_rule_is_shared(square_center_files, labeled_file, manifest_file, c
         assert err == "error: k_max must be non-negative, got -1\n"
 
 
-@pytest.mark.parametrize("command", ["mixup", "pairwise", "profile"])
+@pytest.mark.parametrize("command", ["mixup", "verify", "pairwise", "profile"])
 def test_degrees_above_kmax_rejected_alike(
     command, square_center_files, labeled_file, manifest_file, capsys
 ):
     a, b = square_center_files
     args = {
         "mixup": ["mixup", "--a", a, "--b", b, "--rmax", "2.0"],
+        "verify": ["verify", "--a", a, "--b", b, "--rmax", "2.0"],
         "pairwise": ["pairwise", "--a", labeled_file, "--rmax", "12"],
         "profile": ["profile", "--a", manifest_file, "--rmax", "12"],
     }[command] + ["--kmax", "1", "--degrees", "2"]
@@ -840,3 +841,142 @@ def test_labels_that_are_not_exact_integers_exit_2(label, tmp_path, capsys):
     )
     assert code == 2 and out == ""
     assert f"got {label!r}" in err
+
+
+# The boundary of a tetrahedron filled by one 3-cell of K.
+TETRAHEDRON = """\
+1 0 0.0 L
+2 0 0.0 L
+3 0 0.0 L
+4 0 0.0 L
+5 1 1.0 L 1 2
+6 1 1.0 L 1 3
+7 1 1.0 L 1 4
+8 1 1.0 L 2 3
+9 1 1.0 L 2 4
+10 1 1.0 L 3 4
+11 2 2.0 L 5 6 8
+12 2 2.0 L 5 7 9
+13 2 2.0 L 6 7 10
+14 2 2.0 L 8 9 10
+15 3 3.0 K 11 12 13 14
+"""
+
+
+@pytest.mark.parametrize(
+    "args,want",
+    [
+        (["--a", "a.csv", "--b", "b.csv", "--rmax", "2", "--kmax", "1"], [0, 1]),
+        (["--a", "a.csv", "--rmax", "2"], [0, 1, 2]),
+        (["--filtration", "tetrahedron.txt"], [0, 1, 2, 3]),
+        (["--filtration", "tetrahedron.txt", "--degrees", "3,1"], [1, 3]),
+    ],
+)
+def test_verify_checks_the_degrees_mixup_reads(args, want, tmp_path, monkeypatch, capsys):
+    """With an input, verify defaults its degrees as mixup does: 0..--kmax
+    of a Rips build, 0..max_dim of an explicit pair."""
+    from mixbar import verify
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.csv").write_text("0,0\n1,0\n0,1\n1,1\n")
+    (tmp_path / "b.csv").write_text("0.5,0.5\n")
+    (tmp_path / "tetrahedron.txt").write_text(TETRAHEDRON)
+    seen = []
+    monkeypatch.setattr(verify, "check_instance", lambda fp, degrees: seen.append(degrees) or [])
+    code, out, _ = run(["verify"] + args, capsys)
+    assert (code, out, seen) == (0, "checked 1 instance(s): all match\n", [want])
+    code, out, _ = run(["mixup"] + args, capsys)
+    assert code == 0 and list(json.loads(out)["degrees"]) == [str(k) for k in want]
+
+
+def test_verify_explicit_pair_with_3_cells_matches_oracle(tmp_path, capsys):
+    path = tmp_path / "tetrahedron.txt"
+    path.write_text(TETRAHEDRON)
+    code, out, _ = run(["verify", "--filtration", str(path)], capsys)
+    assert (code, out) == (0, "checked 1 instance(s): all match\n")
+
+
+def overflow_files(tmp_path):
+    """18 labeled points in R^2 whose class 0 lies near x = 1e160: every
+    coordinate is finite, but their squared distances overflow float64."""
+    pts = np.random.default_rng(0).normal(size=(18, 2))
+    pts[:6, 0] = 1e160 * (1 + np.arange(6))
+    np.savetxt(tmp_path / "ov.csv", np.c_[pts, np.repeat([0, 1, 2], 6)], delimiter=",")
+    (tmp_path / "series.txt").write_text("0 0 ov.csv\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["pairwise", "--a", "ov.csv"],
+        ["profile", "--a", "series.txt"],
+        ["mixup", "--a", "ov.csv"],
+        ["subsample", "--a", "ov.csv", "--subsample-a", "3"],
+    ],
+)
+def test_overflowing_squared_distances_exit_2(args, tmp_path, monkeypatch, capsys):
+    """Every command that computes distances refuses them once they
+    overflow, before k-medoids or a matrix check sees an inf. A
+    RuntimeWarning would fail this test (pyproject.toml)."""
+    monkeypatch.chdir(tmp_path)
+    overflow_files(tmp_path)
+    if args[0] in ("pairwise", "profile"):
+        args = args + ["--rmax", "1", "--kmax", "1", "--degrees", "1", "--subsample-a", "3", "--subsample-b", "3"]
+    elif args[0] == "mixup":
+        args = args + ["--rmax", "1"]
+    code, out, err = run(args, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: squared distances between the points overflow to inf; rescale the coordinates\n"
+
+
+PLOT_NO_DEGREES = '{"command": "mixup", "degrees": {}}'
+
+
+@pytest.mark.parametrize(
+    "args,files,message",
+    [
+        (["mixup", "--filtration", "six.txt", "--degrees", "1,x"], {},
+         "cannot parse degrees '1,x'; expected comma-separated integers"),
+        (["mixup", "--filtration", "six.txt", "--degrees", ","], {}, "empty degree list"),
+        (["mixup", "--filtration", "six.txt", "--degrees=-1"], {}, "degrees must be non-negative"),
+        (["mixup", "--filtration", "six.txt", "--a", "a.csv"], {},
+         "give either --filtration or point clouds, not both"),
+        (["mixup", "--a", "a.csv"], {}, "--rmax is required for point-cloud input"),
+        (["mixup", "--a", "empty.txt", "--metric", "matrix", "--rmax", "1"], {"empty.txt": "# no rows\n"},
+         "empty distance matrix"),
+        (["mixup", "--a", "m.txt", "--metric", "matrix", "--rmax", "1"], {"m.txt": "0\nx 0\n"},
+         "non-numeric entry in distance matrix: could not convert string to float: 'x'"),
+        (["profile", "--a", "s.txt", "--rmax", "1"], {"s.txt": "0 lab.csv\n"},
+         "manifest line 1: expected `layer step path`"),
+        (["profile", "--a", "s.txt", "--rmax", "1"], {"s.txt": "0 0 lab.csv\n# again\n0 0 lab.csv\n"},
+         "manifest line 3: duplicate entry for (0, 0)"),
+        (["profile", "--a", "s.txt", "--rmax", "1"], {"s.txt": "# layer step path\n"}, "empty profile manifest"),
+        (["pairwise", "--a", "one.csv", "--rmax", "1"], {"one.csv": "0\n1\n"},
+         "labeled point table needs at least one coordinate column plus the label"),
+        (["verify", "--instances", "0"], {}, "--instances must be positive, got 0"),
+        (["plot", "--results", "r.json"], {"r.json": "not json\n"},
+         "r.json is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (["plot", "--results", "r.json"], {"r.json": PLOT_NO_DEGREES}, "results hold no degrees"),
+        (["mixup", "--filtration", "p.txt"], {"p.txt": "1 0 0.0\n"},
+         "line 1: expected `id dim value member [boundary...]`"),
+        (["mixup", "--filtration", "p.txt"], {"p.txt": "1 0 0.0 L\none 0 0.0 L\n"},
+         "line 2: id and dim must be integers, value a number"),
+        (["mixup", "--filtration", "p.txt"], {"p.txt": "1 0 0.0 L\n2 1 1.0 L 1 x\n"},
+         "line 2: boundary ids must be integers"),
+    ],
+    ids=[
+        "degrees-not-int", "degrees-empty", "degrees-negative", "filtration-and-a", "no-rmax",
+        "empty-matrix", "matrix-not-numeric", "manifest-two-fields", "manifest-duplicate",
+        "manifest-empty", "labeled-one-column", "instances-0", "plot-not-json", "plot-no-degrees",
+        "explicit-few-fields", "explicit-id-not-int", "explicit-boundary-not-int",
+    ],
+)
+def test_input_errors_exit_2_with_their_message(args, files, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "six.txt").write_text(SIX_CELL)
+    (tmp_path / "a.csv").write_text("0,0\n1,0\n")
+    (tmp_path / "lab.csv").write_text("0,0\n1,1\n")
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(args, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

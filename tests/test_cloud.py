@@ -297,3 +297,34 @@ def test_parse_labels_keep_the_int64_range_exactly():
     assert labels.tolist() == [-(2**63), 2**63 - 1]
     with pytest.raises(InputError, match="64-bit range"):
         parse_point_table("0 -9223372036854775809\n", labeled=True)
+
+
+def test_parse_triangle_with_negative_zero_diagonal():
+    """-0 equals 0, so these rows are the triangle with its diagonal."""
+    d = parse_distance_matrix("-0\n1 -0\n2 3 -0\n")
+    assert d.tolist() == [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]
+
+
+def test_parse_nan_diagonal_reads_as_strict_triangle():
+    """A NaN is not zero, so the rows are read as the strict triangle of a
+    3-point space, which the matrix check then rejects."""
+    shapes = []
+    check = cloud.check_distance_matrix
+    with mock.patch.object(cloud, "check_distance_matrix", lambda d: shapes.append(d.shape) or check(d)):
+        with pytest.raises(InputError, match="non-finite"):
+            parse_distance_matrix("nan\n1 nan\n")
+    assert shapes == [(3, 3)]
+
+
+@pytest.mark.parametrize("one_row", [False, True])
+@pytest.mark.parametrize(
+    "points",
+    [[[0.0], [1.0], [1e160]], [[1e308, 0.0], [-1e308, 0.0]]],
+    ids=["squares-overflow", "differences-overflow"],
+)
+def test_overflowing_squared_distances_are_an_input_error(points, one_row):
+    """Finite coordinates whose squared distances overflow raise before any
+    inf enters the matrix; a RuntimeWarning would fail this test."""
+    with mock.patch.object(cloud, "BLOCK_BYTES", 1 if one_row else cloud.BLOCK_BYTES):
+        with pytest.raises(InputError, match="^squared distances between the points overflow to inf"):
+            pairwise_distances(np.array(points))

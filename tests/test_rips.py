@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -199,3 +200,22 @@ def test_array_build_matches_reference(cloud, r_max, k_max, budget):
         fp = rips_pair_from_distances(dist, n_a, r_max, k_max)
     cells, _ = reference_rips(dist, n_a, r_max, k_max)
     assert fp.cells == tuple(cells)
+
+
+def test_rips_mask_is_formed_within_the_matrix_budget():
+    """The edge mask takes one byte per entry: the diagonal and below are
+    cleared in runs of rows, so with runs of a sixteenth of the matrix a
+    build's tracemalloc peak stays within the mask plus two runs, where a
+    whole np.triu mask would take three bytes per entry."""
+    n = 2000
+    dist = pairwise_distances(np.random.default_rng(0).random((n, 2)))
+    block_bytes = n * n // 16
+    with mock.patch.object(mixbar.cloud, "BLOCK_BYTES", block_bytes):
+        tracemalloc.start()
+        try:
+            fp = rips_pair_from_distances(dist, n // 2, 0.002, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert fp.n > n  # some edges
+    assert peak <= n * n + 2 * block_bytes

@@ -4,11 +4,15 @@ Each pair exercises a case of the degree-0 union-find or of the edge
 boundaries that validate() accepts.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from mixbar import mixup_barcode_indices, parse_explicit_pair
+from mixbar import mixup_barcode_indices, parse_explicit_pair, verify
+from mixbar.cli import main
 from mixbar.verify import check_instance, random_explicit_instance
+from conftest import SIX_CELL
 
 PAIRS = {
     # a loop with no vertices, killed in K before it is killed in L
@@ -110,3 +114,50 @@ def test_fuzz_draws_rips_and_explicit_pairs(monkeypatch):
         monkeypatch.setattr(verify, name, lambda rng, real=real, name=name: drawn.append(name) or real(rng))
     assert verify.run_fuzz(40, seed=0) == (40, [])
     assert set(drawn) == {"random_rips_instance", "random_explicit_instance"}
+
+
+def shift_one_death(monkeypatch, field):
+    """Make the fast path move `field` of its first triple with a finite
+    death to that death + 1, as a faulty reduction would."""
+    real = verify.compute_mixup_barcode
+
+    def shifted(fp, k):
+        triples = list(real(fp, k).index_triples)
+        for i, t in enumerate(triples):
+            if t.death < float("inf"):
+                triples[i] = t._replace(**{field: t.death + 1})
+                break
+        return SimpleNamespace(index_triples=triples)
+
+    monkeypatch.setattr(verify, "compute_mixup_barcode", shifted)
+
+
+def test_verify_reports_a_death_the_oracle_does_not_have(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "six.txt"
+    path.write_text(SIX_CELL)
+    shift_one_death(monkeypatch, "death")
+    assert main(["verify", "--filtration", str(path), "--degrees", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "degree 1: (b, d) multiset mismatch: fast [(1, 7), (2, 5)] vs oracle [(1, 6.0), (2, 5.0)]",
+        "checked 1 instance(s): 1 mismatch(es)",
+    ]
+
+
+def test_verify_fuzz_names_the_instance_of_each_mismatch(monkeypatch, capsys):
+    shift_one_death(monkeypatch, "death")
+    assert main(["verify", "--instances", "6", "--degrees", "0,1"]) == 1
+    *problems, summary = capsys.readouterr().out.splitlines()
+    assert problems and summary == f"checked 6 instance(s): {len(problems)} mismatch(es)"
+    for line in problems:
+        i, rest = line.removeprefix("instance ").split(": ", 1)
+        assert 0 <= int(i) < 6 and rest.startswith("degree ")
+
+
+def test_verify_reports_a_triple_out_of_order(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "six.txt"
+    path.write_text(SIX_CELL)
+    shift_one_death(monkeypatch, "death_image")
+    assert main(["verify", "--filtration", str(path), "--degrees", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "degree 1: triple order violated: MixupTriple(birth=1, death_image=7, death=6)\n" in out
+    assert out.endswith("checked 1 instance(s): 2 mismatch(es)\n")
