@@ -16,6 +16,7 @@ import sys
 from .cloud import (
     METRICS,
     LabeledPointCloud,
+    check_distance_matrix,
     data_lines,
     load_distance_matrix,
     load_labeled_point_cloud,
@@ -351,7 +352,9 @@ def cmd_subsample(args: argparse.Namespace) -> int:
         n, distances = cloud.n_points, cloud.distance_matrix
     if n and not check_budget(n, {"--subsample-a": args.subsample_a}):
         # what k_medoids keeps at a size that covers every point, computed
-        # with no distance
+        # with no distance; a matrix gets the check k_medoids would make
+        if args.metric == "matrix":
+            check_distance_matrix(matrix)
         indices, cost = list(range(n)), 0.0
     else:
         # an empty cloud is k_medoids' input error

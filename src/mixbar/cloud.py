@@ -2,8 +2,8 @@
 
 A PointCloud is a coordinate array under the euclidean or squared
 euclidean metric. A finite metric space that never had coordinates is a
-plain distance matrix: `parse_distance_matrix` reads one, and
-`check_distance_matrix` is the one rule every matrix from outside passes.
+plain distance matrix: `parse_distance_matrix` reads one, and its consumer
+applies `check_distance_matrix`, the one rule every matrix from outside passes.
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ def parse_distance_matrix(text: str) -> np.ndarray:
     Row i holds the distances from point i to points 0..i-1. The zero
     diagonal entry may be included (then the first row is the single entry
     0); without it the first row belongs to point 1, since point 0 has no
-    row. A full square matrix is accepted as well.
+    row. A full square matrix is accepted as well. Whatever reads it checks it.
     """
     rows = _data_rows(text)
     if not rows:
@@ -295,7 +295,6 @@ def parse_distance_matrix(text: str) -> np.ndarray:
         d = d + d.T
     else:
         raise InputError("distance matrix rows must form a square or a lower triangle")
-    check_distance_matrix(d)
     return d
 
 

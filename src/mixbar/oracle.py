@@ -12,9 +12,9 @@ Cycle spaces are nested, so one elimination produces a basis adapted to
 every prefix at once (each basis cycle is tagged with the index where it
 appears); boundaries are then inserted left to right into an echelon form
 expressed in those adapted coordinates, and the whole grid is filled in a
-single sweep. Columns are int bitsets, as in the fast path; what keeps the
-two routes independent is the algorithm (rank grids here, union-find and
-column reduction there).
+single sweep. Columns are int bitsets, where the fast path stores sorted
+arrays of rows, so the two routes differ in representation as well as in
+algorithm (rank grids here, union-find and column reduction there).
 
 Barcodes follow from second differences of the grid; negative
 multiplicities mean a corrupted rank function and raise.

@@ -38,11 +38,11 @@ need reducing:
 - L needs no clearing of its own. Image order lists the L-cells first, so
   whether an L-column reduces to zero depends on L-columns alone, and the
   kept L k-cells are the k-cycle creators of L.
-- Columns built on collision. Each column's first pivot comes from numpy.
-  A column whose pivot is unclaimed claims it as it stands (an emergent
-  pair, Bauer, "Ripser", 2021), and a column becomes a Python-int bitset
-  only when it, or an owner it must absorb, is added to. Addition is `^`
-  and the pivot is the highest set bit.
+- Columns as sorted arrays of rows, the first the pivot: views of one
+  sort, so they cost their nonzeros (PHAT, Bauer et al., 2017). A column
+  whose pivot is unclaimed claims it as it stands (an emergent pair,
+  Bauer, "Ripser", 2021); only a column that absorbs others is stored
+  again, summed first in one flag per row, as long chains make it dense.
 """
 
 from __future__ import annotations
@@ -58,40 +58,41 @@ from .filtration import FilteredPair
 INF = math.inf
 
 
-def reduce_columns(pivots, build) -> dict[int, int]:
-    """Left-to-right reduction of columns given as (column id, first pivot)
-    pairs in column order, the pivot -1 for a zero column.
+def reduce_columns(pivots, column, m: int) -> dict[int, int]:
+    """Left-to-right reduction of columns over the rows 0..m-1, given as
+    (column id, first pivot) pairs in column order, the pivot -1 for a zero
+    column; column(column id) returns the column's rows, ascending.
 
-    build(column id) returns the column as a Python-int bitset whose highest
-    set bit is its first pivot; addition is `^`. A column whose pivot no
-    earlier column owns is reduced as it stands and claims that pivot
-    unbuilt (an emergent pair), so build runs only for a column that has to
-    absorb an earlier one and for the owners it absorbs. Each column
-    absorbs the owner of its pivot until the pivot is unclaimed or the
-    column is zero. Returns the pairing (pivot row -> column id), which
-    does not depend on the order of valid additions.
+    A column whose pivot no earlier column owns claims it as it stands (an
+    emergent pair). Any other absorbs the owner of its pivot until the pivot
+    is unclaimed or the column is zero. Returns the pairing (pivot row ->
+    column id), which does not depend on the order of valid additions.
     """
     owner: dict[int, int] = {}
-    reduced: dict[int, int] = {}  # pivot row -> bitset of its owner, once built
+    reduced: dict[int, np.ndarray] = {}  # pivot row -> its owner's column, where added to
+    work = np.zeros(m, dtype=bool)  # the column being reduced: an addition flips rows
     for cid, p in pivots:
         if p < 0:
             continue
         if p not in owner:
             owner[p] = cid
             continue
-        col = build(cid)
+        terms = [column(cid)]
+        work[terms[0]] = True
         while True:
-            prev = reduced.get(p)
-            if prev is None:
-                # claimed unbuilt, so never reduced: its column is as built
-                prev = reduced[p] = build(owner[p])
-            col ^= prev
-            if not col:
-                break
-            p = col.bit_length() - 1
+            prev = reduced[p] if p in reduced else column(owner[p])
+            work[prev] = ~work[prev]
+            terms.append(prev)
+            p += int(work[p:].argmax())  # no row before p is set, nor p itself
+            if not work[p]:
+                break  # a zero column leaves no row set
             if p not in owner:
                 owner[p] = cid
-                reduced[p] = col
+                # the rows left set, each once; clearing them clears the scratch
+                rows = np.concatenate(terms)
+                rows = np.sort(rows[work[rows]])
+                work[rows] = False
+                reduced[p] = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
                 break
     return owner
 
@@ -133,38 +134,30 @@ def merge_edges(fp: FilteredPair, cols: np.ndarray, rows: np.ndarray) -> dict[in
 def _coboundary_pairs(fp: FilteredPair, cols: np.ndarray, cofaces: np.ndarray) -> dict[int, int]:
     """Pairing of the coboundaries of the j-cells cols, given in image order
     and reduced in the reverse of it, restricted to the (j+1)-cells cofaces,
-    keyed by j-cell.
+    keyed by j-cell: the pairs of the reduced boundary matrix whose columns
+    are the cofaces in the order given and whose rows the j-cells in image
+    order.
 
-    A column's rows are its cofaces, the earliest in the order given the
-    highest, so its pivot is its earliest coface; the pair (j-cell,
-    (j+1)-cell) is the one the reduced boundary matrix gives when its
-    columns are cofaces in that order and its rows the j-cells in image
-    order. One sort of the keys column·m + coface position, m = len(cofaces),
-    lists each column's entries together, earliest coface first, and the
-    entries of column i are then its rows (i + 1)·m − 1 − key.
+    A column's rows are its cofaces' positions, so its pivot is its earliest
+    coface. One sort of the keys column·m + position, m = len(cofaces), lists
+    each column's entries together; taken mod m in place, column i is
+    rows[starts[i] : starts[i + 1]].
     """
     m = len(cofaces)
     place = np.full(fp.n + 1, -1, dtype=np.int64)
     place[cols] = np.arange(len(cols) - 1, -1, -1)
     entries, bounds = fp.faces_of(cofaces)
-    key = place[entries] * m + np.repeat(np.arange(m), np.diff(bounds))
-    key = np.sort(key[key >= 0])
-    starts = np.searchsorted(key, np.arange(len(cols) + 1) * m)
+    rows = place[entries] * m + np.repeat(np.arange(m), np.diff(bounds))
+    rows = np.sort(rows[rows >= 0])
+    starts = np.searchsorted(rows, np.arange(len(cols) + 1) * m)
     full = starts[1:] > starts[:-1]
+    rows %= m
     top = np.full(len(cols), -1, dtype=np.int64)
-    top[full] = (np.flatnonzero(full) + 1) * m - 1 - key[starts[:-1][full]]
-    top, starts = top.tolist(), starts.tolist()
-
-    def build(i: int) -> int:
-        # one bytearray and one conversion, not a big int per row
-        col = bytearray((top[i] >> 3) + 1)
-        for r in ((i + 1) * m - 1 - key[starts[i] : starts[i + 1]]).tolist():
-            col[r >> 3] |= 1 << (r & 7)
-        return int.from_bytes(col, "little")
-
-    pairs = reduce_columns(enumerate(top), build)
+    top[full] = rows[starts[:-1][full]]
+    starts = starts.tolist()
+    pairs = reduce_columns(enumerate(top.tolist()), lambda i: rows[starts[i] : starts[i + 1]], m)
     cols, cofaces = cols.tolist(), cofaces.tolist()
-    return {cols[-1 - i]: cofaces[-1 - p] for p, i in pairs.items()}
+    return {cols[-1 - i]: cofaces[p] for p, i in pairs.items()}
 
 
 class MixupTriple(NamedTuple):

@@ -33,13 +33,18 @@ from .filtration import FilteredPair
 # 760 B, 218,214 cells of 250 points in R^3 at 814 B), so this is about 8 GB.
 MAX_CELLS = 10**7
 
+# No complex within MAX_CELLS holds a k-simplex, with its 2^(k+1) - 1 cells, for k > MAX_K = 22.
+MAX_K = (MAX_CELLS + 1).bit_length() - 2
+
 
 def check_rips_params(r_max: float, k_max: int) -> None:
-    """The rule on every Rips build: r_max finite and > 0, k_max >= 0."""
+    """The rule on every Rips build: r_max finite and > 0, 0 <= k_max <= MAX_K."""
     if not (np.isfinite(r_max) and r_max > 0):
         raise InputError(f"r_max must be a finite number > 0, got {r_max}")
     if k_max < 0:
         raise InputError(f"k_max must be non-negative, got {k_max}")
+    if k_max > MAX_K:
+        raise InputError(f"k_max must be at most {MAX_K} (mixbar.rips.MAX_K), got {k_max}")
 
 
 def build_rips_pair(

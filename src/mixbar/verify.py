@@ -1,10 +1,10 @@
 """Cross-checking the reduction fast path against the rank-function oracle.
 
-Both routes store columns as int bitsets, so their independence lies in
-the algorithm, not in the representation: the fast path pairs degree 0 by
-union-find and every higher degree by reducing coboundaries after
-clearing, while the oracle eliminates cycle and boundary spaces of every
-prefix and takes second differences of rank grids. On any instance
+The two routes differ in algorithm and in representation: the fast path
+pairs degree 0 by union-find and every higher degree by reducing
+coboundaries, stored as sorted arrays of rows, after clearing, while the
+oracle eliminates cycle and boundary spaces of every prefix, as int
+bitsets, and takes second differences of rank grids. On any instance
 small enough for the oracle, the (b, d) pairs of the triples must equal
 the oracle's standard barcode of L, and the (b, d') pairs must equal its
 image barcode, both as exact index multisets.

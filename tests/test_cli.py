@@ -563,6 +563,30 @@ def test_rmax_rule_is_shared(square_center_files, labeled_file, manifest_file, c
 
 
 @pytest.mark.parametrize("command", ["mixup", "verify", "pairwise", "profile"])
+def test_kmax_above_the_cell_budget_exits_2_before_any_read(command, capsys):
+    """A k-simplex brings 2^(k+1) - 1 cells, more than MAX_CELLS = 10^7 once
+    k >= 23, so --kmax 23 resolves nothing a build may hold; it is refused
+    before the input, here a missing file, is read, and before the default
+    degrees 0..--kmax are listed."""
+    from mixbar import rips
+
+    assert rips.MAX_K == 22 and 2 ** 23 - 1 <= rips.MAX_CELLS < 2 ** 24 - 1
+    code, out, err = run([command, "--a", "missing.csv", "--rmax", "1", "--kmax", "23"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: k_max must be at most 22 (mixbar.rips.MAX_K), got 23\n"
+
+
+def test_kmax_at_the_cell_budget_accepted(square_center_files, capsys):
+    a, b = square_center_files
+    code, out, err = run(["mixup", "--a", a, "--b", b, "--rmax", "2.0", "--kmax", "22"], capsys)
+    assert (code, err) == (0, "")
+    degrees = json.loads(out)["degrees"]
+    assert list(degrees) == [str(k) for k in range(23)]
+    # the five points span a 4-simplex at most
+    assert all(not degrees[str(k)]["triples"] for k in range(5, 23))
+
+
+@pytest.mark.parametrize("command", ["mixup", "verify", "pairwise", "profile"])
 def test_degrees_above_kmax_rejected_alike(
     command, square_center_files, labeled_file, manifest_file, capsys
 ):
@@ -660,6 +684,62 @@ def test_metric_matrix_takes_no_b(tmp_path, capsys):
     )
     assert code == 2
     assert "--split" in err
+
+
+# Every route that reads a --metric matrix file: mixup and verify through
+# rips_pair_from_distances, subsample through k_medoids, or, when it keeps
+# every point, through its own check.
+MATRIX_ROUTES = {
+    "mixup": ["mixup", "--metric", "matrix", "--rmax", "2"],
+    "verify": ["verify", "--metric", "matrix", "--rmax", "2"],
+    "subsample-kmedoids": ["subsample", "--metric", "matrix", "--subsample-a", "1"],
+    "subsample-keep-all": ["subsample", "--metric", "matrix", "--subsample-a", "3"],
+}
+
+
+def matrix_routes_exit_2(tmp_path, capsys, text, message):
+    """Each matrix route, given text as its file, exits 2 with message."""
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    for name, args in MATRIX_ROUTES.items():
+        code, out, err = run(args + ["--a", str(path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), name
+
+
+def test_matrix_file_rejects_asymmetry(tmp_path, capsys):
+    matrix_routes_exit_2(tmp_path, capsys, "0 1\n2 0\n", "distance matrix is not symmetric")
+
+
+def test_matrix_file_rejects_negative(tmp_path, capsys):
+    matrix_routes_exit_2(tmp_path, capsys, "0 -1\n-1 0\n", "distance matrix has negative entries")
+
+
+def test_matrix_file_rejects_non_finite(tmp_path, capsys):
+    matrix_routes_exit_2(tmp_path, capsys, "0 inf\ninf 0\n", "distance matrix has non-finite entries")
+
+
+def test_matrix_file_nan_diagonal_reads_as_strict_triangle(tmp_path, capsys):
+    """A NaN is not zero, so the rows are read as the strict triangle of a
+    3-point space, which the matrix check then rejects."""
+    from mixbar.cloud import parse_distance_matrix
+
+    assert parse_distance_matrix("nan\n1 nan\n").shape == (3, 3)
+    matrix_routes_exit_2(tmp_path, capsys, "nan\n1 nan\n", "distance matrix has non-finite entries")
+
+
+def test_matrix_file_is_checked_once(tmp_path, monkeypatch, capsys):
+    from mixbar import cli, cloud, rips, subsample
+
+    checked = []
+    check = cloud.check_distance_matrix
+    for module in (cli, cloud, rips, subsample):
+        monkeypatch.setattr(module, "check_distance_matrix", lambda d: checked.append(d.shape) or check(d))
+    path = tmp_path / "m.txt"
+    path.write_text("0\n1 0\n2 1.5 0\n")
+    for name, args in MATRIX_ROUTES.items():
+        checked.clear()
+        code, _, err = run(args + ["--a", str(path)], capsys)
+        assert (code, err, checked) == (0, "", [(3, 3)]), name
 
 
 def test_clamped_is_computed_once_per_barcode(square_center_pair, monkeypatch):

@@ -32,19 +32,36 @@ FILLED_TRIANGLE = """\
 
 
 def bitset(rows):
+    """A column of the bitset reference reduction, reference_reduce_columns."""
     return sum(1 << r for r in rows)
 
 
-def reduce_bitsets(columns):
-    """reduce_columns over (column id, bitset) pairs given up front."""
+def column(rows):
+    """A column of reduce_columns: its rows ascending, the first the pivot."""
+    return np.array(sorted(rows), dtype=np.int64)
+
+
+def reduce_arrays(columns, fetched=None):
+    """reduce_columns over (column id, column) pairs given up front, the ids
+    of the columns it fetches appended to fetched."""
     cols = dict(columns)
-    return reduce_columns(((cid, col.bit_length() - 1) for cid, col in cols.items()), cols.get)
+    m = max((int(c[-1]) + 1 for c in cols.values() if len(c)), default=0)
+
+    def fetch(cid):
+        if fetched is not None:
+            fetched.append(cid)
+        return cols[cid]
+
+    return reduce_columns(((cid, int(c[0]) if len(c) else -1) for cid, c in cols.items()), fetch, m)
 
 
 def test_reduce_filled_triangle_degree0():
     fp = parse_explicit_pair(FILLED_TRIANGLE)
     edges = [c for c in fp.cells if c.dim == 1]
-    pairs = reduce_bitsets((e.id, bitset(e.boundary)) for e in edges)
+    # a column's pivot is its first row, so vertex v is row 3 - v and the
+    # youngest end of an edge comes first
+    pairs = reduce_arrays((e.id, column(3 - v for v in e.boundary)) for e in edges)
+    pairs = {3 - row: e for row, e in pairs.items()}
     # column 6 = {2,3} reduces to zero through columns 4 and 5, so it owns
     # no pivot; the pivot rows are the younger vertices 2 and 3
     assert pairs == {2: 4, 3: 5}
@@ -92,10 +109,13 @@ def test_merge_edges_matches_reference_reduction(cols, rows, pairing):
 
 
 def test_reduce_keeps_input_intact():
-    columns = [(1, 0b101), (2, 0b101), (3, 0b110)]
-    before = list(columns)
-    reduce_bitsets(columns)
-    assert columns == before
+    """Columns are views of one array in a pass, so a reduction must leave
+    every column it reads as it was."""
+    columns = [(1, column([0, 2])), (2, column([0, 2])), (3, column([1, 2])), (4, column([0, 1]))]
+    before = [(cid, col.copy()) for cid, col in columns]
+    assert reduce_arrays(columns) == {0: 1, 1: 3}
+    for (cid, col), (_, was) in zip(columns, before):
+        assert np.array_equal(col, was), cid
 
 
 def test_six_cell_triples(six_cell_pair):
@@ -201,41 +221,44 @@ def _dense_rank_gf2(cols, n_rows):
 def test_reduced_pivots_match_dense_rank():
     """Pivot count equals matrix rank; a second route through plain
     elimination over the integers mod 2."""
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        n_rows = rng.integers(1, 10)
-        n_cols = rng.integers(1, 10)
-        cols = []
-        for _ in range(n_cols):
-            mask = rng.random(n_rows) < 0.4
-            cols.append(sorted(np.nonzero(mask)[0].tolist()))
-        pairs = reduce_bitsets((j + 1, bitset(c)) for j, c in enumerate(cols))
-        assert len(pairs) == _dense_rank_gf2(cols, int(n_rows))
+
+    def pairs_at_rank(n_rows, cols, fetched=None):
+        pairs = reduce_arrays(((j + 1, column(c)) for j, c in enumerate(cols)), fetched)
+        assert len(pairs) == _dense_rank_gf2(cols, n_rows)
         # pivots are unique per row by construction
         assert len(set(pairs.values())) == len(pairs)
+        return pairs
+
+    # the last column cancels to zero only after two additions: {0, 2} + {0, 1}
+    # leaves {1, 2}, and + {1, 2} leaves nothing
+    fetched = []
+    assert pairs_at_rank(3, [[0, 1], [1, 2], [0, 2]], fetched) == {0: 1, 1: 2}
+    assert fetched == [3, 1, 2]
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        n_rows = int(rng.integers(1, 10))
+        pairs_at_rank(n_rows, [np.flatnonzero(rng.random(n_rows) < 0.4).tolist() for _ in range(rng.integers(1, 10))])
 
 
-def test_reduction_pivot_is_latest_row():
-    pairs = reduce_bitsets([(1, bitset([0, 2])), (2, bitset([0, 2]))])
-    assert pairs == {2: 1}
+def test_reduction_pivot_is_earliest_row():
+    """A column's pivot is its first row, the lowest; bitset columns took
+    the highest set bit instead, so a pass now numbers a column's rows with
+    its earliest coface first rather than last."""
+    pairs = reduce_arrays([(1, column([0, 2])), (2, column([0, 2]))])
+    assert pairs == {0: 1}
 
 
 def test_reduce_builds_only_colliding_columns():
-    """A column whose first pivot is unclaimed is never built; a collision
-    builds the column and, once, the owner it absorbs."""
-    cols = {1: bitset([0, 3]), 2: bitset([1, 2]), 3: bitset([1, 3]), 4: bitset([0, 1])}
-    built = []
-
-    def build(cid):
-        built.append(cid)
-        return cols[cid]
-
-    pairs = reduce_columns(
-        [(cid, col.bit_length() - 1) for cid, col in cols.items()] + [(5, -1)], build
-    )
-    # column 4 reduces to zero and column 5 is zero: neither owns a pivot
-    assert pairs == {3: 1, 2: 2, 1: 3}
-    assert built == [3, 1, 4]
+    """A column whose first pivot is unclaimed is never fetched; a collision
+    fetches the column and the owner it absorbs, and an owner that has been
+    added to is absorbed as reduced, without a fetch."""
+    columns = [(1, column([0, 3])), (2, column([1, 2])), (3, column([0, 2])), (4, column([2, 3])), (5, column([]))]
+    fetched = []
+    # column 3 absorbs column 1 and claims row 2 as {2, 3}; column 4 then
+    # absorbs that reduced column and is zero, as column 5 is from the start:
+    # neither owns a pivot
+    assert reduce_arrays(columns, fetched) == {0: 1, 1: 2, 2: 3}
+    assert fetched == [3, 1, 4]
 
 
 @st.composite
