@@ -41,7 +41,7 @@ from .stats import (
     total_mixup_percentage,
     total_persistence,
 )
-from .subsample import check_budget, k_medoids
+from .subsample import check_budget, check_sizes, k_medoids
 
 
 # --metric matrix is an input format of the CLI: the file is a distance matrix
@@ -344,6 +344,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_subsample(args: argparse.Namespace) -> int:
+    check_sizes(args.subsample_a)
     if args.metric == "matrix":
         matrix = load_distance_matrix(args.a)
         n, distances = len(matrix), lambda: matrix

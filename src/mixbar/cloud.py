@@ -23,15 +23,9 @@ METRICS = ("euclidean", "sqeuclidean")
 # Larger blocks measured no faster, and 8 MB distance blocks 1.7x slower.
 BLOCK_BYTES = 1 << 21
 
-# The most points k-medoids chooses among, and the most whose whole matrix
-# distance_blocks forms: either is then at most 5,000² doubles, 200 MB.
-# subsample.check_budget raises before any distance of a larger k-medoids
-# input is computed.
-MAX_POINTS = 5_000
-
-# Bytes of a distance matrix from coordinates with the boolean mask a Rips
-# build lays over it, 9 per entry, that pairwise_distances allows before it
-# allocates: the ~8 GB of rips.MAX_CELLS, so at most 29,814 points.
+# The one budget of every dense n × n matrix mixbar forms, 9 bytes per entry
+# (a distance and the boolean mask a Rips build lays over it), that
+# within_budget applies: the ~8 GB of rips.MAX_CELLS, at most 29,814 points.
 MAX_MATRIX_BYTES = 8 * 10**9
 
 
@@ -109,7 +103,7 @@ def pairwise_distances(points: np.ndarray, metric: str = "euclidean") -> np.ndar
         raise InputError(f"cannot compute distances for metric {metric!r}")
     pts = np.asarray(points, dtype=float)
     n = len(pts)
-    if 9 * n * n > MAX_MATRIX_BYTES:
+    if not within_budget(n * n):
         raise InputError(
             f"the distance matrix of {n:,} points would take {9 * n * n:,} bytes with its Rips "
             f"mask, more than the budget of {MAX_MATRIX_BYTES:,} (mixbar.cloud.MAX_MATRIX_BYTES)"
@@ -134,21 +128,23 @@ def distance_blocks(
 ) -> Iterator[np.ndarray]:
     """The matrix of pairwise_distances among points[s], for each s in turn.
 
-    When the blocks hold fewer entries than the matrix of all n points
-    (sum of |s|^2 < n^2), or n is above MAX_POINTS, each is computed from
-    its own rows; otherwise the whole matrix is computed once and each
-    block sliced from it. Both give the same bits, since each entry depends
-    only on its own pair of rows. Blocks are computed as they are asked for.
+    The whole matrix of all n points is computed once and each block sliced
+    from it when the blocks hold at least its n^2 entries and it fits the
+    budget with the largest block; otherwise each block is computed from its
+    own rows. Both give the same bits, since each entry depends only on its
+    own pair of rows. Blocks are computed as they are asked for.
     """
-    sets = [np.asarray(s, dtype=np.intp) for s in index_sets]
     n = len(points)
-    if n > MAX_POINTS or sum(len(s) ** 2 for s in sets) < n * n:
-        for s in sets:
-            yield pairwise_distances(points[s], metric)
-        return
-    whole = pairwise_distances(points, metric)
-    for s in sets:
-        yield whole[np.ix_(s, s)]
+    entries = [len(s) ** 2 for s in index_sets]
+    fits = sum(entries) >= n * n and within_budget(n * n + max(entries, default=0))
+    whole = pairwise_distances(points, metric) if fits else None
+    for s in index_sets:
+        yield pairwise_distances(points[s], metric) if whole is None else whole[np.ix_(s, s)]
+
+
+def within_budget(entries: int) -> bool:
+    """Whether dense matrices of this many entries in all fit MAX_MATRIX_BYTES."""
+    return 9 * entries <= MAX_MATRIX_BYTES
 
 
 def runs(n: int, row_bytes: int) -> list[slice]:

@@ -27,7 +27,7 @@ from .errors import InputError
 from .filtration import FilteredPair
 from .reduction import INF, MixupTriple, mixup_barcode_indices
 from .rips import check_rips_params, rips_pair_from_distances
-from .subsample import check_budget, k_medoids_indices
+from .subsample import check_budget, check_sizes, k_medoids_indices
 
 
 def check_clamp(clamp: float | None) -> None:
@@ -150,8 +150,7 @@ class StatsConfig:
     def __post_init__(self) -> None:
         check_rips_params(self.r_max, 0)
         check_clamp(self.clamp)
-        if self.subsample_a < 1 or self.subsample_b < 1:
-            raise InputError("subsample sizes must be at least 1")
+        check_sizes(self.subsample_a, self.subsample_b)
 
 
 def interaction_barcode(
@@ -181,16 +180,18 @@ def _subsampled(
     at each size; sizes maps the option that set a size to it. All of the
     points are kept in degree 0 and where subsample.check_budget, which
     checks every request before any distance, finds that no k-medoids runs.
-    The distances of every request come from one distance_blocks call, and
-    each index set's block is formed once for all its sizes."""
+    One distance_blocks call serves every request; each block serves all its
+    sizes and is dropped before the next is formed, which a zip would not."""
     picked = [[idx] * len(sizes) for idx, sizes in requests]
     todo = [
         i for i, (idx, sizes) in enumerate(requests) if degree > 0 and check_budget(len(idx), sizes)
     ]
     blocks = distance_blocks(cloud.points, cloud.metric, [requests[i][0] for i in todo])
-    for i, sub in zip(todo, blocks):
+    for i in todo:
         idx, sizes = requests[i]
+        sub = next(blocks)
         picked[i] = [idx[np.asarray(k_medoids_indices(sub, k), dtype=int)] for k in sizes.values()]
+        del sub
     return picked
 
 
@@ -201,9 +202,9 @@ def _interactions(
     config: StatsConfig,
 ) -> Iterator[MixupBarcode]:
     """The interaction barcode of each (A indices, B indices) of the cloud."""
-    ids = [np.concatenate([a, b]) for a, b in pairs]
-    for (a, _), sub in zip(pairs, distance_blocks(cloud.points, cloud.metric, ids)):
-        yield interaction_barcode(sub, len(a), degree, config)
+    blocks = distance_blocks(cloud.points, cloud.metric, [np.concatenate(pair) for pair in pairs])
+    for a, _ in pairs:
+        yield interaction_barcode(next(blocks), len(a), degree, config)
 
 
 def pairwise_matrix(

@@ -72,18 +72,23 @@ def k_medoids(dist: np.ndarray, k: int) -> MedoidSelection:
     return MedoidSelection(indices=tuple(int(i) for i in idx), cost=_cost(dist, idx))
 
 
+def check_sizes(*sizes: int) -> None:
+    """The rule on subsample sizes given from outside: each at least 1."""
+    if min(sizes) < 1:
+        raise InputError("subsample sizes must be at least 1")
+
+
 def check_budget(n: int, sizes: Mapping[str, int]) -> bool:
     """Whether k-medoids chooses among n points, at sizes that map each size
     option to its value: not when every size covers the n points, which are
-    then all kept. Otherwise, before any distance is computed, the n points
-    must be at most cloud.MAX_POINTS; the error names the options that fall
-    short."""
+    then all kept. Otherwise their matrix must fit cloud.within_budget before
+    any distance is computed; the error names the options that fall short."""
     options = " and ".join(opt for opt, k in sizes.items() if k < n)
-    if options and n > cloud.MAX_POINTS:
+    if options and not cloud.within_budget(n * n):
         raise InputError(
-            f"k-medoids for {options} would choose among {n:,} points, more than the "
-            f"budget of {cloud.MAX_POINTS:,} (mixbar.cloud.MAX_POINTS); use fewer "
-            f"points, or set {options} to at least {n:,} to keep them all"
+            f"k-medoids for {options} would choose among {n:,} points, whose distance matrix is "
+            f"over the budget of {cloud.MAX_MATRIX_BYTES:,} bytes (mixbar.cloud.MAX_MATRIX_BYTES); "
+            f"use fewer points, or set {options} to at least {n:,} to keep them all"
         )
     return bool(options)
 

@@ -360,24 +360,24 @@ def test_subsample_json(tmp_path, capsys):
 
 
 def test_subsample_budget_exits_2_before_any_distance(tmp_path, monkeypatch, capsys):
-    """Three points against a budget of two: k-medoids stops with the
-    budget's input error, and a size that covers every point keeps them
-    all; neither computes a distance."""
+    """Three points against a budget that the matrix of two fits: k-medoids
+    stops with the budget's input error, and a size that covers every point
+    keeps them all; neither computes a distance."""
     from mixbar import cloud
 
     def no_distances(*args, **kwargs):
         raise AssertionError("computed distances")
 
-    monkeypatch.setattr(cloud, "MAX_POINTS", 2)
+    monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", 9 * 3 * 3 - 1)
     monkeypatch.setattr(cloud, "pairwise_distances", no_distances)
     path = tmp_path / "pts.csv"
     path.write_text("0\n10\n20\n")
     code, out, err = run(["subsample", "--a", str(path), "--subsample-a", "1"], capsys)
     assert code == 2 and out == ""
     assert err == (
-        "error: k-medoids for --subsample-a would choose among 3 points, more than the "
-        "budget of 2 (mixbar.cloud.MAX_POINTS); use fewer points, or set "
-        "--subsample-a to at least 3 to keep them all\n"
+        "error: k-medoids for --subsample-a would choose among 3 points, whose distance "
+        "matrix is over the budget of 80 bytes (mixbar.cloud.MAX_MATRIX_BYTES); use fewer "
+        "points, or set --subsample-a to at least 3 to keep them all\n"
     )
     code, out, _ = run(
         ["subsample", "--a", str(path), "--subsample-a", "3", "--format", "json"], capsys
@@ -385,6 +385,29 @@ def test_subsample_budget_exits_2_before_any_distance(tmp_path, monkeypatch, cap
     assert code == 0
     doc = json.loads(out)
     assert doc["indices"] == [0, 1, 2] and doc["cost"] == 0.0
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+@pytest.mark.parametrize("command", ["subsample", "pairwise", "profile"])
+def test_subsample_size_below_1_exits_2_before_any_read(
+    command, size, tmp_path, labeled_file, manifest_file, monkeypatch, capsys
+):
+    """subsample applies the size rule of pairwise and profile, with its
+    message, before its input is read: a missing file is not reported, and
+    a file that exists gets no distance computed."""
+    from mixbar import cloud
+
+    def no_distances(*args, **kwargs):
+        raise AssertionError("computed distances")
+
+    monkeypatch.setattr(cloud, "pairwise_distances", no_distances)
+    points = tmp_path / "pts.csv"
+    points.write_text("0\n10\n20\n")
+    path = {"subsample": str(points), "pairwise": labeled_file, "profile": manifest_file}[command]
+    rips = [] if command == "subsample" else ["--rmax", "12", "--degrees", "1"]
+    for a in (str(tmp_path / "missing.csv"), path):
+        code, out, err = run([command, "--a", a, *rips, "--subsample-a", size], capsys)
+        assert (code, out, err) == (2, "", "error: subsample sizes must be at least 1\n")
 
 
 def test_pairwise_csv(labeled_file, capsys):
@@ -760,15 +783,16 @@ def test_clamped_is_computed_once_per_barcode(square_center_pair, monkeypatch):
 def test_kmedoids_budget_exits_2_before_any_distance(
     command, labeled_file, manifest_file, monkeypatch, capsys
 ):
-    """Three points per class against a budget of two: k-medoids on a class
-    (pairwise) or on a class complement (profile) stops with an input error
-    that names the option, before any distance is computed."""
+    """Three points per class against a budget that the matrix of two fits:
+    k-medoids on a class (pairwise) or on a class complement (profile) stops
+    with an input error that names the option, before any distance is
+    computed."""
     from mixbar import cloud, stats
 
     def no_distances(*args, **kwargs):
         raise AssertionError("computed distances")
 
-    monkeypatch.setattr(cloud, "MAX_POINTS", 2)
+    monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", 9 * 3 * 3 - 1)
     monkeypatch.setattr(stats, "distance_blocks", no_distances)
     path = labeled_file if command == "pairwise" else manifest_file
     code, out, err = run(
@@ -778,9 +802,9 @@ def test_kmedoids_budget_exits_2_before_any_distance(
     )
     assert code == 2 and out == ""
     assert err == (
-        "error: k-medoids for --subsample-b would choose among 3 points, more than the "
-        "budget of 2 (mixbar.cloud.MAX_POINTS); use fewer points, or set "
-        "--subsample-b to at least 3 to keep them all\n"
+        "error: k-medoids for --subsample-b would choose among 3 points, whose distance "
+        "matrix is over the budget of 80 bytes (mixbar.cloud.MAX_MATRIX_BYTES); use fewer "
+        "points, or set --subsample-b to at least 3 to keep them all\n"
     )
 
 
@@ -806,7 +830,7 @@ def test_every_kmedoids_route_asks_the_one_sizing_rule(
         calls.append((n, dict(sizes)))
         return subsample.check_budget(n, sizes)
 
-    monkeypatch.setattr(cloud, "MAX_POINTS", 2)
+    monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", 9 * 3 * 3 - 1)
     monkeypatch.setattr(cli, "check_budget", spy)
     monkeypatch.setattr(stats, "check_budget", spy)
     points = tmp_path / "pts.csv"
@@ -818,9 +842,9 @@ def test_every_kmedoids_route_asks_the_one_sizing_rule(
     assert calls == [call]
     options = " and ".join(call[1])
     assert err == (
-        f"error: k-medoids for {options} would choose among 3 points, more than the "
-        "budget of 2 (mixbar.cloud.MAX_POINTS); use fewer points, or set "
-        f"{options} to at least 3 to keep them all\n"
+        f"error: k-medoids for {options} would choose among 3 points, whose distance "
+        "matrix is over the budget of 80 bytes (mixbar.cloud.MAX_MATRIX_BYTES); use fewer "
+        f"points, or set {options} to at least 3 to keep them all\n"
     )
 
 
@@ -853,22 +877,23 @@ def test_distance_matrix_over_the_byte_budget_exits_2(command, tmp_path, monkeyp
 
 
 def test_kmedoids_budget_allows_clouds_at_the_limit(labeled_file, monkeypatch, capsys):
+    """Classes of three points run k-medoids at a budget of exactly their
+    9 · 3² bytes, and stop one byte below it."""
     from mixbar import cloud
 
-    monkeypatch.setattr(cloud, "MAX_POINTS", 3)
-    code, _, _ = run(
-        ["pairwise", "--a", labeled_file, "--rmax", "12", "--degrees", "1",
-         "--subsample-a", "2", "--subsample-b", "1"],
-        capsys,
-    )
-    assert code == 0
+    args = ["pairwise", "--a", labeled_file, "--rmax", "12", "--degrees", "1",
+            "--subsample-a", "2", "--subsample-b", "1"]
+    for budget, want in ((9 * 3 * 3, 0), (9 * 3 * 3 - 1, 2)):
+        monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", budget)
+        code, _, _ = run(args, capsys)
+        assert code == want
 
 
 def test_profile_forms_no_matrix_over_the_kmedoids_budget(tmp_path, monkeypatch, capsys):
-    """Two classes of five points against a budget of five: the k-medoids
-    blocks of the classes and their complements add up to the whole
-    10-point matrix, which distance_blocks then does not form; the output
-    is the same as with the whole matrix."""
+    """Two classes of five points: the k-medoids blocks of the classes and
+    their complements add up to the whole 10-point matrix, which
+    distance_blocks forms only when it fits the budget together with a
+    5-point block; the output is the same either way."""
     from mixbar import cloud
 
     rng = np.random.default_rng(0)
@@ -881,15 +906,21 @@ def test_profile_forms_no_matrix_over_the_kmedoids_budget(tmp_path, monkeypatch,
             "--subsample-a", "2", "--subsample-b", "2"]
     code, want, _ = run(args, capsys)
     assert code == 0
-    sizes = []
     real = cloud.pairwise_distances
-    monkeypatch.setattr(
-        cloud, "pairwise_distances", lambda p, m: sizes.append(len(p)) or real(p, m)
-    )
-    monkeypatch.setattr(cloud, "MAX_POINTS", 5)
-    code, out, _ = run(args, capsys)
-    assert code == 0 and out == want
-    assert sizes and max(sizes) == 5
+    for budget, largest in (
+        (9 * 5 * 5, 5),  # the 5-point blocks fit, the whole matrix does not
+        (9 * 10 * 10, 5),  # the whole matrix fits alone, not with a block
+        (9 * (10 * 10 + 5 * 5) - 1, 5),
+        (9 * (10 * 10 + 5 * 5), 10),  # the whole matrix and one block fit
+    ):
+        sizes = []
+        monkeypatch.setattr(
+            cloud, "pairwise_distances", lambda p, m: sizes.append(len(p)) or real(p, m)
+        )
+        monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", budget)
+        code, out, _ = run(args, capsys)
+        assert code == 0 and out == want
+        assert sizes and max(sizes) == largest, budget
 
 
 def test_labels_beyond_2_53_stay_distinct_and_exact(tmp_path, capsys):

@@ -199,6 +199,10 @@ def test_distance_blocks_computes_the_cheaper_side():
         assert rows == [7, 7]  # 98 < 100 entries
         list(distance_blocks(pts, "euclidean", [np.arange(8), np.arange(2, 8)]))
         assert rows == [7, 7, 10]  # 100 entries: the whole matrix
+        # the whole matrix fits the budget alone, not with the 8-point block
+        with mock.patch.object(cloud, "MAX_MATRIX_BYTES", 9 * (100 + 64) - 1):
+            list(distance_blocks(pts, "euclidean", [np.arange(8), np.arange(2, 8)]))
+        assert rows == [7, 7, 10, 8, 6]
 
 
 def test_distance_matrix_over_the_byte_budget_is_refused_before_allocation(monkeypatch):

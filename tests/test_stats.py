@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -436,6 +437,33 @@ def test_pairwise_matrix_is_the_same_from_blocks_or_whole_matrix(monkeypatch, si
         got.append(pairwise_matrix(x, 1, config)[1])
     assert got[0].max() > 0.0
     assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+
+
+@pytest.mark.parametrize("loop", ["_subsampled", "_interactions"])
+def test_each_distance_block_is_dropped_before_the_next(loop, monkeypatch):
+    """Two 900-point index sets of a 1,000-point cloud need more entries than
+    the whole matrix, so it is formed once and both blocks are sliced from
+    it. Each block is dropped before the next is formed: the peak is the
+    whole matrix, one block and the runs of rows that form them, where
+    holding two blocks would add 6.5 MB."""
+    from mixbar import cloud, stats
+
+    x = PointCloud(np.random.default_rng(0).normal(size=(1000, 3)))
+    first, second = np.arange(900), np.arange(100, 1000)
+    monkeypatch.setattr(stats, "k_medoids_indices", lambda dist, k: [0])
+    monkeypatch.setattr(stats, "interaction_barcode", lambda dist, n_a, degree, config: None)
+    tracemalloc.start()
+    try:
+        if loop == "_subsampled":
+            sizes = {"--subsample-a": 1}
+            stats._subsampled(x, 1, [(first, sizes), (second, sizes)])
+        else:
+            pairs = [(first[:600], first[600:]), (second[:600], second[600:])]
+            list(stats._interactions(x, pairs, 1, StatsConfig(r_max=1.0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (1000**2 + 900**2) + 2 * cloud.BLOCK_BYTES
 
 
 @pytest.mark.parametrize("clamp", [math.nan, math.inf, -math.inf])

@@ -37,10 +37,11 @@ def test_rejects_bad_k():
 
 def test_check_budget_is_the_one_sizing_rule(monkeypatch):
     """k-medoids chooses among n points only where some size falls short of
-    n, and then only within cloud.MAX_POINTS; the error names the options
-    that fall short. A size equal to n covers the points, as do all sizes
-    of an empty set."""
-    monkeypatch.setattr(cloud, "MAX_POINTS", 4)
+    n, and then only where their n × n matrix fits cloud.MAX_MATRIX_BYTES at
+    9 bytes per entry, here n <= 4; the error names the options that fall
+    short. A size equal to n covers the points, as do all sizes of an empty
+    set."""
+    monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", 9 * 4 * 4)
     both = {"--subsample-a": 4, "--subsample-b": 2}
     assert check_budget(0, both) is False
     assert check_budget(2, both) is False
@@ -51,9 +52,9 @@ def test_check_budget_is_the_one_sizing_rule(monkeypatch):
     with pytest.raises(InputError) as exc:
         check_budget(5, both)
     assert str(exc.value) == (
-        "k-medoids for --subsample-a and --subsample-b would choose among 5 points, more than "
-        "the budget of 4 (mixbar.cloud.MAX_POINTS); use fewer points, or set --subsample-a and "
-        "--subsample-b to at least 5 to keep them all"
+        "k-medoids for --subsample-a and --subsample-b would choose among 5 points, whose "
+        "distance matrix is over the budget of 144 bytes (mixbar.cloud.MAX_MATRIX_BYTES); use "
+        "fewer points, or set --subsample-a and --subsample-b to at least 5 to keep them all"
     )
     with pytest.raises(InputError, match="k-medoids for --subsample-b would choose among 5 points"):
         check_budget(5, {"--subsample-a": 5, "--subsample-b": 2})
