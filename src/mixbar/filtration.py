@@ -123,15 +123,32 @@ class FilteredPair:
         np.cumsum(count, out=bounds[1:])
         return self.indices[np.repeat(start - bounds[:-1], count) + np.arange(bounds[-1])], bounds
 
+    def _face_rules(self, owner: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """One row of flags per face rule, in validate()'s order, over the
+        boundary entries face id idx of the cell at position owner, grouped
+        by owner with each row in its stored order."""
+        ok = (idx >= 1) & (idx <= owner)  # id = position + 1
+        face = np.where(ok, idx - 1, 0)
+        repeat = np.zeros(len(idx), dtype=bool)
+        # a strictly ascending row, as parsers and Rips builds store them, has
+        # no repeat; else a stable sort of in-range keys flags each later copy
+        if ((owner[1:] == owner[:-1]) & (idx[1:] <= idx[:-1])).any():
+            at = np.flatnonzero(ok)
+            key = owner[at] * self.n + face[at]
+            order = np.argsort(key, kind="stable")
+            repeat[at[order[1:][key[order[1:]] == key[order[:-1]]]]] = True
+        wrong_dim = ok & (self.dim[face] != self.dim[owner] - 1)
+        return np.stack([repeat, ~ok, wrong_dim, ok & self.in_l[owner] & ~self.in_l[face]])
+
     def validate(self, ids=None) -> None:
         """Raise InputError naming the first cell that breaks a rule.
 
-        Rules: ids 1..n in order, dim >= 0, values finite and never
-        decreasing, face ids distinct, in range and earlier, of dim - 1 and,
-        for an L-cell, in L; a 1-cell has at most two faces, and the
-        boundary of the boundary of a cell is zero over Z/2. All cells are
-        checked at once; the message comes from the per-cell rules applied
-        to the first offending cell.
+        Rules, in order: ids 1..n in order, dim >= 0, values finite and
+        never decreasing, face ids distinct, in range and earlier, of
+        dim - 1 and, for an L-cell, in L; a 1-cell has at most two faces,
+        and the boundary of the boundary of a cell is zero over Z/2. Each
+        rule is one mask over all cells; the message names the first rule
+        the earliest offending cell breaks, and for a face rule, its face.
         """
         n = self.n
         if len(self.value) != n or len(self.in_l) != n or len(self.indptr) != n + 1:
@@ -139,81 +156,63 @@ class FilteredPair:
         count = np.diff(self.indptr)
         if self.indptr[0] != 0 or (count < 0).any() or self.indptr[-1] != len(self.indices):
             raise InputError("boundary offsets do not describe the boundary ids")
-        dim, idx = self.dim, self.indices
-        bad = (dim < 0) | ~np.isfinite(self.value)
-        if ids is not None:
-            bad |= np.asarray(ids) != np.arange(1, n + 1)
-        bad[1:] |= self.value[1:] < self.value[:-1]
-        bad |= (dim == 1) & (count > 2)
+        dim, value, idx = self.dim, self.value, self.indices
+        misnumbered = np.zeros(n, dtype=bool) if ids is None else np.asarray(ids) != np.arange(1, n + 1)
+        negative = dim < 0
+        infinite = ~np.isfinite(value)
+        falling = np.append(False, value[1:] < value[:-1])
         owner = np.repeat(np.arange(n), count)
-        in_range = (idx >= 1) & (idx <= owner)  # id = position + 1
-        bad[owner[~in_range]] = True
-        owner, faces = owner[in_range], idx[in_range] - 1
-        bad[owner[dim[faces] != dim[owner] - 1]] = True
-        bad[owner[self.in_l[owner] & ~self.in_l[faces]]] = True
-        # a face repeated in a row: a row stored strictly ascending, as every
-        # parser and the Rips build store them, has none; otherwise repeats
-        # are equal neighbours among the sorted (owner, face) keys
-        same_row = owner[1:] == owner[:-1]
-        if (same_row & (faces[1:] <= faces[:-1])).any():
-            key = np.sort(owner * (n + 1) + faces)
-            bad[key[1:][key[1:] == key[:-1]] // (n + 1)] = True
+        rules = self._face_rules(owner, idx)
+        bad_face = np.bincount(owner[rules.any(axis=0)], minlength=n) > 0
+        wide_edge = (dim == 1) & (count > 2)
         # boundary of the boundary: each face-of-face id an even number of times
-        up = dim[owner] >= 2
-        owner, faces = owner[up], faces[up]
-        ff, bounds = self.faces_of(faces + 1)
+        up = ~rules[1] & (dim[owner] >= 2)
+        del rules  # before the faces of faces, where the peak is
+        owner, faces = owner[up], idx[up]
+        ff, bounds = self.faces_of(faces)
         fcount = np.diff(bounds)
         # a face with an id out of range is an earlier offending cell itself
-        kept = (ff >= 1) & (ff <= np.repeat(faces, fcount))
+        kept = (ff >= 1) & (ff < np.repeat(faces, fcount))
         key = np.sort(np.repeat(owner, fcount)[kept] * (n + 1) + ff[kept])
         # sorted keys pair off with their right neighbours while each occurs an
         # even number of times: the first that does not, or a last key left
         # over, is the least key that occurs an odd number of times
         odd = np.append(key[:-1:2] != key[1::2], len(key) % 2 == 1)
+        open_cycle = np.zeros(n, dtype=bool)
         if odd.any():
-            bad[key[2 * odd.argmax()] // (n + 1)] = True
-        first = np.flatnonzero(bad)
-        if first.size:
-            raise InputError(self._cell_error(int(first[0]), ids))
-
-    def _cell_error(self, i: int, ids) -> str:
-        """The message for cell position i, by the per-cell rules in order."""
+            open_cycle[key[2 * odd.argmax()] // (n + 1)] = True
+        bad = misnumbered | negative | infinite | falling | bad_face | wide_edge | open_cycle
+        if not bad.any():
+            return
+        i = int(bad.argmax())
         cid = i + 1
-        if ids is not None and ids[i] != cid:
-            return f"cell ids must be 1..n in order; position {cid} has id {ids[i]}"
-        dim = int(self.dim[i])
-        if dim < 0:
-            return f"cell {cid}: negative dimension"
-        if not np.isfinite(self.value[i]):
-            return f"cell {cid}: value {float(self.value[i])} is not finite"
-        if i > 0 and self.value[i] < self.value[i - 1]:
-            return f"cell {cid}: value {float(self.value[i])} below value of cell {cid - 1}"
-        boundary = self.indices[self.indptr[i] : self.indptr[i + 1]].tolist()
-        seen: set[int] = set()
-        for fid in boundary:
-            if fid in seen:
-                return f"cell {cid}: duplicate boundary id {fid}"
-            seen.add(fid)
-            if not 1 <= fid < cid:
-                return f"cell {cid}: boundary id {fid} must name an earlier cell"
-            face_dim = int(self.dim[fid - 1])
-            if face_dim != dim - 1:
-                return f"cell {cid} (dim {dim}): boundary cell {fid} has dim {face_dim}"
-            if self.in_l[i] and not self.in_l[fid - 1]:
-                return f"cell {cid} is in L but its face {fid} is not: L is not a subcomplex"
-        if dim == 1 and len(boundary) > 2:
-            return f"cell {cid}: a 1-cell has at most two boundary vertices"
-        odd: set[int] = set()
-        for fid in boundary:
-            odd.symmetric_difference_update(
-                self.indices[self.indptr[fid - 1] : self.indptr[fid]].tolist()
-            )
-        if dim >= 2 and odd:
-            return (
-                f"cell {cid}: the boundary of its boundary is not zero over Z/2 "
-                f"(cells {sorted(odd)} appear an odd number of times)"
-            )
-        raise AssertionError(f"cell {cid} was flagged but breaks no rule")
+        if misnumbered[i]:
+            raise InputError(f"cell ids must be 1..n in order; position {cid} has id {ids[i]}")
+        if negative[i]:
+            raise InputError(f"cell {cid}: negative dimension")
+        if infinite[i]:
+            raise InputError(f"cell {cid}: value {float(value[i])} is not finite")
+        if falling[i]:
+            raise InputError(f"cell {cid}: value {float(value[i])} below value of cell {cid - 1}")
+        if bad_face[i]:
+            row = idx[self.indptr[i] : self.indptr[i + 1]]
+            # the first flagged face in the row, and the first rule it breaks
+            j, rule = np.argwhere(self._face_rules(np.full(len(row), i), row).T)[0]
+            fid = int(row[j])
+            if rule == 0:
+                raise InputError(f"cell {cid}: duplicate boundary id {fid}")
+            if rule == 1:
+                raise InputError(f"cell {cid}: boundary id {fid} must name an earlier cell")
+            if rule == 2:
+                raise InputError(f"cell {cid} (dim {dim[i]}): boundary cell {fid} has dim {dim[fid - 1]}")
+            raise InputError(f"cell {cid} is in L but its face {fid} is not: L is not a subcomplex")
+        if wide_edge[i]:
+            raise InputError(f"cell {cid}: a 1-cell has at most two boundary vertices")
+        ff, times = np.unique(key[key // (n + 1) == i] % (n + 1), return_counts=True)
+        raise InputError(
+            f"cell {cid}: the boundary of its boundary is not zero over Z/2 "
+            f"(cells {ff[times % 2 == 1].tolist()} appear an odd number of times)"
+        )
 
 
 def parse_explicit_pair(text: str) -> FilteredPair:

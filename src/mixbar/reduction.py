@@ -19,9 +19,13 @@ runs over all (k+1)-cells in filtration order, the L pass over the
 L-cells alone. A pass over vertex columns is union-find: the pivot of an
 edge column is the youngest vertex of the component it merges into an
 older one (the elder rule), so union-find over the edges in the order
-given pairs the same cells and builds no column, where most vertex
-coboundaries collide. An edge with one boundary vertex joins a ground
-node older than every vertex; an edge with none merges nothing.
+given pairs the same cells and builds no column. Coboundary columns pair
+vertices 1.1-5.3x faster on typical clouds, but can grow into cluster
+cuts: for 1,000 points at x = i^2 listed in reverse, all in A, r_max past
+the diameter (500,500 cells), degree 0 takes 0.55-0.72 s at 192 B per
+cell by union-find and 12.3 s at 2,746 B per cell by coboundary columns
+(tracemalloc peaks, 2-CPU VM). An edge with one boundary vertex joins a
+ground node older than every vertex; an edge with none merges nothing.
 
 One chain gives the columns of every degree k, and most columns never
 need reducing:

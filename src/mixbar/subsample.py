@@ -314,11 +314,8 @@ def _move(block: np.ndarray, gain: np.ndarray, per: np.ndarray, pos, dists) -> t
     # min(d, second) − lo out of each point's old position, into its new
     terms = low[1::2] - low[0::2]
     for i, (was, now) in enumerate(zip(pos[0].tolist(), pos[1].tolist())):
-        if was == now:
-            per[now] += terms[1, i] - terms[0, i]
-        else:
-            per[was] -= terms[0, i]
-            per[now] += terms[1, i]
+        per[was] -= terms[0, i]
+        per[now] += terms[1, i]
     return float(sums.sum()), int(np.bincount(np.concatenate(pos)).max())
 
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -56,6 +57,33 @@ def test_parse_rejects_non_numeric():
 def test_cloud_rejects_non_finite():
     with pytest.raises(InputError):
         PointCloud(np.array([[0.0, np.inf]]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+def test_cloud_rejects_points_that_are_not_2d(shape):
+    message = f"point array must be 2-dimensional, got shape {shape}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        PointCloud(np.zeros(shape))
+
+
+@pytest.mark.parametrize("labels", [[0, 1], [0, 1, 1, 0], [[0], [1], [1]]])
+def test_labels_need_one_entry_per_point(labels):
+    with pytest.raises(InputError, match="^label array must have one entry per point$"):
+        LabeledPointCloud(PointCloud(np.zeros((3, 2))), labels)
+
+
+def test_float_labels_are_kept_only_when_integral():
+    cloud = PointCloud(np.zeros((3, 2)))
+    labeled = LabeledPointCloud(cloud, np.array([0.0, 2.0, -1.0]))
+    assert labeled.labels.dtype.kind == "i"
+    assert labeled.labels.tolist() == [0, 2, -1]
+    with pytest.raises(InputError, match="^labels must be integers$"):
+        LabeledPointCloud(cloud, np.array([0.0, 0.5, 1.0]))
+
+
+def test_distances_reject_an_unknown_metric():
+    with pytest.raises(InputError, match="^cannot compute distances for metric 'matrix'$"):
+        pairwise_distances(np.zeros((2, 2)), "matrix")
 
 
 def test_euclidean_distances():

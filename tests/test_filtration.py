@@ -92,6 +92,11 @@ def test_from_cells_validates():
         FilteredPair.from_cells(bad)
 
 
+def test_from_cells_rejects_an_unknown_member():
+    with pytest.raises(InputError, match="^cell 1: member must be L or K, got 'M'$"):
+        FilteredPair.from_cells([Cell(1, 0, 0.0, "M", ())])
+
+
 def test_restrict_to_l(six_cell_pair):
     sub = restrict_to_L(six_cell_pair)
     assert sub.n == 4
@@ -246,3 +251,48 @@ def test_constructor_rejects_inconsistent_arrays():
 def test_rejects_integers_beyond_int64(text, message):
     with pytest.raises(InputError, match=message):
         parse_explicit_pair(text)
+
+
+def test_rows_out_of_order_give_the_per_cell_message():
+    """Random corruptions of valid explicit pairs, every boundary shuffled and
+    the pair built from its arrays: the message of checking one cell at a
+    time, each row's faces in their stored order."""
+    rng = np.random.default_rng(11)
+    rejected = 0
+    for _ in range(4000):
+        fp = random_explicit_instance(rng)
+        dim, value, in_l = fp.dim.copy(), fp.value.copy(), fp.in_l.copy()
+        rows = [list(c.boundary) for c in fp.cells]
+        for _ in range(int(rng.integers(1, 3))):
+            i = int(rng.integers(fp.n))
+            kind = int(rng.integers(7))
+            if kind == 0:
+                dim[i] += rng.choice([-2, -1, 1])
+            elif kind == 1:
+                value[i] -= rng.integers(1, 3)
+            elif kind == 2:
+                in_l[i] = not in_l[i]
+            elif kind == 3:
+                rows[i].append(int(rng.integers(-1, fp.n + 2)))
+            elif kind == 4:
+                value[i] = rng.choice([np.nan, np.inf, -np.inf])
+            elif kind == 5 and rows[i]:
+                rows[i].append(int(rng.choice(rows[i])))
+            elif rows[i]:
+                rows[i].pop(int(rng.integers(len(rows[i]))))
+        for row in rows:
+            rng.shuffle(row)
+        cells = [
+            Cell(i + 1, int(d), float(v), "L" if l else "K", tuple(row))
+            for i, (d, v, l, row) in enumerate(zip(dim, value, in_l, rows))
+        ]
+        want = reference_error(cells)
+        indptr = np.cumsum([0] + [len(row) for row in rows])
+        try:
+            FilteredPair(dim, value, in_l, indptr, [f for row in rows for f in row])
+            got = None
+        except InputError as exc:
+            got = str(exc)
+        assert got == want
+        rejected += want is not None
+    assert rejected > 3000

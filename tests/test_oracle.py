@@ -96,6 +96,11 @@ def test_bad_mode_rejected(six_cell_pair):
         rank_function(six_cell_pair, 1, "kernel")
 
 
+def test_negative_degree_rejected(six_cell_pair):
+    with pytest.raises(InputError, match="^degree must be non-negative, got -1$"):
+        rank_function(six_cell_pair, -1, "standard_L")
+
+
 def test_corrupted_grid_rejected():
     grid = np.zeros((4, 4), dtype=np.int64)
     grid[1, 1] = 1  # a class born at 1 that was never born before... and
@@ -106,6 +111,15 @@ def test_corrupted_grid_rejected():
     rf = RankFunction(degree=0, n=3, grid=grid)
     with pytest.raises(InputError, match="rank function"):
         barcode_from_ranks(rf)
+
+
+def test_negative_essential_multiplicity_rejected():
+    # r(0, 1) = 1 above r(1, 1) = 0: a class alive at the end, born before
+    # the first cell
+    grid = np.zeros((2, 2), dtype=np.int64)
+    grid[0, 1] = 1
+    with pytest.raises(InputError, match="^corrupted rank function: negative essential multiplicity$"):
+        barcode_from_ranks(RankFunction(degree=0, n=1, grid=grid))
 
 
 def test_size_guard():

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -287,6 +288,30 @@ def test_mixup_profile_requires_matching_labels():
     series = {(0, 0): good, (0, 1): relabeled}
     with pytest.raises(InputError, match="label"):
         mixup_profile(series, 0, StatsConfig(r_max=3.0))
+
+
+@pytest.mark.parametrize(
+    "series_of,message",
+    [
+        (lambda c: {}, "profile needs a nonempty series"),
+        (
+            lambda c: {(0, 0): LabeledPointCloud(c.cloud, 0 * c.labels)},
+            "profile needs at least two distinct labels",
+        ),
+        (
+            lambda c: {(0, 0): c, (0, 1): LabeledPointCloud(c.cloud, 2 * c.labels)},
+            "cloud at (0, 1) has a different label set",
+        ),
+        (
+            lambda c: {(0, 0): c, (0, 1): LabeledPointCloud(PointCloud(c.cloud.points[1:]), c.labels[1:])},
+            "cloud at (0, 1) has a different number of points",
+        ),
+    ],
+    ids=["empty", "one label", "label set", "point count"],
+)
+def test_mixup_profile_rejects_an_inconsistent_series(series_of, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        mixup_profile(series_of(entangled_step((0.0, 0.0))), 0, StatsConfig(r_max=3.0))
 
 
 def test_mixup_profile_subsamples_once_on_first_cloud():
