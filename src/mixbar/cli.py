@@ -86,8 +86,8 @@ def _parser() -> argparse.ArgumentParser:
     def add_stats(p, a_help):
         p.add_argument("--a", required=True, help=a_help)
         add_rips(p, METRICS, required=True)
-        p.add_argument("--subsample-a", type=int, default=500, dest="subsample_a")
-        p.add_argument("--subsample-b", type=int, default=100, dest="subsample_b")
+        p.add_argument("--subsample-a", type=int, default=StatsConfig.subsample_a, dest="subsample_a")
+        p.add_argument("--subsample-b", type=int, default=StatsConfig.subsample_b, dest="subsample_b")
         add_clamp(p)
         add_degrees_out(p)
         p.add_argument("--format", choices=("json", "csv"), default="json")

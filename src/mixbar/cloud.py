@@ -23,9 +23,11 @@ METRICS = ("euclidean", "sqeuclidean")
 # Larger blocks measured no faster, and 8 MB distance blocks 1.7x slower.
 BLOCK_BYTES = 1 << 21
 
-# The one budget of every dense n × n matrix mixbar forms, 9 bytes per entry
-# (a distance and the boolean mask a Rips build lays over it), that
-# within_budget applies: the ~8 GB of rips.MAX_CELLS, at most 29,814 points.
+# The one memory budget, as within_budget charges it: 9 bytes per entry of a
+# dense n × n matrix (a distance and the Rips mask over it; at most 29,814
+# points) plus 950 per cell of a Rips build over it, which covers k_max <= 3: a
+# build's tracemalloc peak per cell, matrix aside, grows with k_max and the share
+# of top cells, 455 B at k_max 1 (333,351 cells), 664 B at 2 (1.5M), 914 B at 3 (5.2M).
 MAX_MATRIX_BYTES = 8 * 10**9
 
 
@@ -70,8 +72,9 @@ class LabeledPointCloud:
         if self.labels.ndim != 1 or len(self.labels) != self.cloud.n_points:
             raise InputError("label array must have one entry per point")
         if self.labels.size and not np.issubdtype(self.labels.dtype, np.integer):
-            as_int = self.labels.astype(int)
-            if not np.array_equal(as_int, self.labels):
+            # NaN, inf and floats past the int64 range are refused before the cast warns on them
+            fits = self.labels.dtype.kind != "f" or (abs(self.labels) < 2.0**63).all()
+            if not (fits and np.array_equal(as_int := self.labels.astype(int), self.labels)):
                 raise InputError("labels must be integers")
             self.labels = as_int
 
@@ -142,9 +145,9 @@ def distance_blocks(
         yield pairwise_distances(points[s], metric) if whole is None else whole[np.ix_(s, s)]
 
 
-def within_budget(entries: int) -> bool:
-    """Whether dense matrices of this many entries in all fit MAX_MATRIX_BYTES."""
-    return 9 * entries <= MAX_MATRIX_BYTES
+def within_budget(entries: int, cells: int = 0) -> bool:
+    """Whether dense matrices of `entries` in all and `cells` Rips cells fit MAX_MATRIX_BYTES."""
+    return 9 * entries + 950 * cells <= MAX_MATRIX_BYTES
 
 
 def runs(n: int, row_bytes: int) -> list[slice]:

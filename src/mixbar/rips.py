@@ -24,17 +24,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import cloud
 from .cloud import PointCloud, check_distance_matrix, pairwise_distances, runs
 from .errors import InputError
 from .filtration import FilteredPair
 
-# Cells a Rips build may hold. A build peaks at about 800 bytes per cell
-# (tracemalloc, k_max 2: 240,801 cells of 1,000 uniform points in R^3 at
-# 760 B, 218,214 cells of 250 points in R^3 at 814 B), so this is about 8 GB.
-MAX_CELLS = 10**7
-
-# No complex within MAX_CELLS holds a k-simplex, with its 2^(k+1) - 1 cells, for k > MAX_K = 22.
-MAX_K = (MAX_CELLS + 1).bit_length() - 2
+# A k-simplex brings k + 1 points and 2^(k+1) - 1 cells, itself and its faces;
+# past k = MAX_K = 22 no build holding one fits cloud.within_budget.
+MAX_K = max(k for k in range(64) if cloud.within_budget((k + 1) ** 2, 2 ** (k + 1) - 1))
 
 
 def check_rips_params(r_max: float, k_max: int) -> None:
@@ -141,8 +138,8 @@ def _expand(dist: np.ndarray, r_max: float, max_dim: int) -> list[_Layer]:
     overflow once n^(d+1) >= 2^63.
 
     The cells are counted as they are found, the edges before they are
-    listed and each run's cofaces before a layer is assembled; past
-    MAX_CELLS the build stops with an InputError.
+    listed and each run's cofaces before a layer is assembled; once they and
+    the n x n matrix are over cloud.within_budget, the build stops with an InputError.
     """
     n = dist.shape[0]
     verts = np.arange(n)
@@ -154,7 +151,7 @@ def _expand(dist: np.ndarray, r_max: float, max_dim: int) -> list[_Layer]:
     for part in runs(n, n):
         block = later[part, : part.stop]
         block &= np.tri(block.shape[1], len(block), -part.start - 1, dtype=bool).T  # j > i
-    cells = _counted(n + np.count_nonzero(later))
+    cells = _counted(n, n + np.count_nonzero(later))
     u, w = np.nonzero(later)
     layers.append(_Layer(u, w, dist[u, w], np.stack([w, u], axis=1)))
     simplices = np.stack([u, w], axis=1)  # vertices of the top layer
@@ -167,7 +164,7 @@ def _expand(dist: np.ndarray, r_max: float, max_dim: int) -> list[_Layer]:
             for j in range(1, d):
                 mask &= later[rows[:, j]]
             p, v = np.nonzero(mask)
-            cells = _counted(cells + len(p))
+            cells = _counted(n, cells + len(p))
             parents.append(p + part.start)
             lasts.append(v)
         parent = np.concatenate(parents)
@@ -185,11 +182,11 @@ def _expand(dist: np.ndarray, r_max: float, max_dim: int) -> list[_Layer]:
     return layers
 
 
-def _counted(cells: int) -> int:
-    """The running cell count of a build, checked against MAX_CELLS."""
-    if cells > MAX_CELLS:
+def _counted(n: int, cells: int) -> int:
+    """The running cell count of a build over n points, within the budget."""
+    if not cloud.within_budget(n * n, cells):
         raise InputError(
-            f"the Rips complex holds more than {MAX_CELLS:,} cells "
-            f"({cells:,} counted so far); lower --rmax or --kmax"
+            f"the Rips build of {n:,} points and {cells:,} cells counted so far is over the budget of "
+            f"{cloud.MAX_MATRIX_BYTES:,} bytes (mixbar.cloud.MAX_MATRIX_BYTES); lower --rmax or --kmax"
         )
     return cells

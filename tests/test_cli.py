@@ -176,16 +176,18 @@ def test_stats_commands_require_a_and_rmax(command, given, missing, capsys):
 
 
 def test_cell_budget_exits_2(square_center_files, monkeypatch, capsys):
-    from mixbar import rips
+    """The 5 x 5 matrix fits the budget alone, and 25 cells are far below
+    what it holds alone, but the build is charged for both."""
+    from mixbar import cloud
 
-    monkeypatch.setattr(rips, "MAX_CELLS", 20)
+    monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", 9 * 5**2 + 950 * 20)
     a, b = square_center_files
     code, out, err = run(["mixup", "--a", a, "--b", b, "--rmax", "2.0", "--kmax", "2"], capsys)
     assert code == 2
     assert out == ""
     assert err == (
-        "error: the Rips complex holds more than 20 cells (25 counted so far); "
-        "lower --rmax or --kmax\n"
+        "error: the Rips build of 5 points and 25 cells counted so far is over the budget of "
+        "19,225 bytes (mixbar.cloud.MAX_MATRIX_BYTES); lower --rmax or --kmax\n"
     )
 
 
@@ -587,13 +589,14 @@ def test_rmax_rule_is_shared(square_center_files, labeled_file, manifest_file, c
 
 @pytest.mark.parametrize("command", ["mixup", "verify", "pairwise", "profile"])
 def test_kmax_above_the_cell_budget_exits_2_before_any_read(command, capsys):
-    """A k-simplex brings 2^(k+1) - 1 cells, more than MAX_CELLS = 10^7 once
-    k >= 23, so --kmax 23 resolves nothing a build may hold; it is refused
-    before the input, here a missing file, is read, and before the default
-    degrees 0..--kmax are listed."""
-    from mixbar import rips
+    """A k-simplex brings k + 1 points and 2^(k+1) - 1 cells, more than the
+    budget holds once k >= 23, so --kmax 23 resolves nothing a build may
+    hold; it is refused before the input, here a missing file, is read, and
+    before the default degrees 0..--kmax are listed."""
+    from mixbar import cloud, rips
 
-    assert rips.MAX_K == 22 and 2 ** 23 - 1 <= rips.MAX_CELLS < 2 ** 24 - 1
+    assert rips.MAX_K == 22
+    assert cloud.within_budget(23**2, 2**23 - 1) and not cloud.within_budget(24**2, 2**24 - 1)
     code, out, err = run([command, "--a", "missing.csv", "--rmax", "1", "--kmax", "23"], capsys)
     assert (code, out) == (2, "")
     assert err == "error: k_max must be at most 22 (mixbar.rips.MAX_K), got 23\n"
@@ -852,7 +855,8 @@ def test_every_kmedoids_route_asks_the_one_sizing_rule(
 def test_distance_matrix_over_the_byte_budget_exits_2(command, tmp_path, monkeypatch, capsys):
     """A budget that 5 points exceed and 4 do not: mixup on 3 + 2 points and
     degree-0 pairwise on a cloud of 5 stop with an input error before their
-    matrix is allocated; 4 points still run."""
+    matrix is allocated; 4 points pass that check and stop at the charge for
+    the cells of their Rips build, which comes on top of the matrix."""
     from mixbar import cloud
 
     monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", 9 * 5 * 5 - 1)
@@ -864,42 +868,52 @@ def test_distance_matrix_over_the_byte_budget_exits_2(command, tmp_path, monkeyp
         args = ["mixup", "--a", str(a), "--b", str(b), "--rmax", "12", "--degrees", "0"]
     else:
         args = ["pairwise", "--a", str(labeled), "--rmax", "12", "--degrees", "0"]
-    for n, want in ((4, 0), (5, 2)):
+    for n in (4, 5):
         b.write_text("\n".join(coords[3:n]) + "\n")
         labeled.write_text("".join(f"{p},{i // 3}\n" for i, p in enumerate(coords[:n])))
         code, out, err = run(args, capsys)
-        assert code == want
-    assert out == ""
+        assert (code, out) == (2, "")
+        assert n == 5 or err == (
+            "error: the Rips build of 4 points and 10 cells counted so far is over the budget "
+            "of 224 bytes (mixbar.cloud.MAX_MATRIX_BYTES); lower --rmax or --kmax\n"
+        )
     assert err == (
         "error: the distance matrix of 5 points would take 225 bytes with its Rips mask, "
         "more than the budget of 224 (mixbar.cloud.MAX_MATRIX_BYTES)\n"
     )
 
 
-def test_kmedoids_budget_allows_clouds_at_the_limit(labeled_file, monkeypatch, capsys):
-    """Classes of three points run k-medoids at a budget of exactly their
-    9 · 3² bytes, and stop one byte below it."""
+def test_kmedoids_budget_allows_clouds_at_the_limit(tmp_path, monkeypatch, capsys):
+    """Classes of 30 points run k-medoids at a budget of exactly their
+    9 · 30² bytes, and stop one byte below it. The Rips builds on 2 + 1
+    medoids, at most 7 cells charged with their 3 x 3 matrix, fit within it."""
     from mixbar import cloud
 
-    args = ["pairwise", "--a", labeled_file, "--rmax", "12", "--degrees", "1",
+    rng = np.random.default_rng(0)
+    pts = np.repeat([[0.0, 0.0], [9.0, 0.0]], 30, axis=0) + rng.normal(size=(60, 2))
+    path = tmp_path / "lab.csv"
+    path.write_text("".join(f"{x},{y},{i // 30}\n" for i, (x, y) in enumerate(pts)))
+    args = ["pairwise", "--a", str(path), "--rmax", "12", "--degrees", "1",
             "--subsample-a", "2", "--subsample-b", "1"]
-    for budget, want in ((9 * 3 * 3, 0), (9 * 3 * 3 - 1, 2)):
+    for budget, want in ((9 * 30 * 30, 0), (9 * 30 * 30 - 1, 2)):
         monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", budget)
         code, _, _ = run(args, capsys)
         assert code == want
 
 
 def test_profile_forms_no_matrix_over_the_kmedoids_budget(tmp_path, monkeypatch, capsys):
-    """Two classes of five points: the k-medoids blocks of the classes and
-    their complements add up to the whole 10-point matrix, which
+    """Two classes of 40 points: the k-medoids blocks of the classes and
+    their complements add up to the whole 80-point matrix, which
     distance_blocks forms only when it fits the budget together with a
-    5-point block; the output is the same either way."""
+    40-point block; the output is the same either way. Every budget below
+    also holds the Rips builds on 2 + 2 medoids, at most 14 cells charged
+    with their 4 x 4 matrix."""
     from mixbar import cloud
 
     rng = np.random.default_rng(0)
-    pts = np.repeat([[0.0, 0.0], [3.0, 0.0]], 5, axis=0) + rng.normal(size=(10, 2))
+    pts = np.repeat([[0.0, 0.0], [3.0, 0.0]], 40, axis=0) + rng.normal(size=(80, 2))
     path = tmp_path / "lab.csv"
-    path.write_text("".join(f"{x},{y},{i // 5}\n" for i, (x, y) in enumerate(pts)))
+    path.write_text("".join(f"{x},{y},{i // 40}\n" for i, (x, y) in enumerate(pts)))
     manifest = tmp_path / "series.txt"
     manifest.write_text(f"0 0 {path}\n")
     args = ["profile", "--a", str(manifest), "--rmax", "4", "--degrees", "1",
@@ -908,10 +922,10 @@ def test_profile_forms_no_matrix_over_the_kmedoids_budget(tmp_path, monkeypatch,
     assert code == 0
     real = cloud.pairwise_distances
     for budget, largest in (
-        (9 * 5 * 5, 5),  # the 5-point blocks fit, the whole matrix does not
-        (9 * 10 * 10, 5),  # the whole matrix fits alone, not with a block
-        (9 * (10 * 10 + 5 * 5) - 1, 5),
-        (9 * (10 * 10 + 5 * 5), 10),  # the whole matrix and one block fit
+        (9 * 40 * 40, 40),  # the 40-point blocks fit, the whole matrix does not
+        (9 * 80 * 80, 40),  # the whole matrix fits alone, not with a block
+        (9 * (80 * 80 + 40 * 40) - 1, 40),
+        (9 * (80 * 80 + 40 * 40), 80),  # the whole matrix and one block fit
     ):
         sizes = []
         monkeypatch.setattr(

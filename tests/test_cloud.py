@@ -81,6 +81,13 @@ def test_float_labels_are_kept_only_when_integral():
         LabeledPointCloud(cloud, np.array([0.0, 0.5, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+def test_float_labels_past_int64_are_refused_before_the_cast(bad):
+    """Casting them would warn "invalid value encountered in cast"."""
+    with pytest.raises(InputError, match="^labels must be integers$"):
+        LabeledPointCloud(PointCloud(np.zeros((2, 2))), np.array([0.0, bad]))
+
+
 def test_distances_reject_an_unknown_metric():
     with pytest.raises(InputError, match="^cannot compute distances for metric 'matrix'$"):
         pairwise_distances(np.zeros((2, 2)), "matrix")

@@ -95,17 +95,19 @@ def test_k_max_caps_dimension():
 @pytest.mark.parametrize("limit, counted", [(14, 15), (24, 25), (29, 30)])
 def test_cell_budget_stops_the_build(monkeypatch, limit, counted):
     # square + center up to tetrahedra: 5 vertices, 10 edges, 10 triangles,
-    # 5 tetrahedra; the count is checked after the edges and each layer
+    # 5 tetrahedra; the count is charged at 950 bytes a cell with the 5 x 5
+    # matrix at 9 bytes an entry, after the edges and each layer
     a = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     b = PointCloud(np.array([[0.5, 0.5]]))
-    monkeypatch.setattr(rips, "MAX_CELLS", limit)
+    budget = 9 * 5**2 + 950 * limit
+    monkeypatch.setattr(mixbar.cloud, "MAX_MATRIX_BYTES", budget)
     with pytest.raises(InputError) as err:
         build_rips_pair(a, b, r_max=2.0, k_max=2)
     assert str(err.value) == (
-        f"the Rips complex holds more than {limit} cells "
-        f"({counted} counted so far); lower --rmax or --kmax"
+        f"the Rips build of 5 points and {counted} cells counted so far is over the budget "
+        f"of {budget:,} bytes (mixbar.cloud.MAX_MATRIX_BYTES); lower --rmax or --kmax"
     )
-    monkeypatch.setattr(rips, "MAX_CELLS", 30)
+    monkeypatch.setattr(mixbar.cloud, "MAX_MATRIX_BYTES", 9 * 5**2 + 950 * 30)
     assert build_rips_pair(a, b, r_max=2.0, k_max=2).n == 30
 
 
