@@ -13,6 +13,15 @@ import json
 import os
 import sys
 
+# `import numpy` loads OpenBLAS, which starts one worker per extra CPU, and
+# each worker busy-waits about 0.13 s before it sleeps. mixbar makes no BLAS
+# call (tests/test_package.py guards that), so the command pins OpenBLAS to
+# one thread before its first numpy import, unless the variable is set. On a
+# 2-CPU VM that took the CPU time of the benchmark's explicit_pair run from
+# 0.49 to 0.32 s, at the same wall time. The library modules leave the
+# caller's threads alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .cloud import (
     METRICS,
     LabeledPointCloud,
@@ -346,20 +355,21 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_subsample(args: argparse.Namespace) -> int:
     check_sizes(args.subsample_a)
     if args.metric == "matrix":
-        matrix = load_distance_matrix(args.a)
-        n, distances = len(matrix), lambda: matrix
+        data = load_distance_matrix(args.a)
+        n = len(data)
     else:
-        cloud = load_point_cloud(args.a, args.metric)
-        n, distances = cloud.n_points, cloud.distance_matrix
+        data = load_point_cloud(args.a, args.metric)
+        n = data.n_points
     if n and not check_budget(n, {"--subsample-a": args.subsample_a}):
         # what k_medoids keeps at a size that covers every point, computed
         # with no distance; a matrix gets the check k_medoids would make
         if args.metric == "matrix":
-            check_distance_matrix(matrix)
+            check_distance_matrix(data)
         indices, cost = list(range(n)), 0.0
     else:
-        # an empty cloud is k_medoids' input error
-        sel = k_medoids(distances(), args.subsample_a)
+        # k_medoids checks a matrix file and computes a cloud's matrix, which
+        # needs no check; an empty cloud is its input error
+        sel = k_medoids(data, args.subsample_a)
         indices, cost = list(sel.indices), sel.cost
     if args.format == "json":
         result = {

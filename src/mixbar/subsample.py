@@ -62,10 +62,15 @@ class MedoidSelection:
     cost: float
 
 
-def k_medoids(dist: np.ndarray, k: int) -> MedoidSelection:
-    """Select k medoids of the points of a distance matrix; indices ascending."""
-    dist = np.asarray(dist, dtype=float)
-    check_distance_matrix(dist)
+def k_medoids(data: np.ndarray | cloud.PointCloud, k: int) -> MedoidSelection:
+    """Select k medoids of the points of a distance matrix, which is checked
+    first, or of a point cloud, whose computed matrix needs no check;
+    indices ascending."""
+    if isinstance(data, cloud.PointCloud):
+        dist = data.distance_matrix()
+    else:
+        dist = np.asarray(data, dtype=float)
+        check_distance_matrix(dist)
     if dist.shape[0] == 0:
         raise InputError("cannot subsample an empty cloud")
     idx = k_medoids_indices(dist, k)
@@ -96,8 +101,10 @@ def check_budget(n: int, sizes: Mapping[str, int]) -> bool:
 def k_medoids_indices(dist: np.ndarray, k: int) -> list[int]:
     """PAM on a distance matrix; returns ascending indices.
 
-    dist must pass cloud.check_distance_matrix (k_medoids checks it). The
-    search reads candidate columns as rows, which needs dist symmetric.
+    dist must pass cloud.check_distance_matrix, which is not made here: a
+    matrix computed from coordinates passes it, and k_medoids checks any
+    other. The search reads candidate columns as rows, which needs dist
+    symmetric.
     """
     if k <= 0:
         raise InputError(f"k must be positive, got {k}")

@@ -744,6 +744,10 @@ def test_matrix_file_rejects_non_finite(tmp_path, capsys):
     matrix_routes_exit_2(tmp_path, capsys, "0 inf\ninf 0\n", "distance matrix has non-finite entries")
 
 
+def test_matrix_file_rejects_nan(tmp_path, capsys):
+    matrix_routes_exit_2(tmp_path, capsys, "0 nan\nnan 0\n", "distance matrix has non-finite entries")
+
+
 def test_matrix_file_nan_diagonal_reads_as_strict_triangle(tmp_path, capsys):
     """A NaN is not zero, so the rows are read as the strict triangle of a
     3-point space, which the matrix check then rejects."""
@@ -766,6 +770,22 @@ def test_matrix_file_is_checked_once(tmp_path, monkeypatch, capsys):
         checked.clear()
         code, _, err = run(args + ["--a", str(path)], capsys)
         assert (code, err, checked) == (0, "", [(3, 3)]), name
+
+
+def test_subsample_checks_no_matrix_it_computes(tmp_path, monkeypatch, capsys):
+    """A matrix computed from coordinates goes to PAM unchecked: only a
+    --metric matrix file is checked."""
+    from mixbar import cli, cloud, rips, subsample
+
+    def no_check(d):
+        raise AssertionError("checked a computed matrix")
+
+    for module in (cli, cloud, rips, subsample):
+        monkeypatch.setattr(module, "check_distance_matrix", no_check)
+    path = tmp_path / "p.csv"
+    path.write_text("0\n1\n5\n6\n")
+    code, out, err = run(["subsample", "--a", str(path), "--subsample-a", "2"], capsys)
+    assert (code, out, err) == (0, "1\n2\n", "")
 
 
 def test_clamped_is_computed_once_per_barcode(square_center_pair, monkeypatch):

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -8,15 +10,27 @@ import pytest
 import mixbar
 
 SRC = os.path.dirname(os.path.dirname(mixbar.__file__))
+THREADS = "OPENBLAS_NUM_THREADS"
+
+
+def in_child(code: str, **env: str) -> str:
+    """The stdout of a fresh interpreter running code, with env added to an
+    environment that does not set OPENBLAS_NUM_THREADS (this process may
+    have imported mixbar.cli, which sets it)."""
+    full = {**os.environ, "PYTHONPATH": SRC}
+    full.pop(THREADS, None)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**full, **env}, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
 
 
 def loaded_after(statement: str) -> list[str]:
     """The mixbar and numpy modules a fresh interpreter holds after running
     statement."""
-    code = f"{statement}\nimport sys\nprint(*sorted(m for m in sys.modules if m.split('.')[0] in ('mixbar', 'numpy')))"
-    env = {**os.environ, "PYTHONPATH": SRC}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return out.stdout.split()
+    return in_child(
+        f"{statement}\nimport sys\nprint(*sorted(m for m in sys.modules if m.split('.')[0] in ('mixbar', 'numpy')))"
+    ).split()
 
 
 def test_import_mixbar_executes_no_submodule():
@@ -52,3 +66,80 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="module 'mixbar' has no attribute 'no_such_name'"):
         mixbar.no_such_name
     assert not hasattr(mixbar, "no_such_name")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_cli_pins_openblas_to_one_thread():
+    code = f"import mixbar.cli, os\nprint(os.environ[{THREADS!r}], len(os.listdir('/proc/self/task')))"
+    assert in_child(code) == "1 1"
+
+
+def test_cli_keeps_a_preset_openblas_thread_count():
+    code = f"import mixbar.cli, os\nprint(os.environ[{THREADS!r}])"
+    assert in_child(code, **{THREADS: "2"}) == "2"
+
+
+@pytest.mark.parametrize("module", ["mixbar", "mixbar.stats"])
+def test_library_imports_leave_openblas_threads_alone(module):
+    assert in_child(f"import {module}, os\nprint(os.environ.get({THREADS!r}))") == "None"
+
+
+# numpy routes these calls to BLAS; einsum does too when asked to optimize
+BLAS_CALLS = {"dot", "matmul", "inner", "vdot", "tensordot"}
+
+
+def blas_use(node: ast.AST) -> str | None:
+    """What node does that can reach BLAS through numpy, if anything."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return "@"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        if node.func.attr in BLAS_CALLS:
+            return f"{node.func.attr}()"
+        if node.func.attr == "einsum" and any(kw.arg == "optimize" for kw in node.keywords):
+            return "einsum(optimize=...)"
+    names = [getattr(node, field, None) or "" for field in ("attr", "id", "module")]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        names += [alias.name for alias in node.names]
+    if any("linalg" in name.split(".") for name in names):
+        return "linalg"
+    return None
+
+
+def blas_uses(source: str) -> list[str]:
+    uses = [(node.lineno, use) for node in ast.walk(ast.parse(source)) if (use := blas_use(node))]
+    return [f"line {line}: {use}" for line, use in sorted(uses)]
+
+
+def test_blas_guard_finds_each_form():
+    source = """
+import numpy.linalg
+from numpy import linalg
+a @ b
+a @= b
+np.dot(a, b)
+a.matmul(b)
+np.inner(a, b)
+np.vdot(a, b)
+np.tensordot(a, b)
+np.linalg.norm(a)
+linalg.solve(a, b)
+np.einsum("ij,jk", a, b, optimize=True)
+np.einsum("ijk,ijk->ij", a, a, out=c)
+"""
+    assert [use.split(": ")[1] for use in blas_uses(source)] == [
+        "linalg", "linalg", "@", "@", "dot()", "matmul()", "inner()", "vdot()", "tensordot()",
+        "linalg", "linalg", "einsum(optimize=...)",
+    ]
+
+
+def test_mixbar_makes_no_blas_call():
+    found = [
+        f"{path.name} {use}"
+        for path in sorted(pathlib.Path(mixbar.__file__).parent.rglob("*.py"))
+        for use in blas_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert not found, (
+        f"BLAS work in mixbar: {found}. The command pins OpenBLAS to one thread "
+        "(the OPENBLAS_NUM_THREADS line of mixbar/cli.py) because mixbar makes no "
+        "BLAS call; revisit that line before adding any."
+    )

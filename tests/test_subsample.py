@@ -17,6 +17,15 @@ def test_line_single_medoid():
     assert sel.cost == 20.0
 
 
+def test_a_point_cloud_is_subsampled_from_its_unchecked_matrix():
+    points = cloud.PointCloud(np.random.default_rng(0).normal(size=(30, 3)), "sqeuclidean")
+    with mock.patch("mixbar.subsample.check_distance_matrix", side_effect=AssertionError("checked")):
+        sel = k_medoids(points, 4)
+    assert sel == k_medoids(points.distance_matrix(), 4)
+    with pytest.raises(InputError, match="cannot subsample an empty cloud"):
+        k_medoids(cloud.PointCloud(np.zeros((0, 3))), 1)
+
+
 def test_k_at_least_n_returns_everything():
     sel = k_medoids(np.zeros((4, 4)), 7)
     assert sel.indices == (0, 1, 2, 3)
