@@ -25,9 +25,10 @@ BLOCK_BYTES = 1 << 21
 
 # The one memory budget, as within_budget charges it: 9 bytes per entry of a
 # dense n × n matrix (a distance and the Rips mask over it; at most 29,814
-# points) plus 950 per cell of a Rips build over it, which covers k_max <= 3: a
-# build's tracemalloc peak per cell, matrix aside, grows with k_max and the share
-# of top cells, 455 B at k_max 1 (333,351 cells), 664 B at 2 (1.5M), 914 B at 3 (5.2M).
+# points) plus 950 per cell of a Rips build over it. The 950 B cover the k_max 3
+# peak of a build followed by validate(); a build alone peaks, per cell and
+# matrix aside (tracemalloc), at 180-183 B at k_max 1, 220-230 B at 3 and at
+# most 283 B up to k_max 18 (67k to 2.0M cells), its pairing at most 235 B.
 MAX_MATRIX_BYTES = 8 * 10**9
 
 

@@ -9,10 +9,13 @@ precedes the cell that lists it.
 A pair is stored as arrays in filtration order, cell id = position + 1:
 `dim`, `value`, the L mask `in_l`, and the boundaries in CSR form, the
 faces of cell i being `indices[indptr[i]:indptr[i + 1]]` (1-based ids,
-ascending). Every constructor validates through `validate()`, one
-vectorised check for Rips builds and explicit files alike; `cells` is a
-per-cell view built on first access, for readers that want one object per
-cell.
+ascending). The public constructors, and so explicit files, `from_cells`
+and library callers, validate through `validate()`, one vectorised check
+of every rule. A Rips build is the one exception: `mixbar.rips` hands its
+arrays over through the private `_built`, unchecked, because it meets the
+rules by construction; the tests run `validate()` on random builds
+instead. `cells` is a per-cell view built on first access, for readers
+that want one object per cell.
 """
 
 from __future__ import annotations
@@ -51,8 +54,10 @@ class FilteredPair:
     """A cell-wise filtration of K with the subcomplex membership recorded.
 
     The constructor validates all structural invariants (see validate());
-    the algorithms in this package assume they hold. `ids` are the ids an
-    explicit input gave its cells, checked to be 1..n in order.
+    the algorithms in this package assume they hold. Only a Rips build,
+    which meets them by construction, skips the check (see _built). `ids`
+    are the ids an explicit input gave its cells, checked to be 1..n in
+    order.
     """
 
     def __init__(self, dim, value, in_l, indptr, indices, ids=None):
@@ -62,6 +67,18 @@ class FilteredPair:
         self.indptr = _frozen(indptr, np.int64, "boundary offset")
         self.indices = _frozen(indices, np.int64, "boundary id")
         self.validate(ids)
+
+    @classmethod
+    def _built(cls, dim, value, in_l, indptr, indices) -> "FilteredPair":
+        """The pair of arrays that mixbar.rips assembled, kept as they are:
+        neither copied nor validated. The build meets every rule of
+        validate() by construction, and the tests check that it does; no
+        other input may come through here."""
+        fp = cls.__new__(cls)
+        fp.dim, fp.value, fp.in_l, fp.indptr, fp.indices = dim, value, in_l, indptr, indices
+        for a in (dim, value, in_l, indptr, indices):
+            a.flags.writeable = False
+        return fp
 
     @classmethod
     def from_cells(cls, cells) -> "FilteredPair":

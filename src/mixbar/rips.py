@@ -9,13 +9,23 @@ builds are identical.
 
 The build works on arrays, one dimension at a time, with no per-simplex
 Python: edges come from an upper-triangle threshold mask, and each higher
-dimension extends every simplex by the common later neighbours of its
-vertices (the expansion step of Zomorodian, "Fast construction of the
-Vietoris-Rips complex", 2010). Simplices are then addressed by position,
-as in Ripser, rather than through a dict of vertex tuples: a face is found
-by searchsorted on (parent position, last vertex). One lexsort gives the
-cell order, and the result is the array layout of FilteredPair, checked by
-its validate() like any other input.
+dimension joins every simplex with its later siblings, the simplices of
+the same parent whose last vertices neighbour its own (the expansion step
+of the simplex tree, Boissonnat & Maria, "The Simplex Tree", 2014), so the
+work follows the cofaces and their candidates rather than n-wide rows of
+the mask. Simplices are then addressed by position, as in Ripser, rather
+than through a dict of vertex tuples: a face is found by searchsorted on
+(parent position, last vertex). One lexsort gives the cell order, and the
+result is the array layout of FilteredPair.
+
+That layout is handed over unvalidated, through FilteredPair's one private
+route for it: the build meets every rule of validate() by construction.
+Each face is found in the layer below it, so its dimension is one less
+and its id earlier; a face's value is never above its coface's, so the
+lexsort on (value, dim, ...) puts it first; and a simplex on A-points has
+only A-point faces, so L is closed. The tests call validate() on builds
+over random clouds instead: on a 2M-cell build the check takes longer
+than the build and more than doubles its peak memory.
 """
 
 from __future__ import annotations
@@ -78,6 +88,8 @@ def rips_pair_from_distances(
     """Rips pair over an explicit dissimilarity matrix.
 
     Rows 0..n_a-1 are the A-points (the subcomplex L), the rest are B.
+    The matrix and the parameters are checked; the pair built from them is
+    not, as it meets validate()'s rules by construction (module docstring).
     """
     dist = np.asarray(dist, dtype=float)
     check_distance_matrix(dist)
@@ -87,7 +99,7 @@ def rips_pair_from_distances(
     check_rips_params(r_max, k_max)
 
     layers = _expand(dist, r_max, k_max + 1)
-    dims = np.concatenate([np.full(len(lay.last), d) for d, lay in enumerate(layers)])
+    dims = np.concatenate([np.full(len(lay.last), d, dtype=np.int64) for d, lay in enumerate(layers)])
     value = np.concatenate([lay.value for lay in layers])
     ambient = np.concatenate([lay.last for lay in layers]) >= n_a
     # generation order is (dim, vertices); a stable sort keeps it within ties
@@ -106,7 +118,7 @@ def rips_pair_from_distances(
         face_ids = np.sort(position[offset - len(layers[d - 1].last) + layers[d].faces] + 1, axis=1)
         indices[(indptr[own][:, None] + np.arange(d + 1)).ravel()] = face_ids.ravel()
         offset += m
-    return FilteredPair(dims[order], value[order], ~ambient[order], indptr, indices)
+    return FilteredPair._built(dims[order], value[order], ~ambient[order], indptr, indices)
 
 
 class _Layer(NamedTuple):
@@ -115,7 +127,9 @@ class _Layer(NamedTuple):
     Simplex i is the (d-1)-simplex `parent[i]` of the layer below extended
     by the vertex `last[i]`, larger than all of its vertices; `faces[i, j]`
     is the position in the layer below of the face without vertex j. In
-    the vertex layer, parent and last are the vertex itself.
+    the vertex layer, parent and last are the vertex itself. The order
+    keeps the simplices of one parent, siblings, together and ascending in
+    last.
     """
 
     parent: np.ndarray
@@ -127,15 +141,22 @@ class _Layer(NamedTuple):
 def _expand(dist: np.ndarray, r_max: float, max_dim: int) -> list[_Layer]:
     """All cliques of the r_max-neighborhood graph up to dimension max_dim.
 
-    Each layer extends every simplex of the one below by the common later
-    neighbours of its vertices: the AND of their rows of `later`, over
-    runs of simplices (cloud.runs), one n-byte mask row each. A face of a
-    simplex (v_0..v_d) without v_j, j < d, is the face of its parent
-    without v_j, extended by v_d, so it is found by
+    The edges are the pairs i < j of the mask `later`. Each higher layer
+    joins a simplex i with its later siblings j, the simplices after it
+    that extend the same parent: last[j] neighbours every vertex of the
+    parent, so i extended by last[j] is a clique exactly when last[i] and
+    last[j] are neighbours too (the expansion step of the simplex tree,
+    Boissonnat & Maria, "The Simplex Tree", 2014). The candidates are these
+    pairs, not n-wide rows of the mask, and the coface's diameter is the
+    max of its two siblings' and of the edge between their last vertices.
+
+    A face of a coface (v_0..v_d) without v_j, j < d - 1, is the face of
+    its parent without v_j, extended by v_d, so it is found by
     searchsorted on the key parent * n + last. That key is below n times
     the length of an array in memory, far from 2^63 for any n whose n x n
     matrix fits in memory; a mixed-radix key over the vertex tuple would
-    overflow once n^(d+1) >= 2^63.
+    overflow once n^(d+1) >= 2^63. The faces without v_(d-1) and v_d are
+    the two siblings themselves.
 
     The cells are counted as they are found, the edges before they are
     listed and each run's cofaces before a layer is assembled; once they and
@@ -147,36 +168,41 @@ def _expand(dist: np.ndarray, r_max: float, max_dim: int) -> list[_Layer]:
     # keep the mask above the diagonal, clearing it a run of rows at a time:
     # one temporary within BLOCK_BYTES, so the build's peak is the 9 bytes per
     # entry cloud.MAX_MATRIX_BYTES counts (np.triu would add two n^2 masks)
-    later = dist <= r_max
+    later = np.less_equal(dist, r_max, order="C")
     for part in runs(n, n):
         block = later[part, : part.stop]
         block &= np.tri(block.shape[1], len(block), -part.start - 1, dtype=bool).T  # j > i
-    cells = _counted(n, n + np.count_nonzero(later))
-    u, w = np.nonzero(later)
+    flat = later.ravel()  # a view: entry (v, w) is flat[v * n + w]
+    cells = _counted(n, n + np.count_nonzero(flat))
+    u, w = np.divmod(np.flatnonzero(flat), n)
     layers.append(_Layer(u, w, dist[u, w], np.stack([w, u], axis=1)))
-    simplices = np.stack([u, w], axis=1)  # vertices of the top layer
     for d in range(2, max_dim + 1):
         below = layers[-1]
-        parents, lasts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        for part in runs(len(simplices), n):
-            rows = simplices[part]
-            mask = later[rows[:, 0]]
-            for j in range(1, d):
-                mask &= later[rows[:, j]]
-            p, v = np.nonzero(mask)
-            cells = _counted(n, cells + len(p))
-            parents.append(p + part.start)
-            lasts.append(v)
-        parent = np.concatenate(parents)
-        last = np.concatenate(lasts)
+        # simplex i's candidates are the siblings after it, i + 1 .. end[i] - 1;
+        # a run takes as many simplices as the largest family fits in its bytes
+        end = np.searchsorted(below.parent, below.parent, side="right")
+        width = int((end - np.arange(len(end))).max(initial=1))
+        pairs = [np.empty((2, 0), dtype=np.int64)]
+        for part in runs(len(end), 8 * width):
+            own = np.arange(*part.indices(len(end)))
+            count = end[own] - own - 1
+            i = np.repeat(own, count)
+            j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
+            ok = np.flatnonzero(flat[below.last[i] * n + below.last[j]])
+            cells = _counted(n, cells + len(ok))
+            pairs.append(np.stack([i[ok], j[ok]]))
+        parent, sibling = np.concatenate(pairs, axis=1)
         if not len(parent):
             break
-        simplices = np.concatenate([simplices[parent], last[:, None]], axis=1)
-        value = np.maximum(below.value[parent], dist[simplices[:, :-1], last[:, None]].max(axis=1))
+        last = below.last[sibling]
+        value = np.maximum(
+            np.maximum(below.value[parent], below.value[sibling]), dist[below.last[parent], last]
+        )
         key = below.parent * n + below.last
         faces = np.empty((len(parent), d + 1), dtype=np.int64)
-        for j in range(d):
-            faces[:, j] = np.searchsorted(key, below.faces[parent, j] * n + last)
+        for k in range(d - 1):
+            faces[:, k] = np.searchsorted(key, below.faces[parent, k] * n + last)
+        faces[:, d - 1] = sibling
         faces[:, d] = parent
         layers.append(_Layer(parent, last, value, faces))
     return layers

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,6 +240,28 @@ def test_reduced_pivots_match_dense_rank():
     for _ in range(25):
         n_rows = int(rng.integers(1, 10))
         pairs_at_rank(n_rows, [np.flatnonzero(rng.random(n_rows) < 0.4).tolist() for _ in range(rng.integers(1, 10))])
+
+
+def test_a_stored_column_holds_each_row_once():
+    """A column that absorbs others is stored with each row left set once.
+    Here column c_k absorbs the stored column of row 2k - 2 and the column
+    b_k, and all three hold the last row t, so t is set again in every
+    stored column; kept with its repeats, the k-th stored column would hold
+    t 2k + 1 times, n^2 entries in all, where once each they hold 2n."""
+    n = 1000
+    t = 2 * n + 1
+    columns = [("s", column([0, t]))]
+    for k in range(1, n + 1):
+        columns += [(("b", k), column([2 * k - 1, t])), (("c", k), column([2 * k - 2, 2 * k - 1, 2 * k, t]))]
+    tracemalloc.start()
+    try:
+        pairs = reduce_arrays(columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs[2 * n] == ("c", n)
+    # 0.37 MB with each row once; 8.4 MB in a copy that kept the repeats
+    assert peak <= 1_000_000, peak
 
 
 def test_reduction_pivot_is_earliest_row():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 import mixbar.cloud
 from mixbar import InputError, PointCloud, build_rips_pair, pairwise_distances, rips_pair_from_distances
+from mixbar.cloud import METRICS
+from mixbar.filtration import FilteredPair
 from mixbar import rips
 from helpers import reference_rips, restrict_to_L
 
@@ -188,20 +190,35 @@ grid_clouds = st.integers(1, 9).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(
     grid_clouds,
+    st.sampled_from(METRICS),
     st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
     st.integers(0, 3),
-    st.sampled_from([None, 1, 5]),
+    st.sampled_from([None, 1, 5, 64]),
 )
-def test_array_build_matches_reference(cloud, r_max, k_max, budget):
+def test_array_build_matches_reference(cloud, metric, r_max, k_max, budget):
     """Cell for cell equal to the per-simplex construction: dim, value,
-    member and boundary. r_max 0.5 is below every nonzero distance; a small
-    budget splits each expansion step into blocks of one or a few simplices."""
+    member and boundary; and valid by every rule of validate(), which the
+    build itself skips. r_max 0.5 is below every nonzero distance; a small
+    budget splits each expansion step into runs of one or a few simplices,
+    cutting their sibling lists apart."""
     points, n_a = cloud
-    dist = pairwise_distances(np.array(points, dtype=float))
+    dist = pairwise_distances(np.array(points, dtype=float), metric)
     with mock.patch.object(mixbar.cloud, "BLOCK_BYTES", budget or mixbar.cloud.BLOCK_BYTES):
         fp = rips_pair_from_distances(dist, n_a, r_max, k_max)
+    fp.validate()
     cells, _ = reference_rips(dist, n_a, r_max, k_max)
     assert fp.cells == tuple(cells)
+
+
+def test_a_build_is_not_validated_again(monkeypatch):
+    """A Rips build meets validate()'s rules by construction, so it is
+    handed to FilteredPair without the check; its arrays are read-only as
+    a checked pair's are."""
+    monkeypatch.setattr(FilteredPair, "validate", mock.Mock(side_effect=AssertionError("validated")))
+    fp = build_rips_pair(unit_square(), PointCloud(np.array([[0.5, 0.5]])), r_max=2.0, k_max=2)
+    assert fp.n == 30
+    for a in (fp.dim, fp.value, fp.in_l, fp.indptr, fp.indices):
+        assert not a.flags.writeable
 
 
 def test_rips_mask_is_formed_within_the_matrix_budget():
