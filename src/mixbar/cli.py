@@ -25,7 +25,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .cloud import (
     METRICS,
     LabeledPointCloud,
-    check_distance_matrix,
     data_lines,
     load_distance_matrix,
     load_labeled_point_cloud,
@@ -269,7 +268,7 @@ def cmd_mixup(args: argparse.Namespace) -> int:
         "command": "mixup",
         "params": _params(args, degrees=degrees),
         "cells": fp.n,
-        "cells_in_subcomplex": fp.l_cell_count(),
+        "cells_in_subcomplex": int(fp.in_l.sum()),
         "degrees": {str(k): _degree_entry(barcodes[k]) for k in degrees},
     }
     _write(args, json_dumps(result))
@@ -360,17 +359,12 @@ def cmd_subsample(args: argparse.Namespace) -> int:
     else:
         data = load_point_cloud(args.a, args.metric)
         n = data.n_points
-    if n and not check_budget(n, {"--subsample-a": args.subsample_a}):
-        # what k_medoids keeps at a size that covers every point, computed
-        # with no distance; a matrix gets the check k_medoids would make
-        if args.metric == "matrix":
-            check_distance_matrix(data)
-        indices, cost = list(range(n)), 0.0
-    else:
-        # k_medoids checks a matrix file and computes a cloud's matrix, which
-        # needs no check; an empty cloud is its input error
-        sel = k_medoids(data, args.subsample_a)
-        indices, cost = list(sel.indices), sel.cost
+    check_budget(n, {"--subsample-a": args.subsample_a})
+    # k_medoids checks a matrix file, keeps every point at a size that covers
+    # them with no distance computed, and computes a cloud's matrix, which
+    # needs no check; an empty cloud is its input error
+    sel = k_medoids(data, args.subsample_a)
+    indices, cost = list(sel.indices), sel.cost
     if args.format == "json":
         result = {
             "command": "subsample",

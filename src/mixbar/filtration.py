@@ -9,13 +9,15 @@ precedes the cell that lists it.
 A pair is stored as arrays in filtration order, cell id = position + 1:
 `dim`, `value`, the L mask `in_l`, and the boundaries in CSR form, the
 faces of cell i being `indices[indptr[i]:indptr[i + 1]]` (1-based ids,
-ascending). The public constructors, and so explicit files, `from_cells`
-and library callers, validate through `validate()`, one vectorised check
-of every rule. A Rips build is the one exception: `mixbar.rips` hands its
-arrays over through the private `_built`, unchecked, because it meets the
-rules by construction; the tests run `validate()` on random builds
-instead. `cells` is a per-cell view built on first access, for readers
-that want one object per cell.
+ascending). Every pair is built from these arrays: the constructor
+validates them through `validate()`, one vectorised check of every rule,
+and `parse_explicit_pair` hands it an explicit file's rows sorted by id,
+with the ids the file gave. A Rips build is the one exception:
+`mixbar.rips` hands its arrays over through the private `_built`,
+unchecked, because it meets the rules by construction; the tests run
+`validate()` on random builds instead. `cells` is a per-cell view built on
+first access; nothing in mixbar reads it, only the tests and the
+benchmark tracer do.
 """
 
 from __future__ import annotations
@@ -53,11 +55,11 @@ def _frozen(a, dtype, what: str) -> np.ndarray:
 class FilteredPair:
     """A cell-wise filtration of K with the subcomplex membership recorded.
 
-    The constructor validates all structural invariants (see validate());
-    the algorithms in this package assume they hold. Only a Rips build,
-    which meets them by construction, skips the check (see _built). `ids`
-    are the ids an explicit input gave its cells, checked to be 1..n in
-    order.
+    The constructor takes the arrays and validates all structural
+    invariants (see validate()); the algorithms in this package assume they
+    hold and read only the arrays. Only a Rips build, which meets them by
+    construction, skips the check (see _built). `ids` are the ids an
+    explicit input gave its cells, checked to be 1..n in order.
     """
 
     def __init__(self, dim, value, in_l, indptr, indices, ids=None):
@@ -79,26 +81,6 @@ class FilteredPair:
         for a in (dim, value, in_l, indptr, indices):
             a.flags.writeable = False
         return fp
-
-    @classmethod
-    def from_cells(cls, cells) -> "FilteredPair":
-        cells = list(cells)
-        for c in cells:
-            if c.member not in (MEMBER_L, MEMBER_K):
-                raise InputError(f"cell {c.id}: member must be L or K, got {c.member!r}")
-        return cls._from_rows(
-            [c.id for c in cells],
-            [c.dim for c in cells],
-            [c.value for c in cells],
-            [c.member == MEMBER_L for c in cells],
-            [sorted(c.boundary) for c in cells],
-        )
-
-    @classmethod
-    def _from_rows(cls, ids, dims, values, in_l, boundaries) -> "FilteredPair":
-        indptr = np.cumsum([0] + [len(b) for b in boundaries])
-        indices = [fid for b in boundaries for fid in b]
-        return cls(dims, values, in_l, indptr, indices, ids=ids)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FilteredPair) and all(
@@ -127,9 +109,6 @@ class FilteredPair:
                 zip(self.dim.tolist(), self.value.tolist(), self.in_l.tolist())
             )
         )
-
-    def l_cell_count(self) -> int:
-        return int(self.in_l.sum())
 
     def faces_of(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The boundaries of the cells ids, concatenated, and the offsets
@@ -263,4 +242,7 @@ def parse_explicit_pair(text: str) -> FilteredPair:
         seen.add(cid)
         rows.append((cid, dim, value, member == MEMBER_L, boundary))
     rows.sort(key=lambda r: r[0])
-    return FilteredPair._from_rows(*(zip(*rows) if rows else ((),) * 5))
+    ids, dims, values, in_l, boundaries = zip(*rows) if rows else ((),) * 5
+    indptr = np.cumsum([0, *map(len, boundaries)])
+    indices = [fid for b in boundaries for fid in b]
+    return FilteredPair(dims, values, in_l, indptr, indices, ids=ids)

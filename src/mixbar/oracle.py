@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .filtration import MEMBER_L, FilteredPair
+from .filtration import FilteredPair
 
 MODES = ("standard_L", "standard_K", "image")
 SIZE_GUARD = 2000
@@ -46,8 +46,14 @@ class RankFunction:
         return int(self.grid[i, j])
 
 
+def _bits(ids) -> int:
+    """The bitset of distinct ids."""
+    return sum(1 << i for i in ids)
+
+
 def _cycle_flag(cells) -> tuple[list[int], list[int]]:
-    """Nested cycle basis for a list of k-cells in filtration order.
+    """Nested cycle basis for k-cells in filtration order, given as
+    (id, boundary ids) pairs.
 
     Returns (tops, masks): masks are bitsets over cell ids describing the
     cycles, each appearing the moment its top cell (the highest set bit)
@@ -57,11 +63,9 @@ def _cycle_flag(cells) -> tuple[list[int], list[int]]:
     echelon: dict[int, tuple[int, int]] = {}
     tops: list[int] = []
     masks: list[int] = []
-    for cell in cells:
-        face = 0
-        for b in cell.boundary:
-            face |= 1 << b
-        comb = 1 << cell.id
+    for cid, boundary in cells:
+        face = _bits(boundary)
+        comb = 1 << cid
         while face:
             p = face.bit_length() - 1
             entry = echelon.get(p)
@@ -70,7 +74,7 @@ def _cycle_flag(cells) -> tuple[list[int], list[int]]:
             face ^= entry[0]
             comb ^= entry[1]
         if face == 0:
-            tops.append(cell.id)
+            tops.append(cid)
             masks.append(comb)
         else:
             echelon[face.bit_length() - 1] = (face, comb)
@@ -87,14 +91,14 @@ def rank_function(fp: FilteredPair, k: int, mode: str) -> RankFunction:
             f"rank_function is a brute-force oracle, refusing {fp.n} cells (limit {SIZE_GUARD})"
         )
     n = fp.n
-    in_l = [c.member == MEMBER_L for c in fp.cells]
-    z_scope_l = mode in ("standard_L", "image")
-    b_scope_l = mode == "standard_L"
+    ptr, faces = fp.indptr.tolist(), fp.indices.tolist()
 
-    z_cells = [
-        c for c in fp.cells if c.dim == k and (in_l[c.id - 1] or not z_scope_l)
-    ]
-    tops, masks = _cycle_flag(z_cells)
+    def cells(dim: int, l_only: bool) -> list[tuple[int, list[int]]]:
+        """(id, boundary ids) of the dim-cells, of L only if l_only."""
+        keep = (fp.dim == dim) & (fp.in_l | (not l_only))
+        return [(i + 1, faces[ptr[i] : ptr[i + 1]]) for i in np.flatnonzero(keep).tolist()]
+
+    tops, masks = _cycle_flag(cells(k, mode in ("standard_L", "image")))
     z_dim = len(tops)
 
     # z_count[i] = dim of the cycle space of the length-i prefix
@@ -102,13 +106,7 @@ def rank_function(fp: FilteredPair, k: int, mode: str) -> RankFunction:
     for q in tops:
         z_count[q:] += 1
 
-    b_of: dict[int, int] = {}
-    for c in fp.cells:
-        if c.dim == k + 1 and (in_l[c.id - 1] or not b_scope_l):
-            face = 0
-            for b in c.boundary:
-                face |= 1 << b
-            b_of[c.id] = face
+    b_of = {cid: _bits(boundary) for cid, boundary in cells(k + 1, mode == "standard_L")}
 
     # Express a chain in coordinates adapted to the cycle flag: bit m is the
     # coefficient of cycle m, bits above z_dim are leftover cell coordinates.

@@ -65,14 +65,19 @@ class MedoidSelection:
 def k_medoids(data: np.ndarray | cloud.PointCloud, k: int) -> MedoidSelection:
     """Select k medoids of the points of a distance matrix, which is checked
     first, or of a point cloud, whose computed matrix needs no check;
-    indices ascending."""
+    indices ascending. A k that covers every point keeps them all, at cost
+    0, before any distance is computed."""
     if isinstance(data, cloud.PointCloud):
-        dist = data.distance_matrix()
+        n = data.n_points
     else:
-        dist = np.asarray(data, dtype=float)
-        check_distance_matrix(dist)
-    if dist.shape[0] == 0:
+        data = np.asarray(data, dtype=float)
+        check_distance_matrix(data)
+        n = data.shape[0]
+    if n == 0:
         raise InputError("cannot subsample an empty cloud")
+    if k >= n:
+        return MedoidSelection(indices=tuple(range(n)), cost=0.0)
+    dist = data.distance_matrix() if isinstance(data, cloud.PointCloud) else data
     idx = k_medoids_indices(dist, k)
     return MedoidSelection(indices=tuple(int(i) for i in idx), cost=_cost(dist, idx))
 

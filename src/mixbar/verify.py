@@ -22,7 +22,7 @@ from collections import Counter
 import numpy as np
 
 from .cloud import PointCloud
-from .filtration import MEMBER_K, MEMBER_L, Cell, FilteredPair
+from .filtration import FilteredPair
 from .oracle import _cycle_flag, barcode_from_ranks, rank_function
 from .rips import build_rips_pair
 from .stats import compute_mixup_barcode
@@ -59,21 +59,19 @@ def random_explicit_instance(rng: np.random.Generator) -> FilteredPair:
     and 3-cells, each on a random sum of a cycle basis of the cells one
     dimension down (of L for an L-cell)."""
     n_v = int(rng.integers(1, MAX_A + 1))
-    cells = [
-        Cell(v + 1, 0, 0.0, MEMBER_L if v == 0 or rng.random() < 0.6 else MEMBER_K, ())
-        for v in range(n_v)
-    ]
+    # one (dim, value, in L, boundary) row per cell
+    rows = [(0, 0.0, v == 0 or rng.random() < 0.6, ()) for v in range(n_v)]
     value = 0.0
     for _ in range(int(rng.integers(0, MAX_EDGES + 1))):
         n_ends = min(int(rng.choice(3, p=[0.1, 0.2, 0.7])), n_v)
         ends = tuple(sorted(int(v) + 1 for v in rng.choice(n_v, size=n_ends, replace=False)))
-        in_l = all(cells[v - 1].member == MEMBER_L for v in ends) and rng.random() < 0.7
+        in_l = all(rows[v - 1][2] for v in ends) and rng.random() < 0.7
         value += float(rng.choice([0.0, 1.0]))
-        cells.append(Cell(len(cells) + 1, 1, value, MEMBER_L if in_l else MEMBER_K, ends))
+        rows.append((1, value, in_l, ends))
     for dim in (2, 3):
         for _ in range(int(rng.integers(0, MAX_DISKS + 1))):
-            member = MEMBER_L if rng.random() < 0.5 else MEMBER_K
-            faces = [c for c in cells if c.dim == dim - 1 and (c.member == MEMBER_L or member == MEMBER_K)]
+            in_l = rng.random() < 0.5
+            faces = [(i + 1, r[3]) for i, r in enumerate(rows) if r[0] == dim - 1 and (r[2] or not in_l)]
             basis = _cycle_flag(faces)[1]
             if not basis:
                 continue
@@ -84,8 +82,10 @@ def random_explicit_instance(rng: np.random.Generator) -> FilteredPair:
                 chain ^= cycle if take else 0
             value += float(rng.choice([0.0, 1.0]))
             boundary = tuple(e for e in range(chain.bit_length()) if chain >> e & 1)
-            cells.append(Cell(len(cells) + 1, dim, value, member, boundary))
-    return FilteredPair.from_cells(cells)
+            rows.append((dim, value, in_l, boundary))
+    dims, values, in_l, boundaries = zip(*rows)
+    indptr = np.cumsum([0, *map(len, boundaries)])
+    return FilteredPair(dims, values, in_l, indptr, [f for b in boundaries for f in b])
 
 
 def check_instance(fp: FilteredPair, degrees) -> list[str]:

@@ -1,16 +1,16 @@
-"""Test-only helpers: the explicit-file writer, the restriction to L, a
-per-simplex reference Rips construction to compare the array build with,
-classic PAM's BUILD and SWAP to compare the k-medoids selection with, the
-triples of any degree >= 1 by boundary reduction without clearing to
-compare the coboundary route with, and the one-shot distance matrix to
-compare the blocked one with."""
+"""Test-only helpers: the explicit-file writer, the restriction to L, the
+Euler–Poincaré check of the L-barcodes, a per-simplex reference Rips
+construction to compare the array build with, classic PAM's BUILD and SWAP
+to compare the k-medoids selection with, the triples of any degree >= 1 by
+boundary reduction without clearing to compare the coboundary route with,
+and the one-shot distance matrix to compare the blocked one with."""
 
 import math
 
 import numpy as np
 
 from mixbar.filtration import MEMBER_K, MEMBER_L, Cell, FilteredPair
-from mixbar.reduction import INF, MixupTriple
+from mixbar.reduction import INF, MixupTriple, mixup_barcode_indices
 from mixbar.subsample import _cost
 
 
@@ -27,15 +27,33 @@ def format_explicit_pair(fp: FilteredPair) -> str:
 def restrict_to_L(fp: FilteredPair) -> FilteredPair:
     """The subcomplex L as a standalone pair, cells renumbered 1..m in their
     original relative order."""
-    remap: dict[int, int] = {}
-    out: list[Cell] = []
-    for c in fp.cells:
-        if c.member != MEMBER_L:
-            continue
-        remap[c.id] = len(out) + 1
-        boundary = tuple(sorted(remap[b] for b in c.boundary))
-        out.append(Cell(len(out) + 1, c.dim, c.value, MEMBER_L, boundary))
-    return FilteredPair.from_cells(out)
+    ids = np.flatnonzero(fp.in_l) + 1
+    # monotone, so each renumbered boundary stays ascending
+    renumber = np.zeros(fp.n + 1, dtype=np.int64)
+    renumber[ids] = np.arange(1, len(ids) + 1)
+    faces, indptr = fp.faces_of(ids)
+    in_l = np.ones(len(ids), dtype=bool)
+    return FilteredPair(fp.dim[ids - 1], fp.value[ids - 1], in_l, indptr, renumber[faces])
+
+
+def euler_poincare_mismatches(fp: FilteredPair) -> list[int]:
+    """The prefixes i at which the Euler–Poincaré identity fails for the
+    L-barcodes of fp: Σ_k (−1)^k #{degree-k bars with b <= i < d} against
+    Σ_k (−1)^k #{L-cells of dim k with id <= i}, k = 0..max_dim, the bars
+    from mixup_barcode_indices. Every degree max_dim bar is essential, so
+    each side is the Euler characteristic of the prefix of L. A lost, extra
+    or shifted bar in b or d shows; d' is not checked."""
+    sign = np.where(fp.dim % 2 == 0, 1, -1)
+    net = np.zeros(fp.n + 2, dtype=np.int64)  # bars born at i minus bars dying at i
+    for k in range(fp.max_dim + 1):
+        triples = mixup_barcode_indices(fp, k)
+        births = np.array([t.birth for t in triples], dtype=np.int64)
+        deaths = np.array([t.death for t in triples if t.death != INF], dtype=np.int64)
+        counts = np.bincount(births, minlength=fp.n + 2) - np.bincount(deaths, minlength=fp.n + 2)
+        net += (-1) ** k * counts
+    bars = np.cumsum(net)[1 : fp.n + 1]
+    cells = np.cumsum(np.where(fp.in_l, sign, 0))
+    return (np.flatnonzero(bars != cells) + 1).tolist()
 
 
 def reference_rips(dist, n_a: int, r_max: float, k_max: int):

@@ -14,7 +14,7 @@ def test_parse_six_cell(six_cell_pair):
     fp = six_cell_pair
     assert fp.n == 6
     assert fp.max_dim == 2
-    assert fp.l_cell_count() == 4
+    assert int(fp.in_l.sum()) == 4
     assert fp.cells[2].member == "K"
     assert fp.cells[4].boundary == (1, 2)
     assert fp.cells[3].value == 4.0
@@ -81,20 +81,6 @@ def test_rejects_l_cell_with_ambient_face():
     text = "1 0 0.0 K\n2 0 0.0 L\n3 1 1.0 L 1 2\n"
     with pytest.raises(InputError, match="subcomplex"):
         parse_explicit_pair(text)
-
-
-def test_from_cells_validates():
-    cells = (Cell(id=1, dim=0, value=0.0, member="L", boundary=()),)
-    fp = FilteredPair.from_cells(cells)
-    assert fp.n == 1
-    bad = (Cell(id=2, dim=0, value=0.0, member="L", boundary=()),)
-    with pytest.raises(InputError):
-        FilteredPair.from_cells(bad)
-
-
-def test_from_cells_rejects_an_unknown_member():
-    with pytest.raises(InputError, match="^cell 1: member must be L or K, got 'M'$"):
-        FilteredPair.from_cells([Cell(1, 0, 0.0, "M", ())])
 
 
 def test_restrict_to_l(six_cell_pair):
@@ -180,51 +166,51 @@ def test_earliest_offending_cell_is_reported(text, message):
 
 
 def test_id_gap_after_an_offending_cell():
-    cells = [
-        Cell(1, 0, 0.0, "L", ()),
-        Cell(2, 1, 1.0, "L", (1, 2)),  # names itself
-        Cell(4, 0, 2.0, "L", ()),  # an id out of order
-    ]
+    # cell 2 names itself, cell 3 has an id out of order
     with pytest.raises(InputError, match="cell 2: boundary id 2 must name an earlier cell"):
-        FilteredPair.from_cells(cells)
+        FilteredPair([0, 1, 0], [0.0, 1.0, 2.0], [True] * 3, [0, 0, 2, 2], [1, 2], ids=[1, 2, 4])
 
 
 def test_validate_agrees_with_the_per_cell_rules():
-    """Random corruptions of valid explicit pairs: the same first offending
-    cell and the same message as checking one cell at a time."""
+    """Random corruptions of valid explicit pairs, given to the constructor
+    as arrays and ids: the same first offending cell and the same message
+    as checking one cell at a time."""
     rng = np.random.default_rng(7)
     rejected = 0
     for _ in range(1500):
-        cells = list(random_explicit_instance(rng).cells)
+        fp = random_explicit_instance(rng)
+        ids, dim, value, in_l = np.arange(1, fp.n + 1), fp.dim.copy(), fp.value.copy(), fp.in_l.copy()
+        rows = [list(c.boundary) for c in fp.cells]
         for _ in range(int(rng.integers(1, 3))):
-            i = int(rng.integers(len(cells)))
-            c = cells[i]
+            i = int(rng.integers(fp.n))
             kind = int(rng.integers(7))
             if kind == 0:
-                c = Cell(c.id + int(rng.choice([-1, 1])), c.dim, c.value, c.member, c.boundary)
+                ids[i] += rng.choice([-1, 1])
             elif kind == 1:
-                c = Cell(c.id, c.dim + int(rng.choice([-2, -1, 1])), c.value, c.member, c.boundary)
+                dim[i] += rng.choice([-2, -1, 1])
             elif kind == 2:
-                c = Cell(c.id, c.dim, c.value - float(rng.integers(1, 3)), c.member, c.boundary)
+                value[i] -= rng.integers(1, 3)
             elif kind == 3:
-                c = Cell(c.id, c.dim, c.value, "K" if c.member == "L" else "L", c.boundary)
+                in_l[i] = not in_l[i]
             elif kind == 4:
-                extra = int(rng.integers(-1, len(cells) + 2))
-                c = Cell(c.id, c.dim, c.value, c.member, tuple(sorted(c.boundary + (extra,))))
+                rows[i] = sorted(rows[i] + [int(rng.integers(-1, fp.n + 2))])
             elif kind == 5:
-                value = rng.choice([np.nan, np.inf, -np.inf])
-                c = Cell(c.id, c.dim, float(value), c.member, c.boundary)
-            elif c.boundary:
-                c = Cell(c.id, c.dim, c.value, c.member, c.boundary[1:])
-            cells[i] = c
+                value[i] = rng.choice([np.nan, np.inf, -np.inf])
+            elif rows[i]:
+                rows[i] = rows[i][1:]
+        cells = [
+            Cell(int(c), int(d), float(v), "L" if l else "K", tuple(row))
+            for c, d, v, l, row in zip(ids, dim, value, in_l, rows)
+        ]
         want = reference_error(cells)
-        if want is None:
-            FilteredPair.from_cells(cells)
-            continue
-        rejected += 1
-        with pytest.raises(InputError) as err:
-            FilteredPair.from_cells(cells)
-        assert str(err.value) == want
+        indptr = np.cumsum([0] + [len(row) for row in rows])
+        try:
+            FilteredPair(dim, value, in_l, indptr, [f for row in rows for f in row], ids=ids)
+            got = None
+        except InputError as exc:
+            got = str(exc)
+        assert got == want
+        rejected += want is not None
     assert rejected > 1000
 
 

@@ -15,7 +15,9 @@ from mixbar import (
     rank_function,
     total_mixup,
 )
-from helpers import restrict_to_L
+from mixbar.oracle import SIZE_GUARD
+from mixbar.verify import random_explicit_instance
+from helpers import euler_poincare_mismatches, restrict_to_L
 
 instances = st.fixed_dictionaries(
     {
@@ -166,3 +168,25 @@ def test_index_deaths_follow_membership(params):
                 assert killer.member == "L"
             if t.death_image != INF:
                 assert fp.cells[t.death_image - 1].dim == degree + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances, st.integers(0, 3))
+def test_euler_poincare_on_rips_pairs(params, k_max):
+    fp, _ = make_pair(params, k_max=k_max)
+    assert euler_poincare_mismatches(fp) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_euler_poincare_on_explicit_pairs(seed):
+    fp = random_explicit_instance(np.random.default_rng(seed))
+    assert euler_poincare_mismatches(fp) == []
+
+
+def test_euler_poincare_past_the_oracle():
+    """A Rips pair of 69,991 cells up to dim 4, too large for the oracle."""
+    pts = np.random.default_rng(0).normal(size=(200, 3))
+    fp = build_rips_pair(PointCloud(pts[:160]), PointCloud(pts[160:]), r_max=1.1, k_max=3)
+    assert fp.n > 30 * SIZE_GUARD and fp.max_dim == 4
+    assert euler_poincare_mismatches(fp) == []

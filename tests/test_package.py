@@ -143,3 +143,48 @@ def test_mixbar_makes_no_blas_call():
         "(the OPENBLAS_NUM_THREADS line of mixbar/cli.py) because mixbar makes no "
         "BLAS call; revisit that line before adding any."
     )
+
+
+# the per-cell object layer of mixbar.filtration, which only the tests and
+# the benchmark tracer read: the package reads a pair's arrays
+OBJECT_LAYER = {"Cell", "MEMBER_L", "MEMBER_K"}
+
+
+def object_layer_uses(source: str) -> list[str]:
+    """Where source names Cell, MEMBER_L or MEMBER_K, or reads an attribute
+    .cells."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if name in OBJECT_LAYER or (isinstance(node, ast.Attribute) and name == "cells"):
+            uses.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(uses)]
+
+
+def test_object_layer_guard_finds_each_form():
+    source = """
+from .filtration import Cell, FilteredPair
+from . import filtration
+fp.cells
+filtration.MEMBER_L
+x = MEMBER_K
+cells = fp.dim
+def cells(dim): pass
+"""
+    assert object_layer_uses(source) == [
+        "line 2: Cell", "line 4: cells", "line 5: MEMBER_L", "line 6: MEMBER_K"
+    ]
+    oracle = pathlib.Path(mixbar.__file__).parent / "oracle.py"
+    planted = oracle.read_text(encoding="utf-8") + "fp.cells\n"
+    assert object_layer_uses(planted) == [f"line {planted.count(chr(10))}: cells"]
+
+
+def test_only_filtration_names_the_object_layer():
+    package = pathlib.Path(mixbar.__file__).parent
+    found = [
+        f"{path.name} {use}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "filtration.py"
+        for use in object_layer_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert not found, f"mixbar reads the per-cell view outside filtration.py: {found}"

@@ -35,7 +35,7 @@ def test_square_center_cell_counts(square_center_pair):
     fp = square_center_pair
     # 5 vertices, C(5,2)=10 edges, C(5,3)=10 triangles, C(5,4)=5 tetrahedra
     assert fp.n == 30
-    assert fp.l_cell_count() == 15
+    assert int(fp.in_l.sum()) == 15
     assert fp.max_dim == 3
 
 

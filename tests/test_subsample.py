@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixbar import InputError, cloud, k_medoids, k_medoids_indices, pairwise_distances
-from mixbar.subsample import _build, _cost, _swap, check_budget
+from mixbar.subsample import MedoidSelection, _build, _cost, _swap, check_budget
 from helpers import reference_build, reference_swap
 
 
@@ -26,10 +26,22 @@ def test_a_point_cloud_is_subsampled_from_its_unchecked_matrix():
         k_medoids(cloud.PointCloud(np.zeros((0, 3))), 1)
 
 
-def test_k_at_least_n_returns_everything():
+def test_k_at_least_n_returns_everything(monkeypatch):
+    """A size that covers every point keeps them all at cost 0, and of a
+    point cloud computes no distance; a matrix is still checked first."""
     sel = k_medoids(np.zeros((4, 4)), 7)
     assert sel.indices == (0, 1, 2, 3)
     assert sel.cost == 0.0
+
+    def no_distances(*args, **kwargs):
+        raise AssertionError("computed distances")
+
+    monkeypatch.setattr(cloud, "pairwise_distances", no_distances)
+    points = cloud.PointCloud(np.random.default_rng(0).normal(size=(5, 2)))
+    for k in (5, 9):
+        assert k_medoids(points, k) == MedoidSelection(indices=(0, 1, 2, 3, 4), cost=0.0)
+    with pytest.raises(InputError, match="not symmetric"):
+        k_medoids(np.array([[0.0, 1.0], [2.0, 0.0]]), 2)
 
 
 def test_rejects_bad_k():
