@@ -25,10 +25,11 @@ BLOCK_BYTES = 1 << 21
 
 # The one memory budget, as within_budget charges it: 9 bytes per entry of a
 # dense n × n matrix (a distance and the Rips mask over it; at most 29,814
-# points) plus 950 per cell of a Rips build over it. The 950 B cover the k_max 3
-# peak of a build followed by validate(); a build alone peaks, per cell and
-# matrix aside (tracemalloc), at 180-183 B at k_max 1, 220-230 B at 3 and at
-# most 283 B up to k_max 18 (67k to 2.0M cells), its pairing at most 235 B.
+# points) plus 950 per cell of a Rips build over it. A build peaks, per cell
+# and matrix aside (tracemalloc), at 180-183 B at k_max 1, 220-230 B at 3 and
+# at most 283 B up to k_max 18 (67k to 2.0M cells), its pairing at most 235 B,
+# so the 950 B are 3-5 times the peak; a charge that follows the peak is open
+# (ROADMAP.md, item 5).
 MAX_MATRIX_BYTES = 8 * 10**9
 
 

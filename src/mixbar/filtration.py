@@ -15,15 +15,13 @@ and `parse_explicit_pair` hands it an explicit file's rows sorted by id,
 with the ids the file gave. A Rips build is the one exception:
 `mixbar.rips` hands its arrays over through the private `_built`,
 unchecked, because it meets the rules by construction; the tests run
-`validate()` on random builds instead. `cells` is a per-cell view built on
-first access; nothing in mixbar reads it, only the tests and the
-benchmark tracer do.
+`validate()` on random builds instead. `cells` is a per-cell view of
+`dim` and `in_l`, built at each access; only the benchmark tracer reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,11 +34,8 @@ MEMBER_K = "K"  # in K but not in L
 
 @dataclass(frozen=True)
 class Cell:
-    id: int
     dim: int
-    value: float
-    member: str
-    boundary: tuple[int, ...]
+    member: str  # MEMBER_L or MEMBER_K
 
 
 def _frozen(a, dtype, what: str) -> np.ndarray:
@@ -99,15 +94,13 @@ class FilteredPair:
     def max_dim(self) -> int:
         return int(self.dim.max()) if self.n else -1
 
-    @cached_property
+    @property
     def cells(self) -> tuple[Cell, ...]:
-        ptr = self.indptr.tolist()
-        faces = self.indices.tolist()
+        """One Cell(dim, member) per cell in filtration order, built at each
+        access. Only the benchmark tracer reads it; mixbar and its tests
+        read the arrays."""
         return tuple(
-            Cell(i + 1, d, v, MEMBER_L if l else MEMBER_K, tuple(faces[ptr[i] : ptr[i + 1]]))
-            for i, (d, v, l) in enumerate(
-                zip(self.dim.tolist(), self.value.tolist(), self.in_l.tolist())
-            )
+            Cell(d, MEMBER_L if l else MEMBER_K) for d, l in zip(self.dim.tolist(), self.in_l.tolist())
         )
 
     def faces_of(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

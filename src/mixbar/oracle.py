@@ -23,7 +23,6 @@ multiplicities mean a corrupted rank function and raise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,18 +31,6 @@ from .filtration import FilteredPair
 
 MODES = ("standard_L", "standard_K", "image")
 SIZE_GUARD = 2000
-
-
-@dataclass
-class RankFunction:
-    degree: int
-    n: int
-    grid: np.ndarray  # (n+1, n+1), entry [i, j] valid for 1 <= i <= j <= n
-
-    def r(self, i: int, j: int) -> int:
-        if not 1 <= i <= j <= self.n:
-            raise InputError(f"rank undefined for (i, j) = ({i}, {j}), need 1 <= i <= j <= {self.n}")
-        return int(self.grid[i, j])
 
 
 def _bits(ids) -> int:
@@ -81,7 +68,9 @@ def _cycle_flag(cells) -> tuple[list[int], list[int]]:
     return tops, masks
 
 
-def rank_function(fp: FilteredPair, k: int, mode: str) -> RankFunction:
+def rank_function(fp: FilteredPair, k: int, mode: str) -> np.ndarray:
+    """The (n+1) × (n+1) grid of r(i, j) in degree k under mode, valid for
+    1 <= i <= j <= n; every other entry is 0."""
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}, expected one of {MODES}")
     if k < 0:
@@ -143,20 +132,21 @@ def rank_function(fp: FilteredPair, k: int, mode: str) -> RankFunction:
                     m = vec.bit_length() - 1
                     hit_count[tops[m]:] += 1
         grid[1 : j + 1, j] = (z_count - hit_count)[1 : j + 1]
-    return RankFunction(degree=k, n=n, grid=grid)
+    return grid
 
 
-def barcode_from_ranks(rf: RankFunction) -> list[tuple[int, float]]:
-    """Interval multiset of the persistence module behind a rank function.
+def barcode_from_ranks(grid: np.ndarray) -> list[tuple[int, float]]:
+    """Interval multiset of the persistence module behind a rank grid, as
+    rank_function gives it.
 
     Bars are (birth index, death index) with math.inf for classes that
     survive to the end. Multiplicities come from second differences of r;
     a negative multiplicity raises.
     """
-    n = rf.n
+    n = len(grid) - 1
     if n == 0:
         return []
-    r = rf.grid.astype(np.int64)
+    r = grid.astype(np.int64)
     # finite bars [b, d), 1 <= b < d <= n:
     # m = r(b, d-1) - r(b, d) - r(b-1, d-1) + r(b-1, d)
     m = r[1:, : n] - r[1:, 1:] - r[: n, : n] + r[: n, 1:]

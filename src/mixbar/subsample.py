@@ -91,16 +91,19 @@ def check_sizes(*sizes: int) -> None:
 def check_budget(n: int, sizes: Mapping[str, int]) -> bool:
     """Whether k-medoids chooses among n points, at sizes that map each size
     option to its value: not when every size covers the n points, which are
-    then all kept. Otherwise their matrix must fit cloud.within_budget before
-    any distance is computed; the error names the options that fall short."""
-    options = " and ".join(opt for opt, k in sizes.items() if k < n)
-    if options and not cloud.within_budget(n * n):
+    then all kept. Otherwise their matrix and, for the size k below n that
+    makes it largest, SWAP's k × (n − k) table (see _screen) must fit
+    cloud.within_budget before any distance is computed; the error names
+    the options that fall short."""
+    short = {opt: k for opt, k in sizes.items() if k < n}
+    options = " and ".join(short)
+    if short and not cloud.within_budget(n * n + max(k * (n - k) for k in short.values())):
         raise InputError(
             f"k-medoids for {options} would choose among {n:,} points, whose distance matrix is "
             f"over the budget of {cloud.MAX_MATRIX_BYTES:,} bytes (mixbar.cloud.MAX_MATRIX_BYTES); "
             f"use fewer points, or set {options} to at least {n:,} to keep them all"
         )
-    return bool(options)
+    return bool(short)
 
 
 def k_medoids_indices(dist: np.ndarray, k: int) -> list[int]:
@@ -258,6 +261,7 @@ def _swap(dist: np.ndarray, selected: list[int]) -> list[int]:
         err += EPS * ((moved.size + 2) * mag + adds * (total + new_total))
         total = new_total
         if err > 4 * _rounding(n, total):
+            del gain, per, by_slot  # before the new table, not beside it
             gain, per = _screen(dist, slots, pos[0], dists, k)
             err = _rounding(n, total)
             continue

@@ -1,26 +1,33 @@
-"""Test-only helpers: the explicit-file writer, the restriction to L, the
-Euler–Poincaré check of the L-barcodes, a per-simplex reference Rips
-construction to compare the array build with, classic PAM's BUILD and SWAP
-to compare the k-medoids selection with, the triples of any degree >= 1 by
-boundary reduction without clearing to compare the coboundary route with,
-and the one-shot distance matrix to compare the blocked one with."""
+"""Test-only helpers: each cell's boundary as a list, the explicit-file
+writer, the restriction to L, the Euler–Poincaré check of the L-barcodes, a
+per-simplex reference Rips construction to compare the array build with,
+the per-cell reference of the structural rules, classic PAM's BUILD and
+SWAP to compare the k-medoids selection with, the triples of any degree
+>= 1 by boundary reduction without clearing to compare the coboundary route
+with, and the one-shot distance matrix to compare the blocked one with."""
 
 import math
 
 import numpy as np
 
-from mixbar.filtration import MEMBER_K, MEMBER_L, Cell, FilteredPair
+from mixbar.filtration import FilteredPair
 from mixbar.reduction import INF, MixupTriple, mixup_barcode_indices
 from mixbar.subsample import _cost
 
 
+def boundaries(fp: FilteredPair) -> list[list[int]]:
+    """The boundary ids of each cell, the cell of id i at index i - 1."""
+    ptr, faces = fp.indptr.tolist(), fp.indices.tolist()
+    return [faces[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
+
+
 def format_explicit_pair(fp: FilteredPair) -> str:
     """Inverse of parse_explicit_pair."""
-    lines = []
-    for c in fp.cells:
-        parts = [str(c.id), str(c.dim), repr(c.value), c.member]
-        parts.extend(str(b) for b in c.boundary)
-        lines.append(" ".join(parts))
+    rows = zip(fp.dim.tolist(), fp.value.tolist(), fp.in_l.tolist(), boundaries(fp))
+    lines = [
+        " ".join([str(cid), str(dim), repr(value), "L" if in_l else "K", *map(str, faces)])
+        for cid, (dim, value, in_l, faces) in enumerate(rows, start=1)
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -56,22 +63,24 @@ def euler_poincare_mismatches(fp: FilteredPair) -> list[int]:
     return (np.flatnonzero(bars != cells) + 1).tolist()
 
 
-def reference_rips(dist, n_a: int, r_max: float, k_max: int):
+def reference_rips(dist, n_a: int, r_max: float, k_max: int) -> tuple[FilteredPair, list]:
     """The Rips pair one simplex at a time: recursive clique enumeration, a
     sort on (value, dim, L first, vertices) and boundaries looked up in a
-    dict. Returns the cells and, for each, its vertex tuple."""
+    dict. Returns the pair, built from its arrays, and each cell's vertex
+    tuple."""
     dist = np.asarray(dist, dtype=float)
     simplices = _enumerate_simplices(dist, r_max, k_max + 1)
     simplices.sort(key=lambda s: (s[1], len(s[0]) - 1, 0 if s[0][-1] < n_a else 1, s[0]))
     id_of: dict[tuple[int, ...], int] = {}
-    cells: list[Cell] = []
+    rows = []
     for verts, value in simplices:
-        cid = len(cells) + 1
-        id_of[verts] = cid
+        id_of[verts] = len(id_of) + 1
         faces = [verts[:i] + verts[i + 1 :] for i in range(len(verts))] if len(verts) > 1 else []
-        member = MEMBER_L if verts[-1] < n_a else MEMBER_K
-        cells.append(Cell(cid, len(verts) - 1, value, member, tuple(sorted(id_of[f] for f in faces))))
-    return cells, [verts for verts, _ in simplices]
+        rows.append((len(verts) - 1, value, verts[-1] < n_a, sorted(id_of[f] for f in faces)))
+    dim, value, in_l, faces = zip(*rows)
+    indptr = np.cumsum([0, *map(len, faces)])
+    pair = FilteredPair(dim, value, in_l, indptr, [fid for row in faces for fid in row])
+    return pair, [verts for verts, _ in simplices]
 
 
 def _enumerate_simplices(dist: np.ndarray, r_max: float, max_dim: int):
@@ -99,39 +108,40 @@ def _enumerate_simplices(dist: np.ndarray, r_max: float, max_dim: int):
     return out
 
 
-def reference_error(cells) -> str | None:
-    """The message of the first cell that breaks a structural rule, one cell
-    at a time, or None when the cells form a valid pair."""
-    for pos, c in enumerate(cells, start=1):
-        if c.id != pos:
-            return f"cell ids must be 1..n in order; position {pos} has id {c.id}"
-        if c.dim < 0:
-            return f"cell {c.id}: negative dimension"
-        if not math.isfinite(c.value):
-            return f"cell {c.id}: value {c.value} is not finite"
-        if pos > 1 and c.value < cells[pos - 2].value:
-            return f"cell {c.id}: value {c.value} below value of cell {c.id - 1}"
+def reference_error(ids, dim, value, in_l, rows) -> str | None:
+    """The message of the first cell that breaks a structural rule, checked
+    one cell at a time over the given ids, dims, values, L flags and
+    boundary id lists, or None when they form a valid pair."""
+    ids, dim, value, in_l = (np.asarray(a).tolist() for a in (ids, dim, value, in_l))
+    for pos, (cid, d, v, l, faces) in enumerate(zip(ids, dim, value, in_l, rows), start=1):
+        if cid != pos:
+            return f"cell ids must be 1..n in order; position {pos} has id {cid}"
+        if d < 0:
+            return f"cell {cid}: negative dimension"
+        if not math.isfinite(v):
+            return f"cell {cid}: value {v} is not finite"
+        if pos > 1 and v < value[pos - 2]:
+            return f"cell {cid}: value {v} below value of cell {cid - 1}"
         seen = set()
-        for fid in c.boundary:
+        for fid in faces:
             if fid in seen:
-                return f"cell {c.id}: duplicate boundary id {fid}"
+                return f"cell {cid}: duplicate boundary id {fid}"
             seen.add(fid)
-            if not 1 <= fid < c.id:
-                return f"cell {c.id}: boundary id {fid} must name an earlier cell"
-            face = cells[fid - 1]
-            if face.dim != c.dim - 1:
-                return f"cell {c.id} (dim {c.dim}): boundary cell {fid} has dim {face.dim}"
-            if c.member == MEMBER_L and face.member != MEMBER_L:
-                return f"cell {c.id} is in L but its face {fid} is not: L is not a subcomplex"
-        if c.dim == 1 and len(c.boundary) > 2:
-            return f"cell {c.id}: a 1-cell has at most two boundary vertices"
-        if c.dim >= 2:
+            if not 1 <= fid < cid:
+                return f"cell {cid}: boundary id {fid} must name an earlier cell"
+            if dim[fid - 1] != d - 1:
+                return f"cell {cid} (dim {d}): boundary cell {fid} has dim {dim[fid - 1]}"
+            if l and not in_l[fid - 1]:
+                return f"cell {cid} is in L but its face {fid} is not: L is not a subcomplex"
+        if d == 1 and len(faces) > 2:
+            return f"cell {cid}: a 1-cell has at most two boundary vertices"
+        if d >= 2:
             odd: set[int] = set()
-            for fid in c.boundary:
-                odd.symmetric_difference_update(cells[fid - 1].boundary)
+            for fid in faces:
+                odd.symmetric_difference_update(rows[fid - 1])
             if odd:
                 return (
-                    f"cell {c.id}: the boundary of its boundary is not zero over Z/2 "
+                    f"cell {cid}: the boundary of its boundary is not zero over Z/2 "
                     f"(cells {sorted(odd)} appear an odd number of times)"
                 )
     return None

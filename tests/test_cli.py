@@ -907,9 +907,10 @@ def test_distance_matrix_over_the_byte_budget_exits_2(command, tmp_path, monkeyp
 
 
 def test_kmedoids_budget_allows_clouds_at_the_limit(tmp_path, monkeypatch, capsys):
-    """Classes of 30 points run k-medoids at a budget of exactly their
-    9 · 30² bytes, and stop one byte below it. The Rips builds on 2 + 1
-    medoids, at most 7 cells charged with their 3 x 3 matrix, fit within it."""
+    """Classes of 30 points run k-medoids at a budget of exactly the
+    9 bytes per entry of their 30 × 30 matrix and of SWAP's 2 × 28 table,
+    and stop one byte below it. The Rips builds on 2 + 1 medoids, at most 7
+    cells charged with their 3 x 3 matrix, fit within it."""
     from mixbar import cloud
 
     rng = np.random.default_rng(0)
@@ -918,7 +919,7 @@ def test_kmedoids_budget_allows_clouds_at_the_limit(tmp_path, monkeypatch, capsy
     path.write_text("".join(f"{x},{y},{i // 30}\n" for i, (x, y) in enumerate(pts)))
     args = ["pairwise", "--a", str(path), "--rmax", "12", "--degrees", "1",
             "--subsample-a", "2", "--subsample-b", "1"]
-    for budget, want in ((9 * 30 * 30, 0), (9 * 30 * 30 - 1, 2)):
+    for budget, want in ((9 * (30 * 30 + 2 * 28), 0), (9 * (30 * 30 + 2 * 28) - 1, 2)):
         monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", budget)
         code, _, _ = run(args, capsys)
         assert code == want
@@ -945,7 +946,7 @@ def test_profile_forms_no_matrix_over_the_kmedoids_budget(tmp_path, monkeypatch,
     assert code == 0
     real = cloud.pairwise_distances
     for budget, largest in (
-        (9 * 40 * 40, 40),  # the 40-point blocks fit, the whole matrix does not
+        (9 * (40 * 40 + 2 * 38), 40),  # a 40-point block and its SWAP table fit, the whole matrix does not
         (9 * 80 * 80, 40),  # the whole matrix fits alone, not with a block
         (9 * (80 * 80 + 40 * 40) - 1, 40),
         (9 * (80 * 80 + 40 * 40), 80),  # the whole matrix and one block fit

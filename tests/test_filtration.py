@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from mixbar import InputError, parse_explicit_pair
-from mixbar.filtration import Cell, FilteredPair
+from mixbar.filtration import FilteredPair
 from mixbar.verify import random_explicit_instance
 from conftest import SIX_CELL
-from helpers import format_explicit_pair, reference_error, restrict_to_L
+from helpers import boundaries, format_explicit_pair, reference_error, restrict_to_L
 
 
 def test_parse_six_cell(six_cell_pair):
@@ -15,9 +15,24 @@ def test_parse_six_cell(six_cell_pair):
     assert fp.n == 6
     assert fp.max_dim == 2
     assert int(fp.in_l.sum()) == 4
-    assert fp.cells[2].member == "K"
-    assert fp.cells[4].boundary == (1, 2)
-    assert fp.cells[3].value == 4.0
+    assert not fp.in_l[2]
+    assert boundaries(fp)[4] == [1, 2]
+    assert fp.value[3] == 4.0
+
+
+def test_cells_view_gives_dim_and_member(six_cell_pair):
+    """The per-cell view that the benchmark tracer counts: one Cell(dim,
+    member) per cell in filtration order, member "L" or "K", built anew at
+    each access. Nothing else names it."""
+    from dataclasses import fields
+
+    from mixbar.filtration import MEMBER_K, MEMBER_L, Cell
+
+    fp = six_cell_pair
+    assert [f.name for f in fields(Cell)] == ["dim", "member"]
+    assert (MEMBER_L, MEMBER_K) == ("L", "K")
+    assert fp.cells == tuple(Cell(d, m) for d, m in zip([1, 1, 2, 2, 2, 2], "LLKKLL"))
+    assert fp.cells is not fp.cells
 
 
 def test_format_parse_roundtrip(six_cell_pair):
@@ -87,12 +102,10 @@ def test_restrict_to_l(six_cell_pair):
     sub = restrict_to_L(six_cell_pair)
     assert sub.n == 4
     # the L cells 1, 2, 5, 6 in order; in this pair a cell's value is its id
-    assert [c.value for c in sub.cells] == [1.0, 2.0, 5.0, 6.0]
-    assert all(c.member == "L" for c in sub.cells)
+    assert sub.value.tolist() == [1.0, 2.0, 5.0, 6.0]
+    assert sub.in_l.all()
     # boundaries renumbered: old cell 5 bounded {1, 2}, which keep their ids
-    assert sub.cells[2].boundary == (1, 2)
-    assert sub.cells[3].boundary == (1,)
-    assert sub.cells[2].value == 5.0
+    assert boundaries(sub)[2:] == [[1, 2], [1]]
 
 
 def test_restrict_is_parseable(six_cell_pair):
@@ -103,7 +116,7 @@ def test_restrict_is_parseable(six_cell_pair):
 def test_six_cell_text_stable():
     # The golden input itself should stay well-formed.
     fp = parse_explicit_pair(SIX_CELL)
-    assert [c.value for c in fp.cells] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    assert fp.value.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
 
 def test_rejects_nonzero_boundary_of_boundary():
@@ -138,7 +151,7 @@ def test_accepts_cancelling_boundaries():
     fp = parse_explicit_pair(
         "1 0 0.0 L\n2 0 0.0 L\n3 1 1.0 L 1 2\n4 1 1.0 L 1 2\n5 2 2.0 L 3 4\n"
     )
-    assert fp.cells[4].boundary == (3, 4)
+    assert boundaries(fp)[4] == [3, 4]
 
 
 def test_rejects_edge_with_three_vertices():
@@ -180,7 +193,7 @@ def test_validate_agrees_with_the_per_cell_rules():
     for _ in range(1500):
         fp = random_explicit_instance(rng)
         ids, dim, value, in_l = np.arange(1, fp.n + 1), fp.dim.copy(), fp.value.copy(), fp.in_l.copy()
-        rows = [list(c.boundary) for c in fp.cells]
+        rows = boundaries(fp)
         for _ in range(int(rng.integers(1, 3))):
             i = int(rng.integers(fp.n))
             kind = int(rng.integers(7))
@@ -198,11 +211,7 @@ def test_validate_agrees_with_the_per_cell_rules():
                 value[i] = rng.choice([np.nan, np.inf, -np.inf])
             elif rows[i]:
                 rows[i] = rows[i][1:]
-        cells = [
-            Cell(int(c), int(d), float(v), "L" if l else "K", tuple(row))
-            for c, d, v, l, row in zip(ids, dim, value, in_l, rows)
-        ]
-        want = reference_error(cells)
+        want = reference_error(ids, dim, value, in_l, rows)
         indptr = np.cumsum([0] + [len(row) for row in rows])
         try:
             FilteredPair(dim, value, in_l, indptr, [f for row in rows for f in row], ids=ids)
@@ -248,7 +257,7 @@ def test_rows_out_of_order_give_the_per_cell_message():
     for _ in range(4000):
         fp = random_explicit_instance(rng)
         dim, value, in_l = fp.dim.copy(), fp.value.copy(), fp.in_l.copy()
-        rows = [list(c.boundary) for c in fp.cells]
+        rows = boundaries(fp)
         for _ in range(int(rng.integers(1, 3))):
             i = int(rng.integers(fp.n))
             kind = int(rng.integers(7))
@@ -268,11 +277,7 @@ def test_rows_out_of_order_give_the_per_cell_message():
                 rows[i].pop(int(rng.integers(len(rows[i]))))
         for row in rows:
             rng.shuffle(row)
-        cells = [
-            Cell(i + 1, int(d), float(v), "L" if l else "K", tuple(row))
-            for i, (d, v, l, row) in enumerate(zip(dim, value, in_l, rows))
-        ]
-        want = reference_error(cells)
+        want = reference_error(range(1, fp.n + 1), dim, value, in_l, rows)
         indptr = np.cumsum([0] + [len(row) for row in rows])
         try:
             FilteredPair(dim, value, in_l, indptr, [f for row in rows for f in row])

@@ -86,11 +86,8 @@ def test_restriction_matches_standalone_build(params):
     rng = np.random.default_rng(params["seed"])
     a = PointCloud(rng.random((params["n_a"], params["dim"])))
     alone = build_rips_pair(a, None, r_max=r_max, k_max=2)
-    sub = restrict_to_L(fp)
     # equal boundaries from the vertices up mean equal vertex sets
-    assert [(c.dim, c.value, c.boundary) for c in sub.cells] == [
-        (c.dim, c.value, c.boundary) for c in alone.cells
-    ]
+    assert restrict_to_L(fp) == alone
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,10 +128,9 @@ def test_smaller_clamp_never_increases_mixup(params):
 @given(instances)
 def test_rank_functions_are_monotone(params):
     fp, _ = make_pair(params, k_max=1)
+    n = fp.n
     for mode in ("standard_L", "image"):
-        rf = rank_function(fp, 0, mode)
-        grid = rf.grid
-        n = rf.n
+        grid = rank_function(fp, 0, mode)
         # non-decreasing in i (rows), non-increasing in j (columns)
         for j in range(1, n + 1):
             col = grid[1 : j + 1, j]
@@ -160,14 +156,13 @@ def test_index_deaths_follow_membership(params):
         image_deaths = [t.death_image for t in triples if t.death_image != INF]
         assert len(set(image_deaths)) == len(image_deaths)
         for t in triples:
-            assert fp.cells[t.birth - 1].dim == degree
-            assert fp.cells[t.birth - 1].member == "L"
+            assert fp.dim[t.birth - 1] == degree
+            assert fp.in_l[t.birth - 1]
             if t.death != INF:
-                killer = fp.cells[t.death - 1]
-                assert killer.dim == degree + 1
-                assert killer.member == "L"
+                assert fp.dim[t.death - 1] == degree + 1
+                assert fp.in_l[t.death - 1]
             if t.death_image != INF:
-                assert fp.cells[t.death_image - 1].dim == degree + 1
+                assert fp.dim[t.death_image - 1] == degree + 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,7 +9,7 @@ from mixbar import (
     parse_explicit_pair,
     rank_function,
 )
-from mixbar.oracle import SIZE_GUARD, RankFunction
+from mixbar.oracle import SIZE_GUARD
 
 HOLLOW_TRIANGLE = """\
 1 0 1.0 L
@@ -23,8 +23,7 @@ HOLLOW_TRIANGLE = """\
 
 def test_hollow_triangle_degree0_bars():
     fp = parse_explicit_pair(HOLLOW_TRIANGLE)
-    rf = rank_function(fp, 0, "standard_L")
-    bars = barcode_from_ranks(rf)
+    bars = barcode_from_ranks(rank_function(fp, 0, "standard_L"))
     assert sorted(bars) == [(1, math.inf), (2, 4.0), (3, 5.0)]
 
 
@@ -36,12 +35,13 @@ def test_hollow_triangle_degree1_bar():
 
 def test_hollow_triangle_rank_values():
     fp = parse_explicit_pair(HOLLOW_TRIANGLE)
-    rf = rank_function(fp, 0, "standard_L")
+    grid = rank_function(fp, 0, "standard_L")
+    assert grid.shape == (7, 7)
     # three components alive at index 3, one pair merged by index 4
-    assert rf.r(3, 3) == 3
-    assert rf.r(3, 4) == 2
-    assert rf.r(1, 6) == 1
-    assert rf.r(2, 5) == 1
+    assert grid[3, 3] == 3
+    assert grid[3, 4] == 2
+    assert grid[1, 6] == 1
+    assert grid[2, 5] == 1
 
 
 def test_six_cell_standard_bars(six_cell_pair):
@@ -64,31 +64,21 @@ def test_modes_agree_when_everything_is_l():
     a = rank_function(fp, 0, "standard_L")
     b = rank_function(fp, 0, "standard_K")
     c = rank_function(fp, 0, "image")
-    assert np.array_equal(a.grid, b.grid)
-    assert np.array_equal(a.grid, c.grid)
+    assert np.array_equal(a, b)
+    assert np.array_equal(a, c)
 
 
 def test_rank_monotonicity(six_cell_pair):
     """More cycles as i grows, fewer survivors as j grows."""
     for mode in ("standard_L", "standard_K", "image"):
-        rf = rank_function(six_cell_pair, 1, mode)
-        n = rf.n
+        r = rank_function(six_cell_pair, 1, mode)
+        n = six_cell_pair.n
         for j in range(1, n + 1):
             for i in range(1, j):
-                assert rf.r(i, j) <= rf.r(i + 1, j)
+                assert r[i, j] <= r[i + 1, j]
         for i in range(1, n + 1):
             for j in range(i, n):
-                assert rf.r(i, j) >= rf.r(i, j + 1)
-
-
-def test_rank_accessor_validates(six_cell_pair):
-    rf = rank_function(six_cell_pair, 1, "standard_L")
-    with pytest.raises(InputError):
-        rf.r(0, 3)
-    with pytest.raises(InputError):
-        rf.r(4, 3)
-    with pytest.raises(InputError):
-        rf.r(1, 99)
+                assert r[i, j] >= r[i, j + 1]
 
 
 def test_bad_mode_rejected(six_cell_pair):
@@ -108,9 +98,8 @@ def test_corrupted_grid_rejected():
     grid[2, 2] = 0
     grid[3, 3] = 5  # ...an inconsistent jump that makes a multiplicity negative
     grid[1, 3] = 2
-    rf = RankFunction(degree=0, n=3, grid=grid)
     with pytest.raises(InputError, match="rank function"):
-        barcode_from_ranks(rf)
+        barcode_from_ranks(grid)
 
 
 def test_negative_essential_multiplicity_rejected():
@@ -119,7 +108,7 @@ def test_negative_essential_multiplicity_rejected():
     grid = np.zeros((2, 2), dtype=np.int64)
     grid[0, 1] = 1
     with pytest.raises(InputError, match="^corrupted rank function: negative essential multiplicity$"):
-        barcode_from_ranks(RankFunction(degree=0, n=1, grid=grid))
+        barcode_from_ranks(grid)
 
 
 def test_size_guard():
@@ -131,5 +120,4 @@ def test_size_guard():
 
 def test_degree_beyond_complex_is_empty(six_cell_pair):
     # no cells of that dimension: the rank function is identically zero
-    rf = rank_function(six_cell_pair, 3, "standard_L")
-    assert barcode_from_ranks(rf) == []
+    assert barcode_from_ranks(rank_function(six_cell_pair, 3, "standard_L")) == []

@@ -145,19 +145,30 @@ def test_mixbar_makes_no_blas_call():
     )
 
 
-# the per-cell object layer of mixbar.filtration, which only the tests and
-# the benchmark tracer read: the package reads a pair's arrays
+# the per-cell object layer of mixbar.filtration, which only the benchmark
+# tracer reads: mixbar and its tests read a pair's arrays. It may be named in
+# filtration.py and in the one test of its (dim, member) contract.
 OBJECT_LAYER = {"Cell", "MEMBER_L", "MEMBER_K"}
+PACKAGE = pathlib.Path(mixbar.__file__).parent
+TESTS = pathlib.Path(__file__).parent
+VIEW_TEST = TESTS / "test_filtration.py", "test_cells_view_gives_dim_and_member"
 
 
-def object_layer_uses(source: str) -> list[str]:
+def object_layer_uses(source: str, exempt: str | None = None) -> list[str]:
     """Where source names Cell, MEMBER_L or MEMBER_K, or reads an attribute
-    .cells."""
+    .cells, outside the function named exempt."""
+    tree = ast.parse(source)
+    spans = [
+        (node.lineno, node.end_lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == exempt
+    ]
     uses = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
         if name in OBJECT_LAYER or (isinstance(node, ast.Attribute) and name == "cells"):
-            uses.append((node.lineno, name))
+            if not any(lo <= node.lineno <= hi for lo, hi in spans):
+                uses.append((node.lineno, name))
     return [f"line {line}: {name}" for line, name in sorted(uses)]
 
 
@@ -170,21 +181,29 @@ filtration.MEMBER_L
 x = MEMBER_K
 cells = fp.dim
 def cells(dim): pass
+def view(fp):
+    return fp.cells
 """
     assert object_layer_uses(source) == [
-        "line 2: Cell", "line 4: cells", "line 5: MEMBER_L", "line 6: MEMBER_K"
+        "line 2: Cell", "line 4: cells", "line 5: MEMBER_L", "line 6: MEMBER_K", "line 10: cells"
     ]
-    oracle = pathlib.Path(mixbar.__file__).parent / "oracle.py"
-    planted = oracle.read_text(encoding="utf-8") + "fp.cells\n"
-    assert object_layer_uses(planted) == [f"line {planted.count(chr(10))}: cells"]
+    assert object_layer_uses(source, "view") == object_layer_uses(source)[:-1]
+    for path, exempt in ((PACKAGE / "oracle.py", None), VIEW_TEST):
+        text = path.read_text(encoding="utf-8")
+        assert object_layer_uses(text, exempt) == []
+        planted = text + "fp.cells\n"
+        assert object_layer_uses(planted, exempt) == [f"line {planted.count(chr(10))}: cells"]
+    # the view's own test is found without its exemption
+    assert object_layer_uses(VIEW_TEST[0].read_text(encoding="utf-8"))
 
 
 def test_only_filtration_names_the_object_layer():
-    package = pathlib.Path(mixbar.__file__).parent
     found = [
-        f"{path.name} {use}"
-        for path in sorted(package.rglob("*.py"))
-        if path.name != "filtration.py"
-        for use in object_layer_uses(path.read_text(encoding="utf-8"))
+        f"{path.parent.name}/{path.name} {use}"
+        for path in sorted(PACKAGE.rglob("*.py")) + sorted(TESTS.rglob("*.py"))
+        if path != PACKAGE / "filtration.py"
+        for use in object_layer_uses(
+            path.read_text(encoding="utf-8"), VIEW_TEST[1] if path == VIEW_TEST[0] else None
+        )
     ]
-    assert not found, f"mixbar reads the per-cell view outside filtration.py: {found}"
+    assert not found, f"the per-cell view is read outside filtration.py and its one test: {found}"

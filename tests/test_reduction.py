@@ -20,7 +20,7 @@ from mixbar import (
 )
 from mixbar.reduction import _coboundary_pairs, merge_edges, reduce_columns
 from mixbar.verify import random_explicit_instance
-from helpers import reference_degree, reference_reduce_columns
+from helpers import boundaries, reference_degree, reference_reduce_columns
 
 FILLED_TRIANGLE = """\
 1 0 0.0 L
@@ -59,10 +59,11 @@ def reduce_arrays(columns, fetched=None):
 
 def test_reduce_filled_triangle_degree0():
     fp = parse_explicit_pair(FILLED_TRIANGLE)
-    edges = [c for c in fp.cells if c.dim == 1]
+    faces = boundaries(fp)
+    edges = (np.flatnonzero(fp.dim == 1) + 1).tolist()
     # a column's pivot is its first row, so vertex v is row 3 - v and the
     # youngest end of an edge comes first
-    pairs = reduce_arrays((e.id, column(3 - v for v in e.boundary)) for e in edges)
+    pairs = reduce_arrays((e, column(3 - v for v in faces[e - 1])) for e in edges)
     pairs = {3 - row: e for row, e in pairs.items()}
     # column 6 = {2,3} reduces to zero through columns 4 and 5, so it owns
     # no pivot; the pivot rows are the younger vertices 2 and 3
@@ -103,9 +104,8 @@ def test_merge_edges_matches_reference_reduction(cols, rows, pairing):
     edges rows; an edge's one end is a column with one row."""
     fp = parse_explicit_pair(MIXED_VERTICES)
     place = {v: i for i, v in enumerate(cols)}
-    pairs, _ = reference_reduce_columns(
-        (e, bitset(place[v] for v in fp.cells[e - 1].boundary)) for e in rows
-    )
+    faces = boundaries(fp)
+    pairs, _ = reference_reduce_columns((e, bitset(place[v] for v in faces[e - 1])) for e in rows)
     assert {cols[p]: e for p, e in pairs.items()} == pairing
     assert merge_edges(fp, np.array(cols), np.array(rows)) == pairing
 
@@ -378,8 +378,8 @@ def test_coboundary_pass_matches_reference_reduction(cols, cofaces, pairing):
     every column built up front and reduced by reference_reduce_columns."""
     fp = parse_explicit_pair(EDGE_CASES["hollow_tetrahedron"])
     m = len(cofaces)
-    rows = {c: [m - 1 - r for r, f in enumerate(cofaces) if c in fp.cells[f - 1].boundary]
-            for c in cols}
+    faces = boundaries(fp)
+    rows = {c: [m - 1 - r for r, f in enumerate(cofaces) if c in faces[f - 1]] for c in cols}
     pairs, _ = reference_reduce_columns((c, bitset(rows[c])) for c in reversed(cols))
     assert {c: cofaces[m - 1 - p] for p, c in pairs.items()} == pairing
     assert _coboundary_pairs(fp, np.array(cols), np.array(cofaces)) == pairing

@@ -11,24 +11,24 @@ from mixbar import InputError, PointCloud, build_rips_pair, pairwise_distances, 
 from mixbar.cloud import METRICS
 from mixbar.filtration import FilteredPair
 from mixbar import rips
-from helpers import reference_rips, restrict_to_L
+from helpers import boundaries, reference_rips, restrict_to_L
 
 
 def unit_square():
     return PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
 
 
-def with_vertices(fp, dist, n_a, r_max, k_max):
-    """The cells of fp, each with its vertex tuple from the reference
-    construction, after checking that the two agree cell for cell."""
-    cells, verts = reference_rips(dist, n_a, r_max, k_max)
-    assert fp.cells == tuple(cells)
-    return list(zip(fp.cells, verts))
+def vertices(fp, dist, n_a, r_max, k_max):
+    """The vertex tuple of each cell of fp from the reference construction,
+    after checking that the two pairs are equal."""
+    pair, verts = reference_rips(dist, n_a, r_max, k_max)
+    assert fp == pair
+    return verts
 
 
-def square_center_cells(fp):
+def square_center_vertices(fp):
     pts = np.vstack([unit_square().points, [[0.5, 0.5]]])
-    return with_vertices(fp, pairwise_distances(pts), 4, 2.0, 2)
+    return vertices(fp, pairwise_distances(pts), 4, 2.0, 2)
 
 
 def test_square_center_cell_counts(square_center_pair):
@@ -41,32 +41,34 @@ def test_square_center_cell_counts(square_center_pair):
 
 def test_vertices_precede_everything(square_center_pair):
     fp = square_center_pair
-    first = fp.cells[:5]
-    assert all(c.dim == 0 and c.value == 0.0 for c in first)
+    assert (fp.dim[:5] == 0).all() and (fp.value[:5] == 0.0).all()
     # at equal value and dimension, subcomplex cells come before ambient ones
-    assert [c.member for c in first] == ["L", "L", "L", "L", "K"]
+    assert fp.in_l[:5].tolist() == [True, True, True, True, False]
 
 
 def test_values_are_max_pairwise_distance(square_center_pair):
+    fp = square_center_pair
     d = pairwise_distances(np.vstack([unit_square().points, [[0.5, 0.5]]]))
-    for c, vs in square_center_cells(square_center_pair):
+    for value, vs in zip(fp.value.tolist(), square_center_vertices(fp)):
         want = 0.0 if len(vs) == 1 else max(d[i, j] for i in vs for j in vs if i < j)
-        assert c.value == want
+        assert value == want
 
 
 def test_member_is_l_iff_all_vertices_from_a(square_center_pair):
-    for c, vs in square_center_cells(square_center_pair):
-        assert (c.member == "L") == all(v < 4 for v in vs)
+    fp = square_center_pair
+    for in_l, vs in zip(fp.in_l.tolist(), square_center_vertices(fp)):
+        assert in_l == all(v < 4 for v in vs)
 
 
 def test_boundary_faces_are_facets(square_center_pair):
-    cells = square_center_cells(square_center_pair)
-    for c, vs in cells:
-        assert len(c.boundary) == (0 if c.dim == 0 else c.dim + 1)
-        for fid in c.boundary:
-            face, face_vs = cells[fid - 1]
-            assert face.dim == c.dim - 1
-            assert set(face_vs) < set(vs)
+    fp = square_center_pair
+    verts = square_center_vertices(fp)
+    dim = fp.dim.tolist()
+    for d, faces, vs in zip(dim, boundaries(fp), verts):
+        assert len(faces) == (0 if d == 0 else d + 1)
+        for fid in faces:
+            assert dim[fid - 1] == d - 1
+            assert set(verts[fid - 1]) < set(vs)
 
 
 def test_restriction_equals_building_a_alone():
@@ -74,11 +76,8 @@ def test_restriction_equals_building_a_alone():
     b = PointCloud(np.array([[0.5, 0.5]]))
     pair = build_rips_pair(a, b, r_max=2.0, k_max=2)
     alone = build_rips_pair(a, None, r_max=2.0, k_max=2)
-    sub = restrict_to_L(pair)
     # equal boundaries from the vertices up mean equal vertex sets
-    got = [(c.dim, c.value, c.boundary) for c in sub.cells]
-    want = [(c.dim, c.value, c.boundary) for c in alone.cells]
-    assert got == want
+    assert restrict_to_L(pair) == alone
 
 
 def test_r_max_is_inclusive():
@@ -146,8 +145,10 @@ def test_from_distances_split():
         [[0.0, 1.0, 5.0], [1.0, 0.0, 5.0], [5.0, 5.0, 0.0]]
     )
     fp = rips_pair_from_distances(d, 2, r_max=6.0, k_max=1)
-    members = {vs: c.member for c, vs in with_vertices(fp, d, 2, 6.0, 1) if c.dim == 0}
-    assert members == {(0,): "L", (1,): "L", (2,): "K"}
+    verts = vertices(fp, d, 2, 6.0, 1)
+    assert {verts[i]: bool(fp.in_l[i]) for i in np.flatnonzero(fp.dim == 0)} == {
+        (0,): True, (1,): True, (2,): False
+    }
 
 
 def test_from_distances_validates_split():
@@ -196,8 +197,8 @@ grid_clouds = st.integers(1, 9).flatmap(
     st.sampled_from([None, 1, 5, 64]),
 )
 def test_array_build_matches_reference(cloud, metric, r_max, k_max, budget):
-    """Cell for cell equal to the per-simplex construction: dim, value,
-    member and boundary; and valid by every rule of validate(), which the
+    """Equal to the per-simplex construction, array for array: dim, value,
+    L mask and boundaries; and valid by every rule of validate(), which the
     build itself skips. r_max 0.5 is below every nonzero distance; a small
     budget splits each expansion step into runs of one or a few simplices,
     cutting their sibling lists apart."""
@@ -206,8 +207,7 @@ def test_array_build_matches_reference(cloud, metric, r_max, k_max, budget):
     with mock.patch.object(mixbar.cloud, "BLOCK_BYTES", budget or mixbar.cloud.BLOCK_BYTES):
         fp = rips_pair_from_distances(dist, n_a, r_max, k_max)
     fp.validate()
-    cells, _ = reference_rips(dist, n_a, r_max, k_max)
-    assert fp.cells == tuple(cells)
+    assert fp == reference_rips(dist, n_a, r_max, k_max)[0]
 
 
 def test_a_build_is_not_validated_again(monkeypatch):

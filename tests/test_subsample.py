@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -58,11 +59,11 @@ def test_rejects_bad_k():
 
 def test_check_budget_is_the_one_sizing_rule(monkeypatch):
     """k-medoids chooses among n points only where some size falls short of
-    n, and then only where their n × n matrix fits cloud.MAX_MATRIX_BYTES at
-    9 bytes per entry, here n <= 4; the error names the options that fall
-    short. A size equal to n covers the points, as do all sizes of an empty
-    set."""
-    monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", 9 * 4 * 4)
+    n, and then only where their n × n matrix and SWAP's k × (n − k) table
+    fit cloud.MAX_MATRIX_BYTES at 9 bytes per entry, here n <= 4 at k = 2;
+    the error names the options that fall short. A size equal to n covers
+    the points, as do all sizes of an empty set."""
+    monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", 9 * (4 * 4 + 2 * 2))
     both = {"--subsample-a": 4, "--subsample-b": 2}
     assert check_budget(0, both) is False
     assert check_budget(2, both) is False
@@ -74,11 +75,40 @@ def test_check_budget_is_the_one_sizing_rule(monkeypatch):
         check_budget(5, both)
     assert str(exc.value) == (
         "k-medoids for --subsample-a and --subsample-b would choose among 5 points, whose "
-        "distance matrix is over the budget of 144 bytes (mixbar.cloud.MAX_MATRIX_BYTES); use "
+        "distance matrix is over the budget of 180 bytes (mixbar.cloud.MAX_MATRIX_BYTES); use "
         "fewer points, or set --subsample-a and --subsample-b to at least 5 to keep them all"
     )
     with pytest.raises(InputError, match="k-medoids for --subsample-b would choose among 5 points"):
         check_budget(5, {"--subsample-a": 5, "--subsample-b": 2})
+
+
+@pytest.mark.parametrize(
+    "points, k",
+    [
+        # the table at its largest, k = n / 2: a quarter of the matrix
+        (np.random.default_rng(0).normal(size=(2000, 8)), 1000),
+        # the screening arrays are computed from scratch a second time
+        (np.random.default_rng(0).exponential(size=(400, 3)) ** 3, 40),
+    ],
+    ids=["half", "recomputed"],
+)
+def test_kmedoids_uses_no_more_than_its_charge(monkeypatch, points, k):
+    """check_budget refuses a budget one byte short of the matrix plus the
+    tracemalloc peak of k-medoids on it: SWAP's table is charged, and a
+    recomputed table replaces the old one rather than joining it. Blocks of
+    a sixteenth of the matrix keep them from hiding the table."""
+    dist = pairwise_distances(points)
+    n = len(dist)
+    monkeypatch.setattr(cloud, "BLOCK_BYTES", n * n // 16)
+    tracemalloc.start()
+    try:
+        k_medoids_indices(dist, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", dist.nbytes + peak - 1)
+    with pytest.raises(InputError, match=f"would choose among {n:,} points"):
+        check_budget(n, {"--subsample-a": k})
 
 
 def test_rejects_invalid_matrix():
