@@ -23,10 +23,10 @@ _EXPORTS = {
     "filtration": ("parse_explicit_pair",),
     "oracle": ("barcode_from_ranks", "rank_function"),
     "plot": ("plot_mixup_barcode",),
-    "reduction": ("INF", "MixupTriple", "mixup_barcode_indices"),
+    "reduction": ("INF", "mixup_barcode_indices"),
     "rips": ("build_rips_pair", "rips_pair_from_distances"),
-    "stats": ("MixupBarcode", "StatsConfig", "compute_mixup_barcode", "mixup_percentage",
-              "mixup_profile", "pairwise_matrix", "total_mixup"),
+    "stats": ("MixupBarcode", "StatsConfig", "compute_mixup_barcode", "mixup_profile",
+              "pairwise_matrix", "total_mixup"),
     "subsample": ("k_medoids", "k_medoids_indices"),
     "verify": ("random_rips_instance", "run_fuzz"),
 }

@@ -22,6 +22,8 @@ import sys
 # caller's threads alone.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import numpy as np
+
 from .cloud import (
     METRICS,
     LabeledPointCloud,
@@ -35,6 +37,7 @@ from .errors import InputError
 from .filtration import FilteredPair, parse_explicit_pair
 from .output import Table, csv_lines, float_from_json, json_dumps
 from .plot import plot_mixup_barcode
+from .reduction import id_rows
 from .rips import build_rips_pair, check_rips_params, rips_pair_from_distances
 from .stats import (
     MixupBarcode,
@@ -216,7 +219,7 @@ def _degree_entry(bc: MixupBarcode) -> dict:
         "triples": Table(
             (*TRIPLE_KEYS, "zero_persistence"), [(*row, row[2] == row[0]) for row in bc.values.tolist()]
         ),
-        "index_triples": Table(TRIPLE_KEYS, bc.index_triples),
+        "index_triples": Table(TRIPLE_KEYS, id_rows(bc.index_triples)),
         "statistics": {
             "bars": len(bc.values),
             "total_mixup": total_mixup(bc),
@@ -420,7 +423,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     if degree not in available:
         raise InputError(f"degree {degree} not present in results (has {available})")
     rows, clamp = entries[degree]
-    _write(args, plot_mixup_barcode(MixupBarcode(degree, (), rows, clamp)))
+    _write(args, plot_mixup_barcode(MixupBarcode(degree, np.empty((0, 3)), rows, clamp)))
     return 0
 
 

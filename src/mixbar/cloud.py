@@ -57,10 +57,6 @@ class PointCloud:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def distance_matrix(self) -> np.ndarray:
-        """Full symmetric matrix of pairwise dissimilarities, zero diagonal."""
-        return pairwise_distances(self.points, self.metric)
-
 
 @dataclass(eq=False)
 class LabeledPointCloud:

@@ -52,7 +52,6 @@ need reducing:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -164,38 +163,27 @@ def _coboundary_pairs(fp: FilteredPair, cols: np.ndarray, cofaces: np.ndarray) -
     return {cols[-1 - i]: cofaces[p] for p, i in pairs.items()}
 
 
-class MixupTriple(NamedTuple):
-    """(b, d', d): birth, image (premature) death, death, with b <= d' <= d.
+def mixup_barcode_indices(fp: FilteredPair, k: int) -> np.ndarray:
+    """Mixup triples of degree k in cell ids: an (m, 3) float64 array, one
+    (b, d', d) row per k-cycle creator of L, with b <= d' <= d.
 
-    In filtration indices the entries are cell ids, in filtration values
-    they are the values of those cells; a death is +inf for a class that
-    never dies (in K, respectively in L). The order is not checked here:
-    the reduction produces it, and a MixupBarcode checks every value row.
-    """
-
-    birth: float
-    death_image: float
-    death: float
-
-
-def mixup_barcode_indices(fp: FilteredPair, k: int) -> list[MixupTriple]:
-    """Mixup triples of degree k, one per k-cycle creator of L.
-
-    For each k-cell of L whose reduced L-column is zero (it creates a class
-    of H_k(L)), d is the column paired with it in the L-matrix and d' the
-    column paired with it in the ambient matrix; either is +inf when no
-    column claims it. One chain serves every degree (see the module
-    docstring): the vertices are kept, each degree j = 1..k keeps the
-    j-cells that a pass over the kept (j-1)-cells leaves unpaired, and the
-    kept k-cells of L are the creators. A pass over the kept k-cells and
-    all (k+1)-cells gives d', one over the creators and the (k+1)-cells of
-    L gives d. A degree above the dimension of the complex has no cells, so
-    it gives no triples, at once; a negative degree is an InputError.
+    For each k-cell b of L whose reduced L-column is zero (it creates a
+    class of H_k(L)), d is the column paired with it in the L-matrix and d'
+    the column paired with it in the ambient matrix; either is +inf when no
+    column claims it. float64 holds every cell id exactly, as the budget
+    admits far fewer than 2^53 cells. One chain serves every degree (see
+    the module docstring): the vertices are kept, each degree j = 1..k
+    keeps the j-cells that a pass over the kept (j-1)-cells leaves
+    unpaired, and the kept k-cells of L are the creators. A pass over the
+    kept k-cells and all (k+1)-cells gives d', one over the creators and
+    the (k+1)-cells of L gives d. A degree above the dimension of the
+    complex has no cells, so it gives an empty (0, 3) array, at once; a
+    negative degree is an InputError.
     """
     if k < 0:
         raise InputError(f"degree must be non-negative, got {k}")
     if k > fp.max_dim:
-        return []
+        return np.empty((0, 3))
     # the image order: L-cells first, then the ambient-only cells, each in
     # filtration order. Under it a reduced ambient column kills the youngest
     # ambient-only class whenever one is available, which makes the pairing
@@ -217,4 +205,17 @@ def mixup_barcode_indices(fp: FilteredPair, k: int) -> list[MixupTriple]:
     cofaces = np.flatnonzero(fp.dim == k + 1) + 1
     deaths_k = pairs(k, kept, cofaces)
     deaths_l = pairs(k, born, cofaces[fp.in_l[cofaces - 1]])
-    return [MixupTriple(c, deaths_k.get(c, INF), deaths_l.get(c, INF)) for c in born.tolist()]
+    ids = np.empty((len(born), 3))
+    ids[:, 0] = born
+    cells = born.tolist()
+    for col, deaths in ((1, deaths_k), (2, deaths_l)):
+        ids[:, col] = [deaths.get(c, INF) for c in cells]
+    return ids
+
+
+def id_rows(ids: np.ndarray) -> list[list]:
+    """The rows of an id array as int cell ids, +inf where a death never comes."""
+    never = np.isinf(ids)
+    rows = np.where(never, 0, ids).astype(np.int64).astype(object)
+    rows[never] = INF
+    return rows.tolist()

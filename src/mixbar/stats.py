@@ -2,15 +2,16 @@
 
 Each bar [b, d) of the subcomplex splits at its premature death d' into an
 image sub-bar [b, d') and a mixup sub-bar [d', d). A barcode holds its
-triples as one (m, 3) array of (b, d', d) rows, checked once for
-b <= d' <= d when it is built. The mixup of a triple is d - d', the share
-of the bar lost to the ambient complex; percentages divide by the full
-persistence d - b. Infinite deaths must be clamped to a finite horizon
-before any length is computed; clamping never drops a bar, it only
-truncates, and the clamped array is formed once per barcode. Every
-statistic is an exact sum (math.fsum) of a column expression over it.
-Zero-persistence bars keep their place in totals of absolute mixup but are
-excluded from percentage statistics, where they would divide by zero.
+triples as two (m, 3) arrays of (b, d', d) rows, one in cell ids and one
+in filtration values, the values checked once for b <= d' <= d when it is
+built. The mixup of a triple is d - d', the share of the bar lost to the
+ambient complex; percentages divide by the full persistence d - b.
+Infinite deaths must be clamped to a finite horizon before any length is
+computed; clamping never drops a bar, it only truncates, and the clamped
+array is formed once per barcode. Every statistic is an exact sum
+(math.fsum) of a column expression over it. Zero-persistence bars keep
+their place in totals of absolute mixup but are excluded from percentage
+statistics, where they would divide by zero.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .cloud import LabeledPointCloud, PointCloud, distance_blocks
 from .errors import InputError
 from .filtration import FilteredPair
-from .reduction import INF, MixupTriple, mixup_barcode_indices
+from .reduction import INF, mixup_barcode_indices
 from .rips import check_rips_params, rips_pair_from_distances
 from .subsample import check_budget, check_sizes, k_medoids_indices
 
@@ -38,17 +39,18 @@ def check_clamp(clamp: float | None) -> None:
 
 @dataclass(frozen=True)
 class MixupBarcode:
-    """All mixup triples of one degree: index triples and an (m, 3) array.
+    """All mixup triples of one degree: two (m, 3) float64 arrays.
 
-    Row i of `values` is (b, d', d) of index_triples[i] in filtration
-    values, unclamped, +inf for a death that never comes; the constructor
-    checks b <= d' <= d on every row. `clamp` is the horizon of `clamped`
-    and of the statistics below (None means lengths involving +inf are an
-    error); the constructor checks it first, by check_clamp.
+    Row i of `index_triples` is a bar (b, d', d) in cell ids and row i of
+    `values` the same bar in filtration values, unclamped; both hold +inf
+    for a death that never comes. The constructor checks b <= d' <= d on
+    every row of `values`. `clamp` is the horizon of `clamped` and of the
+    statistics below (None means lengths involving +inf are an error); the
+    constructor checks it first, by check_clamp.
     """
 
     degree: int
-    index_triples: tuple[MixupTriple, ...]
+    index_triples: np.ndarray
     values: np.ndarray
     clamp: float | None = None
 
@@ -76,39 +78,25 @@ class MixupBarcode:
         out.flags.writeable = False
         return out
 
-    @cached_property
-    def triples(self) -> tuple[MixupTriple, ...]:
-        """The rows of `values` as value triples."""
-        return tuple(MixupTriple(*row) for row in self.values.tolist())
-
 
 def compute_mixup_barcode(
     fp: FilteredPair, degree: int, clamp: float | None = None
 ) -> MixupBarcode:
-    """Mixup barcode of one degree: index triples and their values.
+    """Mixup barcode of one degree: the id array and the values it maps to.
 
     A degree above the dimension of the complex has no cells to carry a
     class, so its barcode is empty.
     """
-    idx = tuple(mixup_barcode_indices(fp, degree))
+    ids = mixup_barcode_indices(fp, degree)
     # cell id c sits at position c - 1; position n stands for +inf
-    ids = np.array(idx, dtype=float).reshape(-1, 3)
     pos = np.where(np.isinf(ids), fp.n + 1, ids).astype(np.int64) - 1
-    return MixupBarcode(degree, idx, np.append(fp.value, INF)[pos], clamp)
+    return MixupBarcode(degree, ids, np.append(fp.value, INF)[pos], clamp)
 
 
 def _percentages(clamped: np.ndarray) -> np.ndarray:
     """(d - d') / (d - b) of each clamped row of positive persistence."""
     b, dp, d = clamped[clamped[:, 2] > clamped[:, 0]].T
     return (d - dp) / (d - b)
-
-
-def mixup_percentage(t: MixupTriple, clamp: float | None = None) -> float:
-    """Share (d - d') / (d - b) of the bar lost to the ambient complex."""
-    pct = _percentages(MixupBarcode(0, (), [t], clamp).clamped)
-    if not len(pct):
-        raise InputError("mixup percentage of a zero-persistence bar is undefined")
-    return float(pct[0])
 
 
 def total_mixup(bc: MixupBarcode) -> float:

@@ -77,9 +77,10 @@ def k_medoids(data: np.ndarray | cloud.PointCloud, k: int) -> MedoidSelection:
         raise InputError("cannot subsample an empty cloud")
     if k >= n:
         return MedoidSelection(indices=tuple(range(n)), cost=0.0)
-    dist = data.distance_matrix() if isinstance(data, cloud.PointCloud) else data
-    idx = k_medoids_indices(dist, k)
-    return MedoidSelection(indices=tuple(int(i) for i in idx), cost=_cost(dist, idx))
+    if isinstance(data, cloud.PointCloud):
+        data = cloud.pairwise_distances(data.points, data.metric)
+    idx = k_medoids_indices(data, k)
+    return MedoidSelection(indices=tuple(int(i) for i in idx), cost=_cost(data, idx))
 
 
 def check_sizes(*sizes: int) -> None:
@@ -94,13 +95,19 @@ def check_budget(n: int, sizes: Mapping[str, int]) -> bool:
     then all kept. Otherwise their matrix and, for the size k below n that
     makes it largest, SWAP's k × (n − k) table (see _screen) must fit
     cloud.within_budget before any distance is computed; the error names
-    the options that fall short."""
+    the options that fall short, and the table where the matrix alone fits."""
     short = {opt: k for opt, k in sizes.items() if k < n}
     options = " and ".join(short)
-    if short and not cloud.within_budget(n * n + max(k * (n - k) for k in short.values())):
+    k = max(short.values(), key=lambda size: size * (n - size), default=0)
+    if short and not cloud.within_budget(n * n + k * (n - k)):
+        over = (
+            "whose distance matrix is"
+            if not cloud.within_budget(n * n)
+            else f"where SWAP's {k:,} x {n - k:,} table would take their distance matrix"
+        )
         raise InputError(
-            f"k-medoids for {options} would choose among {n:,} points, whose distance matrix is "
-            f"over the budget of {cloud.MAX_MATRIX_BYTES:,} bytes (mixbar.cloud.MAX_MATRIX_BYTES); "
+            f"k-medoids for {options} would choose among {n:,} points, {over} over the budget "
+            f"of {cloud.MAX_MATRIX_BYTES:,} bytes (mixbar.cloud.MAX_MATRIX_BYTES); "
             f"use fewer points, or set {options} to at least {n:,} to keep them all"
         )
     return bool(short)

@@ -24,6 +24,7 @@ import numpy as np
 from .cloud import PointCloud
 from .filtration import FilteredPair
 from .oracle import _cycle_flag, barcode_from_ranks, rank_function
+from .reduction import id_rows
 from .rips import build_rips_pair
 from .stats import compute_mixup_barcode
 
@@ -92,14 +93,12 @@ def check_instance(fp: FilteredPair, degrees) -> list[str]:
     """Compare fast path and oracle on one pair; returns mismatch messages."""
     problems: list[str] = []
     for k in degrees:
-        triples = compute_mixup_barcode(fp, k).index_triples
-        for t in triples:
-            if not t.birth <= t.death_image <= t.death:
-                problems.append(f"degree {k}: triple order violated: {t}")
-        fast_standard = Counter((t.birth, t.death) for t in triples)
-        fast_image = Counter(
-            (t.birth, t.death_image) for t in triples if t.death_image > t.birth
-        )
+        rows = id_rows(compute_mixup_barcode(fp, k).index_triples)
+        for b, dp, d in rows:
+            if not b <= dp <= d:
+                problems.append(f"degree {k}: triple order violated: ({b}, {dp}, {d})")
+        fast_standard = Counter((b, d) for b, _, d in rows)
+        fast_image = Counter((b, dp) for b, dp, _ in rows if dp > b)
         oracle_standard = Counter(barcode_from_ranks(rank_function(fp, k, "standard_L")))
         oracle_image = Counter(barcode_from_ranks(rank_function(fp, k, "image")))
         if fast_standard != oracle_standard:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from mixbar.filtration import FilteredPair
-from mixbar.reduction import INF, MixupTriple, mixup_barcode_indices
+from mixbar.reduction import INF, mixup_barcode_indices
 from mixbar.subsample import _cost
 
 
@@ -53,9 +53,8 @@ def euler_poincare_mismatches(fp: FilteredPair) -> list[int]:
     sign = np.where(fp.dim % 2 == 0, 1, -1)
     net = np.zeros(fp.n + 2, dtype=np.int64)  # bars born at i minus bars dying at i
     for k in range(fp.max_dim + 1):
-        triples = mixup_barcode_indices(fp, k)
-        births = np.array([t.birth for t in triples], dtype=np.int64)
-        deaths = np.array([t.death for t in triples if t.death != INF], dtype=np.int64)
+        births, _, deaths = mixup_barcode_indices(fp, k).T
+        births, deaths = births.astype(np.int64), deaths[deaths != INF].astype(np.int64)
         counts = np.bincount(births, minlength=fp.n + 2) - np.bincount(deaths, minlength=fp.n + 2)
         net += (-1) ** k * counts
     bars = np.cumsum(net)[1 : fp.n + 1]
@@ -242,8 +241,9 @@ def _reference_bitset_pairs(fp: FilteredPair, ids: np.ndarray, rows) -> tuple[di
     return {faces[p]: cid for p, cid in pairs.items()}, zeros
 
 
-def reference_degree(fp: FilteredPair, k: int) -> list[MixupTriple]:
-    """Degree-k triples, k >= 1, by reducing every boundary column without
+def reference_degree(fp: FilteredPair, k: int) -> np.ndarray:
+    """Degree-k id triples, k >= 1, as an (m, 3) float64 array with inf for
+    a death that never comes, by reducing every boundary column without
     clearing under the image row order: the (k+1)-cells of K and of L give
     the deaths, and the creators are the L k-cells whose boundary columns
     under the (k-1)-cell rows reduce to zero. For k = 1 these are the
@@ -258,7 +258,8 @@ def reference_degree(fp: FilteredPair, k: int) -> list[MixupTriple]:
     deaths_k = _reference_bitset_pairs(fp, cofaces, rows)[0]
     deaths_l = _reference_bitset_pairs(fp, l_cofaces, rows)[0]
     born = _reference_bitset_pairs(fp, creators, _rows(fp, k - 1, key))[1]
-    return [MixupTriple(c, deaths_k.get(c, INF), deaths_l.get(c, INF)) for c in born]
+    rows = [(c, deaths_k.get(c, INF), deaths_l.get(c, INF)) for c in born]
+    return np.array(rows, dtype=float).reshape(-1, 3)
 
 
 def reference_distances(points: np.ndarray, metric: str) -> np.ndarray:

@@ -16,13 +16,13 @@ import pytest
 from mixbar import (
     INF,
     LabeledPointCloud,
+    MixupBarcode,
     PointCloud,
     StatsConfig,
     build_rips_pair,
     compute_mixup_barcode,
     k_medoids_indices,
     mixup_barcode_indices,
-    mixup_percentage,
     mixup_profile,
     pairwise_distances,
     parse_explicit_pair,
@@ -30,6 +30,7 @@ from mixbar import (
     run_fuzz,
     total_mixup,
 )
+from mixbar.stats import total_mixup_percentage
 from mixbar.cli import main
 from mixbar.subsample import _cost
 from conftest import SIX_CELL
@@ -55,7 +56,7 @@ def test_criterion_01_six_cell_golden():
     t0 = time.perf_counter()
     triples = mixup_barcode_indices(fp, 1)
     elapsed = time.perf_counter() - t0
-    got = {(t.birth, t.death_image, t.death) for t in triples}
+    got = set(map(tuple, triples.tolist()))
     assert got == {(1, 4, 6), (2, 3, 5)}
     assert elapsed < 0.010
     report("01 six-cell golden", f"{elapsed * 1000:.2f} ms")
@@ -80,9 +81,9 @@ def test_criterion_03_triple_ordering(fuzz_corpus):
         for degree in (0, 1, 2):
             if degree > max(fp.max_dim, 0):
                 continue
-            for t in mixup_barcode_indices(fp, degree):
-                assert t.birth <= t.death_image <= t.death
-                bars += 1
+            b, dp, d = mixup_barcode_indices(fp, degree).T
+            assert (b <= dp).all() and (dp <= d).all()
+            bars += len(b)
     report("03 triple ordering", f"b <= d' <= d on {bars} bars, 0 violations")
 
 
@@ -146,18 +147,11 @@ def test_criterion_05_ambient_independence(fuzz_corpus):
         for degree in (0, 1, 2):
             if degree > max(alone.max_dim, 0):
                 continue
-            if degree > max(fp.max_dim, 0):
-                with_b = Counter()
-            else:
-                with_b = Counter(
-                    (t.birth, t.death)
-                    for t in compute_mixup_barcode(fp, degree, clamp=r_max).triples
-                )
-            without = Counter(
-                (t.birth, t.death)
-                for t in compute_mixup_barcode(alone, degree, clamp=r_max).triples
+            with_b, without = (
+                compute_mixup_barcode(pair, degree, clamp=r_max).values[:, [0, 2]]
+                for pair in (fp, alone)
             )
-            assert with_b == without
+            assert Counter(map(tuple, with_b.tolist())) == Counter(map(tuple, without.tolist()))
         checked += 1
     report("05 ambient independence", f"{checked} instances, exact value multisets")
 
@@ -177,8 +171,11 @@ def ring(n, radius=1.0, phase=0.0, shift=(0.0, 0.0)):
 
 
 def dominant(bc, clamp):
-    positive = [t for t in bc.triples if t.death > t.birth]
-    return max(positive, key=lambda t: min(t.death, clamp) - t.birth)
+    """The positive-persistence bar of bc that lasts longest up to clamp, as
+    a one-row barcode clamped there."""
+    v = bc.values[bc.values[:, 2] > bc.values[:, 0]]
+    row = v[np.argmax(np.minimum(v[:, 2], clamp) - v[:, 0])]
+    return MixupBarcode(bc.degree, np.empty((0, 3)), [row], clamp)
 
 
 def test_criterion_06_geometric_signatures():
@@ -188,7 +185,7 @@ def test_criterion_06_geometric_signatures():
     b = PointCloud(np.vstack([[[0.0, 0.0, 0.0]], fibonacci_sphere(9, radius=0.5)]))
     fp = build_rips_pair(a, b, r_max=1.3, k_max=2)
     cavity = dominant(compute_mixup_barcode(fp, 2, clamp=1.3), 1.3)
-    sphere_pct = mixup_percentage(cavity, clamp=1.3)
+    sphere_pct = total_mixup_percentage(cavity)
     assert sphere_pct > 0.5
 
     # (ii) encirclement: a circle with points near its center
@@ -196,7 +193,7 @@ def test_criterion_06_geometric_signatures():
     b = PointCloud(np.vstack([[[0.0, 0.0]], ring(6, radius=0.5, phase=0.3)]))
     fp = build_rips_pair(a, b, r_max=1.9, k_max=1)
     loop = dominant(compute_mixup_barcode(fp, 1, clamp=1.9), 1.9)
-    circle_pct = mixup_percentage(loop, clamp=1.9)
+    circle_pct = total_mixup_percentage(loop)
     assert circle_pct > 0.5
 
     # (iii) separation: a slab of foreign points between two clusters
@@ -212,8 +209,9 @@ def test_criterion_06_geometric_signatures():
     b = PointCloud(np.array([[2.0, -0.5], [2.0, 0.3], [2.1, 1.0]]))
     fp = build_rips_pair(a, b, r_max=5.0, k_max=1)
     bc = compute_mixup_barcode(fp, 0, clamp=5.0)
-    strict = [t for t in bc.triples if t.death_image < t.death and t.death != INF]
-    assert strict
+    _, dp, d = bc.values.T
+    strict = bc.values[(dp < d) & (d != INF)]
+    assert len(strict)
     report(
         "06 geometric signatures",
         f"sphere {sphere_pct:.2f}, circle {circle_pct:.2f}, "
@@ -313,8 +311,8 @@ def test_criterion_10_performance():
     bc1 = compute_mixup_barcode(fp, 1, clamp=r_max)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
-    assert len(bc0.triples) == 500  # one component bar per A point
-    assert bc1.triples  # the threshold is wide enough to create cycles
+    assert len(bc0.values) == 500  # one component bar per A point
+    assert len(bc1.values)  # the threshold is wide enough to create cycles
     report(
         "10 performance",
         f"|A|=500 |B|=100 in R^10, {fp.n} cells, degrees 0-1 in {elapsed:.1f} s",

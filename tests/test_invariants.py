@@ -49,8 +49,8 @@ def test_triples_are_ordered(params):
     for degree in range(0, 3):
         if degree > max(fp.max_dim, 0):
             continue
-        for t in mixup_barcode_indices(fp, degree):
-            assert t.birth <= t.death_image <= t.death
+        b, dp, d = mixup_barcode_indices(fp, degree).T
+        assert (b <= dp).all() and (dp <= d).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -64,19 +64,10 @@ def test_barcode_ignores_b(params):
     for degree in range(0, 3):
         if degree > max(alone.max_dim, 0):
             continue
-        with_b = (
-            sorted(
-                (t.birth, t.death)
-                for t in compute_mixup_barcode(fp, degree, clamp=r_max).triples
-            )
-            if degree <= max(fp.max_dim, 0)
-            else []
+        with_b, without = (
+            compute_mixup_barcode(pair, degree, clamp=r_max).values[:, [0, 2]].tolist() for pair in (fp, alone)
         )
-        without = sorted(
-            (t.birth, t.death)
-            for t in compute_mixup_barcode(alone, degree, clamp=r_max).triples
-        )
-        assert with_b == without
+        assert sorted(map(tuple, with_b)) == sorted(map(tuple, without))
 
 
 @settings(max_examples=40, deadline=None)
@@ -145,24 +136,22 @@ def test_rank_functions_are_monotone(params):
 @given(instances)
 def test_index_deaths_follow_membership(params):
     """An index-level image death is always an ambient or subcomplex cell
-    of the right dimension, and finite deaths pair distinct cells."""
+    of the right dimension, finite deaths pair distinct cells, and each
+    value is the value of the cell its id names, inf for an inf id."""
     fp, _ = make_pair(params)
     for degree in (0, 1):
         if degree > max(fp.max_dim, 0):
             continue
-        triples = mixup_barcode_indices(fp, degree)
-        deaths = [t.death for t in triples if t.death != INF]
-        assert len(set(deaths)) == len(deaths)
-        image_deaths = [t.death_image for t in triples if t.death_image != INF]
-        assert len(set(image_deaths)) == len(image_deaths)
-        for t in triples:
-            assert fp.dim[t.birth - 1] == degree
-            assert fp.in_l[t.birth - 1]
-            if t.death != INF:
-                assert fp.dim[t.death - 1] == degree + 1
-                assert fp.in_l[t.death - 1]
-            if t.death_image != INF:
-                assert fp.dim[t.death_image - 1] == degree + 1
+        ids = mixup_barcode_indices(fp, degree)
+        b, dp, d = (col[col != INF].astype(np.int64) - 1 for col in ids.T)
+        assert len(np.unique(d)) == len(d) and len(np.unique(dp)) == len(dp)
+        assert (fp.dim[b] == degree).all() and fp.in_l[b].all()
+        assert (fp.dim[d] == degree + 1).all() and fp.in_l[d].all()
+        assert (fp.dim[dp] == degree + 1).all()
+        bc, value = compute_mixup_barcode(fp, degree), fp.value.tolist()
+        assert bc.values.tolist() == [
+            [INF if c == INF else value[int(c) - 1] for c in row] for row in bc.index_triples.tolist()
+        ]
 
 
 @settings(max_examples=60, deadline=None)

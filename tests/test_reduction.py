@@ -9,12 +9,10 @@ from mixbar import (
     INF,
     InputError,
     MixupBarcode,
-    MixupTriple,
     PointCloud,
     build_rips_pair,
     compute_mixup_barcode,
     mixup_barcode_indices,
-    mixup_percentage,
     pairwise_distances,
     parse_explicit_pair,
 )
@@ -122,36 +120,26 @@ def test_reduce_keeps_input_intact():
 
 def test_six_cell_triples(six_cell_pair):
     triples = mixup_barcode_indices(six_cell_pair, 1)
-    got = {(t.birth, t.death_image, t.death) for t in triples}
-    assert got == {(1, 4, 6), (2, 3, 5)}
+    assert triples.dtype == np.float64
+    assert triples.tolist() == [[1, 4, 6], [2, 3, 5]]
 
 
 def test_six_cell_values(six_cell_pair):
-    vals = compute_mixup_barcode(six_cell_pair, 1).triples
-    got = {(t.birth, t.death_image, t.death) for t in vals}
-    assert got == {(1.0, 4.0, 6.0), (2.0, 3.0, 5.0)}
+    vals = compute_mixup_barcode(six_cell_pair, 1).values
+    assert vals.tolist() == [[1.0, 4.0, 6.0], [2.0, 3.0, 5.0]]
 
 
 def test_square_center_degree0(square_center_pair):
-    vals = compute_mixup_barcode(square_center_pair, 0).triples
-    finite = sorted(
-        (t.birth, t.death_image, t.death) for t in vals if t.death != INF
-    )
-    assert finite == [(0.0, 0.7071067811865476, 1.0)] * 3
-    essential = [t for t in vals if t.death == INF]
-    assert len(essential) == 1
-    assert essential[0].death_image == INF
+    vals = compute_mixup_barcode(square_center_pair, 0).values
+    assert vals[vals[:, 2] != INF].tolist() == [[0.0, 0.7071067811865476, 1.0]] * 3
+    assert vals[vals[:, 2] == INF].tolist() == [[0.0, INF, INF]]
 
 
 def test_square_center_degree1(square_center_pair):
-    vals = compute_mixup_barcode(square_center_pair, 1).triples
-    positive = [t for t in vals if t.death > t.birth]
-    assert len(positive) == 1
-    t = positive[0]
-    assert (t.birth, t.death_image, t.death) == (1.0, 1.0, 1.4142135623730951)
+    vals = compute_mixup_barcode(square_center_pair, 1).values
+    assert vals[vals[:, 2] > vals[:, 0]].tolist() == [[1.0, 1.0, 1.4142135623730951]]
     # the two diagonal edges create loops that fill instantly
-    zero = [t for t in vals if t.death == t.birth]
-    assert len(zero) == 2
+    assert (vals[:, 2] == vals[:, 0]).sum() == 2
 
 
 def test_degree_out_of_range(six_cell_pair):
@@ -164,9 +152,9 @@ def test_degree_out_of_range(six_cell_pair):
     assert vertices_only.max_dim == 0
     for fp, k in [(six_cell_pair, 3), (six_cell_pair, 7), (parse_explicit_pair(""), 0),
                   (parse_explicit_pair(""), 2), (vertices_only, 1), (vertices_only, 3)]:
-        assert mixup_barcode_indices(fp, k) == []
+        assert mixup_barcode_indices(fp, k).shape == (0, 3)
         bc = compute_mixup_barcode(fp, k, clamp=1.0)
-        assert bc.index_triples == () and bc.values.shape == (0, 3)
+        assert bc.index_triples.shape == bc.values.shape == (0, 3)
         with pytest.raises(InputError, match="degree must be non-negative, got -1"):
             mixup_barcode_indices(fp, -1)
         with pytest.raises(InputError, match="degree must be non-negative"):
@@ -183,22 +171,23 @@ def test_degree_past_the_complex_runs_no_pass(six_cell_pair, monkeypatch):
 
     monkeypatch.setattr(reduction, "merge_edges", no_pass)
     monkeypatch.setattr(reduction, "_coboundary_pairs", no_pass)
-    assert mixup_barcode_indices(six_cell_pair, 10**6) == []
-    assert compute_mixup_barcode(six_cell_pair, 10**6, clamp=1.0).index_triples == ()
+    assert mixup_barcode_indices(six_cell_pair, 10**6).shape == (0, 3)
+    assert compute_mixup_barcode(six_cell_pair, 10**6, clamp=1.0).index_triples.shape == (0, 3)
 
 
 def test_triple_ordering_enforced():
     # value triples enter through a barcode's rows, each of them checked
     for row in [(3, 2, 4), (0.0, 2.0, 1.0), (0.0, float("nan"), 1.0)]:
         with pytest.raises(InputError, match="triple out of order"):
-            MixupBarcode(1, (), [(0.0, 1.0, 2.0), row, (1.0, 1.0, 1.0)], clamp=5.0)
+            MixupBarcode(1, np.empty((0, 3)), [(0.0, 1.0, 2.0), row, (1.0, 1.0, 1.0)], clamp=5.0)
         with pytest.raises(InputError, match="triple out of order"):
-            mixup_percentage(MixupTriple(*row), clamp=5.0)
+            MixupBarcode(1, np.empty((0, 3)), [row], clamp=5.0)
 
 
 def test_infinite_deaths_allowed():
-    t = MixupTriple(birth=1, death_image=INF, death=INF)
-    assert t.death_image == INF
+    bc = MixupBarcode(0, np.array([[1, INF, INF]]), [(0.0, INF, INF)], clamp=1.0)
+    assert bc.index_triples.tolist() == [[1, INF, INF]]
+    assert bc.values.tolist() == [[0.0, INF, INF]]
 
 
 def _dense_rank_gf2(cols, n_rows):
@@ -308,7 +297,7 @@ def rips_pairs(draw):
 @given(rips_pairs())
 def test_matches_boundary_reduction_on_rips(k, fp):
     if fp.max_dim >= k:
-        assert mixup_barcode_indices(fp, k) == reference_degree(fp, k)
+        assert np.array_equal(mixup_barcode_indices(fp, k), reference_degree(fp, k))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -317,7 +306,7 @@ def test_matches_boundary_reduction_on_rips(k, fp):
 def test_matches_boundary_reduction_on_explicit(k, seed):
     fp = random_explicit_instance(np.random.default_rng(seed))
     if fp.max_dim >= k:
-        assert mixup_barcode_indices(fp, k) == reference_degree(fp, k)
+        assert np.array_equal(mixup_barcode_indices(fp, k), reference_degree(fp, k))
 
 
 EDGE_CASES = {
@@ -357,7 +346,7 @@ EDGE_CASES = {
 def test_matches_boundary_reduction_on_edge_cases(name, k):
     fp = parse_explicit_pair(EDGE_CASES[name])
     if fp.max_dim >= k:
-        assert mixup_barcode_indices(fp, k) == reference_degree(fp, k)
+        assert np.array_equal(mixup_barcode_indices(fp, k), reference_degree(fp, k))
 
 
 @pytest.mark.parametrize(

@@ -9,14 +9,12 @@ from mixbar import (
     INF,
     InputError,
     LabeledPointCloud,
-    MixupTriple,
     PointCloud,
     MixupBarcode,
     StatsConfig,
     build_rips_pair,
     compute_mixup_barcode,
     k_medoids_indices,
-    mixup_percentage,
     mixup_profile,
     pairwise_distances,
     pairwise_matrix,
@@ -32,8 +30,7 @@ from mixbar.stats import (
 )
 
 
-def vt(b, dp, d):
-    return MixupTriple(birth=b, death_image=dp, death=d)
+NO_IDS = np.empty((0, 3))
 
 
 def test_six_cell_statistics(six_cell_pair):
@@ -47,14 +44,14 @@ def test_six_cell_statistics(six_cell_pair):
 
 
 def test_mixup_and_percentage():
-    t = vt(1.0, 3.0, 5.0)
-    assert total_mixup(MixupBarcode(1, (), (t,))) == 2.0
-    assert mixup_percentage(t) == 0.5
+    bc = MixupBarcode(1, NO_IDS, [(1.0, 3.0, 5.0)])
+    assert total_mixup(bc) == 2.0
+    assert total_mixup_percentage(bc) == 0.5
 
 
 def test_degree_above_dimension_gives_empty_barcode(six_cell_pair):
     bc = compute_mixup_barcode(six_cell_pair, 3, clamp=6.0)
-    assert bc.triples == () and bc.index_triples == ()
+    assert bc.index_triples.shape == bc.values.shape == (0, 3)
     assert total_mixup(bc) == 0.0
 
 
@@ -66,30 +63,31 @@ def test_barcode_rejects_non_finite_clamp(six_cell_pair, clamp):
     with pytest.raises(InputError, match=msg):
         compute_mixup_barcode(six_cell_pair, 0, clamp=clamp)
     with pytest.raises(InputError, match=msg):
-        MixupBarcode(1, (), [vt(2.0, 1.0, 0.0)], clamp)
-    with pytest.raises(InputError, match=msg):
-        mixup_percentage(vt(1.0, 3.0, 5.0), clamp=clamp)
+        MixupBarcode(1, NO_IDS, [(2.0, 1.0, 0.0)], clamp)
 
 
-def test_percentage_rejects_zero_persistence():
-    with pytest.raises(InputError):
-        mixup_percentage(vt(2.0, 2.0, 2.0))
+def test_percentages_skip_zero_persistence():
+    """A zero-persistence bar counts in totals of mixup, and in neither the
+    sum nor the count of the percentages."""
+    bc = MixupBarcode(1, NO_IDS, [(2.0, 2.0, 2.0), (1.0, 3.0, 5.0)])
+    assert total_mixup(bc) == 2.0
+    assert total_mixup_percentage(bc) == mean_mixup_percentage(bc) == 0.5
 
 
 def clamped(rows, clamp):
-    return MixupBarcode(1, (), rows, clamp).clamped.tolist()
+    return MixupBarcode(1, NO_IDS, rows, clamp).clamped.tolist()
 
 
 def test_clamp_truncates_both_deaths():
-    assert clamped([vt(1.0, 3.0, 5.0)], 2.5) == [[1.0, 2.5, 2.5]]
-    assert clamped([vt(1.0, 3.0, 5.0)], 4.0) == [[1.0, 3.0, 4.0]]
+    assert clamped([(1.0, 3.0, 5.0)], 2.5) == [[1.0, 2.5, 2.5]]
+    assert clamped([(1.0, 3.0, 5.0)], 4.0) == [[1.0, 3.0, 4.0]]
     # row by row, each against the same horizon
-    rows = [vt(1.0, 3.0, 5.0), vt(0.0, 1.0, 2.0), vt(2.0, 2.0, INF)]
+    rows = [(1.0, 3.0, 5.0), (0.0, 1.0, 2.0), (2.0, 2.0, INF)]
     assert clamped(rows, 2.5) == [[1.0, 2.5, 2.5], [0.0, 1.0, 2.0], [2.0, 2.0, 2.5]]
 
 
 def test_clamp_floors_at_birth():
-    bc = MixupBarcode(1, (), [vt(2.0, 3.0, 4.0)], 1.0)
+    bc = MixupBarcode(1, NO_IDS, [(2.0, 3.0, 4.0)], 1.0)
     assert bc.clamped.tolist() == [[2.0, 2.0, 2.0]]
     # a bar clamped to zero persistence counts in no percentage
     assert total_persistence(bc) == 0.0
@@ -97,27 +95,27 @@ def test_clamp_floors_at_birth():
 
 
 def test_clamp_resolves_infinite_deaths():
-    assert clamped([vt(0.0, INF, INF)], 7.0) == [[0.0, 7.0, 7.0]]
+    assert clamped([(0.0, INF, INF)], 7.0) == [[0.0, 7.0, 7.0]]
 
 
 def test_infinite_death_needs_clamp():
     with pytest.raises(InputError, match="clamp"):
-        MixupBarcode(1, (), [vt(0.0, 1.0, INF)]).clamped
+        MixupBarcode(1, NO_IDS, [(0.0, 1.0, INF)]).clamped
     with pytest.raises(InputError, match="clamp"):
-        mixup_percentage(vt(0.0, 1.0, INF))
-    assert total_mixup(MixupBarcode(1, (), (vt(0.0, 1.0, INF),), clamp=3.0)) == 2.0
+        total_mixup_percentage(MixupBarcode(1, NO_IDS, [(0.0, 1.0, INF)]))
+    assert total_mixup(MixupBarcode(1, NO_IDS, [(0.0, 1.0, INF)], clamp=3.0)) == 2.0
 
 
 def test_barcode_values_are_one_read_only_array(six_cell_pair):
     bc = compute_mixup_barcode(six_cell_pair, 1, clamp=5.5)
     assert bc.values.shape == (2, 3) and bc.values.dtype == np.float64
-    assert bc.triples == tuple(MixupTriple(*row) for row in bc.values.tolist())
+    assert bc.index_triples.tolist() == [[1.0, 4.0, 6.0], [2.0, 3.0, 5.0]]
     assert bc.clamped.tolist() == [[min(v, 5.5) for v in row] for row in bc.values.tolist()]
     for array in (bc.values, bc.clamped):
         with pytest.raises(ValueError):
             array[0, 0] = 0.0
     with pytest.raises(ValueError):
-        MixupBarcode(1, (), [(0.0, 1.0)] * 3)
+        MixupBarcode(1, NO_IDS, [(0.0, 1.0)] * 3)
 
 
 def test_square_center_statistics(square_center_pair):
@@ -135,7 +133,7 @@ def test_mean_percentage_empty_is_zero():
         PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]])), None, r_max=1.0, k_max=1
     )
     bc = compute_mixup_barcode(fp, 1, clamp=1.0)
-    assert bc.triples == ()
+    assert bc.values.shape == (0, 3)
     assert mean_mixup_percentage(bc) == 0.0
     assert total_mixup(bc) == 0.0
 
@@ -161,12 +159,10 @@ def test_interleaved_line_mixup_is_half():
     b = PointCloud(np.array([[1.0], [3.0]]))
     fp = build_rips_pair(a, b, r_max=5.0, k_max=1)
     bc = compute_mixup_barcode(fp, 0, clamp=5.0)
-    finite = [t for t in bc.triples if t.death != INF]
-    assert len(finite) == 2
-    for t in finite:
-        assert (t.death_image, t.death) == (1.0, 2.0)
-        assert mixup_percentage(t) == 0.5
+    finite = bc.values[bc.values[:, 2] != INF]
+    assert finite.tolist() == [[0.0, 1.0, 2.0]] * 2
     assert total_mixup(bc) == 2.0
+    assert total_mixup_percentage(bc) == 2 * 0.5
 
 
 def labeled_blobs(gap):
@@ -233,9 +229,7 @@ def test_interaction_barcode_matches_direct_build():
         PointCloud(pts[:5]), PointCloud(pts[5:]), r_max=0.8, k_max=1
     )
     want = compute_mixup_barcode(direct, 0, clamp=0.8)
-    assert [
-        (t.birth, t.death_image, t.death) for t in bc.triples
-    ] == [(t.birth, t.death_image, t.death) for t in want.triples]
+    assert bc.values.tolist() == want.values.tolist()
 
 
 def test_stats_config_validation():
@@ -324,13 +318,13 @@ def test_mixup_profile_subsamples_once_on_first_cloud():
     config = StatsConfig(r_max=3.0, subsample_a=8, subsample_b=6)
     prof = mixup_profile(series, 1, config)
 
-    ref = first.cloud.distance_matrix()
+    ref = pairwise_distances(first.cloud.points)
 
     def medoids(idx, k):
         return idx[k_medoids_indices(ref[np.ix_(idx, idx)], k)]
 
     for si, cloud in enumerate((first, moved)):
-        dist = cloud.cloud.distance_matrix()
+        dist = pairwise_distances(cloud.cloud.points)
 
         def percentage(lab):
             ids = np.r_[medoids(first.indices_of(lab), 8), medoids(first.indices_excluding(lab), 6)]

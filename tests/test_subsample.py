@@ -22,7 +22,7 @@ def test_a_point_cloud_is_subsampled_from_its_unchecked_matrix():
     points = cloud.PointCloud(np.random.default_rng(0).normal(size=(30, 3)), "sqeuclidean")
     with mock.patch("mixbar.subsample.check_distance_matrix", side_effect=AssertionError("checked")):
         sel = k_medoids(points, 4)
-    assert sel == k_medoids(points.distance_matrix(), 4)
+    assert sel == k_medoids(pairwise_distances(points.points, points.metric), 4)
     with pytest.raises(InputError, match="cannot subsample an empty cloud"):
         k_medoids(cloud.PointCloud(np.zeros((0, 3))), 1)
 
@@ -80,6 +80,16 @@ def test_check_budget_is_the_one_sizing_rule(monkeypatch):
     )
     with pytest.raises(InputError, match="k-medoids for --subsample-b would choose among 5 points"):
         check_budget(5, {"--subsample-a": 5, "--subsample-b": 2})
+    # the matrix alone fits, and SWAP's table is what the error names
+    monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", 9 * 5 * 5)
+    with pytest.raises(InputError) as exc:
+        check_budget(5, both)
+    assert str(exc.value) == (
+        "k-medoids for --subsample-a and --subsample-b would choose among 5 points, where SWAP's "
+        "2 x 3 table would take their distance matrix over the budget of 225 bytes "
+        "(mixbar.cloud.MAX_MATRIX_BYTES); use fewer points, or set --subsample-a and "
+        "--subsample-b to at least 5 to keep them all"
+    )
 
 
 @pytest.mark.parametrize(

@@ -83,17 +83,16 @@ def test_hand_built_pair_matches_oracle(name):
 
 def test_l_vertex_joining_b_first_dies_early():
     fp = parse_explicit_pair(PAIRS["l_vertex_joins_b_first"])
-    triples = {(t.birth, t.death_image, t.death) for t in mixup_barcode_indices(fp, 0)}
+    triples = set(map(tuple, mixup_barcode_indices(fp, 0).tolist()))
     assert triples == {(1, float("inf"), float("inf")), (2, 5, 6)}
 
 
 def test_ground_kills_the_younger_vertex():
     fp = parse_explicit_pair(PAIRS["one_id_edges"])
-    triples = {(t.birth, t.death_image, t.death) for t in mixup_barcode_indices(fp, 0)}
+    triples = set(map(tuple, mixup_barcode_indices(fp, 0).tolist()))
     # vertex 1 meets the ground at edge 4, vertex 2 at edge 6
     assert triples == {(1, 4, 4), (2, 6, 6)}
-    loops = [(t.birth, t.death_image, t.death) for t in mixup_barcode_indices(fp, 1)]
-    assert loops == [(7, 8, float("inf"))]
+    assert mixup_barcode_indices(fp, 1).tolist() == [[7, 8, float("inf")]]
 
 
 def test_random_graph_pairs_match_oracle():
@@ -116,18 +115,17 @@ def test_fuzz_draws_rips_and_explicit_pairs(monkeypatch):
     assert set(drawn) == {"random_rips_instance", "random_explicit_instance"}
 
 
-def shift_one_death(monkeypatch, field):
-    """Make the fast path move `field` of its first triple with a finite
-    death to that death + 1, as a faulty reduction would."""
+def shift_one_death(monkeypatch, column):
+    """Make the fast path move `column` of its first id row with a finite
+    death to that death + 1, as a faulty reduction would: 1 for d', 2 for d."""
     real = verify.compute_mixup_barcode
 
     def shifted(fp, k):
-        triples = list(real(fp, k).index_triples)
-        for i, t in enumerate(triples):
-            if t.death < float("inf"):
-                triples[i] = t._replace(**{field: t.death + 1})
-                break
-        return SimpleNamespace(index_triples=triples)
+        ids = real(fp, k).index_triples.copy()
+        finite = np.flatnonzero(ids[:, 2] < float("inf"))
+        if len(finite):
+            ids[finite[0], column] = ids[finite[0], 2] + 1
+        return SimpleNamespace(index_triples=ids)
 
     monkeypatch.setattr(verify, "compute_mixup_barcode", shifted)
 
@@ -135,7 +133,7 @@ def shift_one_death(monkeypatch, field):
 def test_verify_reports_a_death_the_oracle_does_not_have(tmp_path, monkeypatch, capsys):
     path = tmp_path / "six.txt"
     path.write_text(SIX_CELL)
-    shift_one_death(monkeypatch, "death")
+    shift_one_death(monkeypatch, 2)
     assert main(["verify", "--filtration", str(path), "--degrees", "1"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "degree 1: (b, d) multiset mismatch: fast [(1, 7), (2, 5)] vs oracle [(1, 6.0), (2, 5.0)]",
@@ -144,7 +142,7 @@ def test_verify_reports_a_death_the_oracle_does_not_have(tmp_path, monkeypatch, 
 
 
 def test_verify_fuzz_names_the_instance_of_each_mismatch(monkeypatch, capsys):
-    shift_one_death(monkeypatch, "death")
+    shift_one_death(monkeypatch, 2)
     assert main(["verify", "--instances", "6", "--degrees", "0,1"]) == 1
     *problems, summary = capsys.readouterr().out.splitlines()
     assert problems and summary == f"checked 6 instance(s): {len(problems)} mismatch(es)"
@@ -156,8 +154,8 @@ def test_verify_fuzz_names_the_instance_of_each_mismatch(monkeypatch, capsys):
 def test_verify_reports_a_triple_out_of_order(tmp_path, monkeypatch, capsys):
     path = tmp_path / "six.txt"
     path.write_text(SIX_CELL)
-    shift_one_death(monkeypatch, "death_image")
+    shift_one_death(monkeypatch, 1)
     assert main(["verify", "--filtration", str(path), "--degrees", "1"]) == 1
     out = capsys.readouterr().out
-    assert "degree 1: triple order violated: MixupTriple(birth=1, death_image=7, death=6)\n" in out
+    assert "degree 1: triple order violated: (1, 7, 6)\n" in out
     assert out.endswith("checked 1 instance(s): 2 mismatch(es)\n")
