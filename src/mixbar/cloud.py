@@ -125,19 +125,25 @@ def pairwise_distances(points: np.ndarray, metric: str = "euclidean") -> np.ndar
 
 
 def distance_blocks(
-    points: np.ndarray, metric: str, index_sets: Sequence[np.ndarray]
+    points: np.ndarray,
+    metric: str,
+    index_sets: Sequence[np.ndarray],
+    held: Sequence[int] | None = None,
 ) -> Iterator[np.ndarray]:
     """The matrix of pairwise_distances among points[s], for each s in turn.
 
-    The whole matrix of all n points is computed once and each block sliced
-    from it when the blocks hold at least its n^2 entries and it fits the
-    budget with the largest block; otherwise each block is computed from its
-    own rows. Both give the same bits, since each entry depends only on its
-    own pair of rows. Blocks are computed as they are asked for.
+    held[i] is the entries in use while block i is, the block included (by
+    default the block alone). The whole matrix of all n points is computed
+    once and each block sliced from it when the blocks hold at least its n^2
+    entries and it fits the budget with the largest of held; otherwise each
+    block is computed from its own rows. Both give the same bits, since each
+    entry depends only on its own pair of rows. Blocks are computed as they
+    are asked for.
     """
     n = len(points)
     entries = [len(s) ** 2 for s in index_sets]
-    fits = sum(entries) >= n * n and within_budget(n * n + max(entries, default=0))
+    held = entries if held is None else held
+    fits = sum(entries) >= n * n and within_budget(n * n + max(held, default=0))
     whole = pairwise_distances(points, metric) if fits else None
     for s in index_sets:
         yield pairwise_distances(points[s], metric) if whole is None else whole[np.ix_(s, s)]

@@ -168,13 +168,15 @@ def _subsampled(
     at each size; sizes maps the option that set a size to it. All of the
     points are kept in degree 0 and where subsample.check_budget, which
     checks every request before any distance, finds that no k-medoids runs.
-    One distance_blocks call serves every request; each block serves all its
+    One distance_blocks call serves every request, a whole matrix charged
+    with what check_budget charges each block; each block serves all its
     sizes and is dropped before the next is formed, which a zip would not."""
     picked = [[idx] * len(sizes) for idx, sizes in requests]
-    todo = [
-        i for i, (idx, sizes) in enumerate(requests) if degree > 0 and check_budget(len(idx), sizes)
-    ]
-    blocks = distance_blocks(cloud.points, cloud.metric, [requests[i][0] for i in todo])
+    held = [check_budget(len(idx), sizes) if degree > 0 else 0 for idx, sizes in requests]
+    todo = [i for i, entries in enumerate(held) if entries]
+    blocks = distance_blocks(
+        cloud.points, cloud.metric, [requests[i][0] for i in todo], [held[i] for i in todo]
+    )
     for i in todo:
         idx, sizes = requests[i]
         sub = next(blocks)

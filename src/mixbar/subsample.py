@@ -89,17 +89,19 @@ def check_sizes(*sizes: int) -> None:
         raise InputError("subsample sizes must be at least 1")
 
 
-def check_budget(n: int, sizes: Mapping[str, int]) -> bool:
-    """Whether k-medoids chooses among n points, at sizes that map each size
-    option to its value: not when every size covers the n points, which are
-    then all kept. Otherwise their matrix and, for the size k below n that
-    makes it largest, SWAP's k × (n − k) table (see _screen) must fit
-    cloud.within_budget before any distance is computed; the error names
-    the options that fall short, and the table where the matrix alone fits."""
+def check_budget(n: int, sizes: Mapping[str, int]) -> int:
+    """The entries k-medoids holds at once among n points, at sizes that map
+    each size option to its value: 0 when every size covers the n points,
+    which are then all kept. Otherwise their matrix and, for the size k
+    below n that makes it largest, SWAP's k × (n − k) table (see _screen),
+    which must fit cloud.within_budget before any distance is computed; the
+    error names the options that fall short, and the table where the
+    matrix alone fits."""
     short = {opt: k for opt, k in sizes.items() if k < n}
     options = " and ".join(short)
     k = max(short.values(), key=lambda size: size * (n - size), default=0)
-    if short and not cloud.within_budget(n * n + k * (n - k)):
+    entries = n * n + k * (n - k) if short else 0
+    if not cloud.within_budget(entries):
         over = (
             "whose distance matrix is"
             if not cloud.within_budget(n * n)
@@ -110,7 +112,7 @@ def check_budget(n: int, sizes: Mapping[str, int]) -> bool:
             f"of {cloud.MAX_MATRIX_BYTES:,} bytes (mixbar.cloud.MAX_MATRIX_BYTES); "
             f"use fewer points, or set {options} to at least {n:,} to keep them all"
         )
-    return bool(short)
+    return entries
 
 
 def k_medoids_indices(dist: np.ndarray, k: int) -> list[int]:

@@ -929,9 +929,9 @@ def test_profile_forms_no_matrix_over_the_kmedoids_budget(tmp_path, monkeypatch,
     """Two classes of 40 points: the k-medoids blocks of the classes and
     their complements add up to the whole 80-point matrix, which
     distance_blocks forms only when it fits the budget together with a
-    40-point block; the output is the same either way. Every budget below
-    also holds the Rips builds on 2 + 2 medoids, at most 14 cells charged
-    with their 4 x 4 matrix."""
+    40-point block and SWAP's 2 x 38 table on it; the output is the same
+    either way. Every budget below also holds the Rips builds on 2 + 2
+    medoids, at most 14 cells charged with their 4 x 4 matrix."""
     from mixbar import cloud
 
     rng = np.random.default_rng(0)
@@ -948,8 +948,8 @@ def test_profile_forms_no_matrix_over_the_kmedoids_budget(tmp_path, monkeypatch,
     for budget, largest in (
         (9 * (40 * 40 + 2 * 38), 40),  # a 40-point block and its SWAP table fit, the whole matrix does not
         (9 * 80 * 80, 40),  # the whole matrix fits alone, not with a block
-        (9 * (80 * 80 + 40 * 40) - 1, 40),
-        (9 * (80 * 80 + 40 * 40), 80),  # the whole matrix and one block fit
+        (9 * (80 * 80 + 40 * 40 + 2 * 38) - 1, 40),
+        (9 * (80 * 80 + 40 * 40 + 2 * 38), 80),  # the whole matrix, one block and its table fit
     ):
         sizes = []
         monkeypatch.setattr(

@@ -238,6 +238,12 @@ def test_distance_blocks_computes_the_cheaper_side():
         with mock.patch.object(cloud, "MAX_MATRIX_BYTES", 9 * (100 + 64) - 1):
             list(distance_blocks(pts, "euclidean", [np.arange(8), np.arange(2, 8)]))
         assert rows == [7, 7, 10, 8, 6]
+        # nor with the entries held beside the 8-point block, one past its own
+        with mock.patch.object(cloud, "MAX_MATRIX_BYTES", 9 * (100 + 64)):
+            list(distance_blocks(pts, "euclidean", [np.arange(8), np.arange(2, 8)], [65, 36]))
+            assert rows == [7, 7, 10, 8, 6, 8, 6]
+            list(distance_blocks(pts, "euclidean", [np.arange(8), np.arange(2, 8)], [64, 36]))
+        assert rows == [7, 7, 10, 8, 6, 8, 6, 10]
 
 
 def test_distance_matrix_over_the_byte_budget_is_refused_before_allocation(monkeypatch):

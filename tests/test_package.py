@@ -84,6 +84,85 @@ def test_library_imports_leave_openblas_threads_alone(module):
     assert in_child(f"import {module}, os\nprint(os.environ.get({THREADS!r}))") == "None"
 
 
+def last_cli_import() -> tuple[str, str]:
+    """The module and first name of cli's last module-level import, which
+    runs just before cli freezes what it has imported."""
+    tree = ast.parse((pathlib.Path(mixbar.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    last = [node for node in tree.body if isinstance(node, ast.ImportFrom)][-1]
+    return f"mixbar.{last.module}", last.names[0].name
+
+
+def test_cli_freezes_its_imports_and_keeps_collecting():
+    module, attr = last_cli_import()
+    code = (
+        f"import gc, mixbar.cli\nfrom {module} import {attr} as f\n"
+        "print(gc.isenabled(), gc.get_freeze_count() > 0, any(o is f for o in gc.get_objects()))"
+    )
+    assert in_child(code) == "True True False"
+
+
+def test_cli_keeps_a_disabled_collector_disabled():
+    code = "import gc\ngc.disable()\nimport mixbar.cli\nprint(gc.isenabled(), gc.get_freeze_count() > 0)"
+    assert in_child(code) == "False True"
+
+
+@pytest.mark.parametrize("module", ["mixbar", "mixbar.stats", "mixbar.reduction"])
+def test_library_imports_leave_the_collector_alone(module):
+    assert in_child(f"import gc, {module}\nprint(gc.isenabled(), gc.get_freeze_count())") == "True 0"
+
+
+def test_main_freezes_nothing(tmp_path):
+    """The freeze runs once, at import: objects made by runs stay collectable."""
+    from conftest import SIX_CELL
+
+    path = tmp_path / "six.txt"
+    path.write_text(SIX_CELL)
+    code = (
+        "import gc, mixbar.cli\nfrozen = gc.get_freeze_count()\n"
+        f"args = ['mixup', '--filtration', {str(path)!r}, '--out', {str(tmp_path / 'out.json')!r}]\n"
+        "codes = [mixbar.cli.main(args) for _ in range(2)]\n"
+        "print(codes, gc.get_freeze_count() == frozen)"
+    )
+    assert in_child(code) == "[0, 0] True"
+
+
+def gc_uses(source: str) -> list[str]:
+    """Where source imports gc or names it."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        names = [getattr(node, "id", None), getattr(node, "module", None)]
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [alias.name for alias in node.names]
+        if "gc" in names:
+            uses.append(node.lineno)
+    return [f"line {line}" for line in sorted(set(uses))]
+
+
+def test_gc_guard_finds_each_form():
+    source = """
+import gc
+from gc import freeze
+import os, gc as collector
+gc.disable()
+x = gc
+gcx = 1
+"""
+    assert gc_uses(source) == ["line 2", "line 3", "line 4", "line 5", "line 6"]
+
+
+def test_only_cli_touches_the_collector():
+    """The collector policy is the command's; the library leaves the caller's."""
+    package = pathlib.Path(mixbar.__file__).parent
+    found = [
+        f"{path.name} {use}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "cli.py"
+        for use in gc_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert not found, f"gc in library modules: {found}"
+    assert gc_uses((package / "cli.py").read_text(encoding="utf-8"))
+
+
 # numpy routes these calls to BLAS; einsum does too when asked to optimize
 BLAS_CALLS = {"dot", "matmul", "inner", "vdot", "tensordot"}
 

@@ -350,9 +350,9 @@ def trace_distance_blocks(monkeypatch):
         calls[-1][2].append(len(pts))
         return real_distances(pts, *rest)
 
-    def blocks(points, metric, index_sets):
+    def blocks(points, metric, index_sets, *held):
         calls.append((len(points), [len(s) for s in index_sets], []))
-        return real_blocks(points, metric, index_sets)
+        return real_blocks(points, metric, index_sets, *held)
 
     monkeypatch.setattr(cloud, "pairwise_distances", distances)
     monkeypatch.setattr(stats, "distance_blocks", blocks)
@@ -404,12 +404,12 @@ def test_pairwise_matrix_degree1_blocks_stay_below_class_and_pair_sizes(monkeypa
     assert max(max(rows) for _, _, rows in calls) <= max(25, 10 + 5)
 
 
-def whole_matrix_blocks(points, metric, index_sets):
+def whole_matrix_blocks(points, metric, index_sets, held=None):
     whole = pairwise_distances(points, metric)
     return (whole[np.ix_(s, s)] for s in index_sets)
 
 
-def per_set_blocks(points, metric, index_sets):
+def per_set_blocks(points, metric, index_sets, held=None):
     return (pairwise_distances(points[s], metric) for s in index_sets)
 
 

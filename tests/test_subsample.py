@@ -61,16 +61,17 @@ def test_check_budget_is_the_one_sizing_rule(monkeypatch):
     """k-medoids chooses among n points only where some size falls short of
     n, and then only where their n × n matrix and SWAP's k × (n − k) table
     fit cloud.MAX_MATRIX_BYTES at 9 bytes per entry, here n <= 4 at k = 2;
-    the error names the options that fall short. A size equal to n covers
-    the points, as do all sizes of an empty set."""
+    those entries are what it returns, and the error names the options that
+    fall short. A size equal to n covers the points, as do all sizes of an
+    empty set, and then no entry is charged."""
     monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", 9 * (4 * 4 + 2 * 2))
     both = {"--subsample-a": 4, "--subsample-b": 2}
-    assert check_budget(0, both) is False
-    assert check_budget(2, both) is False
-    assert check_budget(3, both) is True
-    assert check_budget(4, both) is True
-    assert check_budget(4, {"--subsample-a": 4}) is False
-    assert check_budget(9, {"--subsample-a": 9, "--subsample-b": 10}) is False
+    assert check_budget(0, both) == 0
+    assert check_budget(2, both) == 0
+    assert check_budget(3, both) == 3 * 3 + 2 * 1
+    assert check_budget(4, both) == 4 * 4 + 2 * 2
+    assert check_budget(4, {"--subsample-a": 4}) == 0
+    assert check_budget(9, {"--subsample-a": 9, "--subsample-b": 10}) == 0
     with pytest.raises(InputError) as exc:
         check_budget(5, both)
     assert str(exc.value) == (
