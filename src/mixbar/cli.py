@@ -329,10 +329,7 @@ def _write_grid(args, degrees, corner, rows, cols, grids, axes) -> None:
 
 def cmd_pairwise(args: argparse.Namespace) -> int:
     sconf, degrees = _stats_setup(args, [0])
-    cloud = load_labeled_point_cloud(args.a, args.metric)
-    matrices = {}
-    for k in degrees:
-        labels, matrices[k] = pairwise_matrix(cloud, k, sconf)
+    labels, matrices = pairwise_matrix(load_labeled_point_cloud(args.a, args.metric), degrees, sconf)
     _write_grid(args, degrees, "label", labels, labels, matrices, {"labels": labels})
     return 0
 
@@ -359,13 +356,8 @@ def _load_manifest(path: str, metric: str) -> dict[tuple[int, int], LabeledPoint
 def cmd_profile(args: argparse.Namespace) -> int:
     sconf, degrees = _stats_setup(args, [0, 1])
     series = _load_manifest(args.a, args.metric)
-    profiles = {k: mixup_profile(series, k, sconf, args.profile_aggregate) for k in degrees}
-    first = profiles[degrees[0]]
-    _write_grid(
-        args, degrees, "layer", first.layers, first.steps,
-        {k: p.values for k, p in profiles.items()},
-        {"layers": list(first.layers), "steps": list(first.steps)},
-    )
+    layers, steps, grids = mixup_profile(series, degrees, sconf, args.profile_aggregate)
+    _write_grid(args, degrees, "layer", layers, steps, grids, {"layers": list(layers), "steps": list(steps)})
     return 0
 
 

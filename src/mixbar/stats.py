@@ -142,17 +142,18 @@ class StatsConfig:
 
 
 def interaction_barcode(
-    dist: np.ndarray, n_a: int, degree: int, config: StatsConfig
-) -> MixupBarcode:
-    """Mixup barcode of the first n_a points of dist into all of its points.
+    dist: np.ndarray, n_a: int, degrees: list[int], config: StatsConfig
+) -> dict[int, MixupBarcode]:
+    """Mixup barcode of the first n_a points of dist into all of its points,
+    per degree, all from one Rips pair up to dimension max(degrees) + 1.
 
-    The Rips pair stops at dimension degree + 1: the degree-k pairing reads
-    only k- and (k+1)-cells, and dropping the higher cells leaves their
-    relative order, and so every value, unchanged.
+    The degree-k pairing reads only k- and (k+1)-cells, and the higher cells
+    leave their relative order, and so every value, unchanged; only the ids
+    of `index_triples` may differ from those of a build that stops at k + 1.
     """
-    fp = rips_pair_from_distances(dist, n_a, config.r_max, degree)
+    fp = rips_pair_from_distances(dist, n_a, config.r_max, max(degrees))
     clamp = config.r_max if config.clamp is None else config.clamp
-    return compute_mixup_barcode(fp, degree, clamp)
+    return {k: compute_mixup_barcode(fp, k, clamp) for k in degrees}
 
 
 def _aggregate(bc: MixupBarcode, which: str) -> float:
@@ -161,8 +162,15 @@ def _aggregate(bc: MixupBarcode, which: str) -> float:
     return total_mixup_percentage(bc)
 
 
+def _passes(degrees: list[int]) -> list[list[int]]:
+    """Degree 0, which reads all points, and the other degrees, which share
+    one subsampling and one build per entry (a negative one is its InputError)."""
+    high = [k for k in degrees if k != 0]
+    return [[0]] * (0 in degrees) + [high] * bool(high)
+
+
 def _subsampled(
-    cloud: PointCloud, degree: int, requests: list[tuple[np.ndarray, dict[str, int]]]
+    cloud: PointCloud, degrees: list[int], requests: list[tuple[np.ndarray, dict[str, int]]]
 ) -> list[list[np.ndarray]]:
     """For each (indices, sizes), the k-medoids of those points of the cloud
     at each size; sizes maps the option that set a size to it. All of the
@@ -172,7 +180,7 @@ def _subsampled(
     with what check_budget charges each block; each block serves all its
     sizes and is dropped before the next is formed, which a zip would not."""
     picked = [[idx] * len(sizes) for idx, sizes in requests]
-    held = [check_budget(len(idx), sizes) if degree > 0 else 0 for idx, sizes in requests]
+    held = [check_budget(len(idx), sizes) if 0 not in degrees else 0 for idx, sizes in requests]
     todo = [i for i, entries in enumerate(held) if entries]
     blocks = distance_blocks(
         cloud.points, cloud.metric, [requests[i][0] for i in todo], [held[i] for i in todo]
@@ -188,55 +196,52 @@ def _subsampled(
 def _interactions(
     cloud: PointCloud,
     pairs: list[tuple[np.ndarray, np.ndarray]],
-    degree: int,
+    degrees: list[int],
     config: StatsConfig,
-) -> Iterator[MixupBarcode]:
-    """The interaction barcode of each (A indices, B indices) of the cloud."""
+) -> Iterator[dict[int, MixupBarcode]]:
+    """The interaction barcodes of each (A indices, B indices) of the cloud."""
     blocks = distance_blocks(cloud.points, cloud.metric, [np.concatenate(pair) for pair in pairs])
     for a, _ in pairs:
-        yield interaction_barcode(next(blocks), len(a), degree, config)
+        yield interaction_barcode(next(blocks), len(a), degrees, config)
 
 
 def pairwise_matrix(
-    x: LabeledPointCloud, degree: int, config: StatsConfig
-) -> tuple[list[int], np.ndarray]:
-    """Mean mixup percentage of class i against class j, for all i != j.
+    x: LabeledPointCloud, degrees: list[int], config: StatsConfig
+) -> tuple[list[int], dict[int, np.ndarray]]:
+    """Mean mixup percentage of class i against class j, for all i != j,
+    one matrix per degree.
 
-    Entry (i, j) subsamples class i to the A size and class j to the B size
-    and measures how much of class i's degree-k structure the presence of
-    class j destroys early. The diagonal is 0 by convention.
+    In degrees >= 1, entry (i, j) subsamples class i to the A size and class
+    j to the B size; it measures how much of class i's degree-k structure
+    the presence of class j destroys early. The diagonal is 0 by convention.
     """
     labels = x.label_values
     if len(labels) < 2:
         raise InputError("pairwise matrix needs at least two distinct labels")
     sizes = {"--subsample-a": config.subsample_a, "--subsample-b": config.subsample_b}
-    sel = _subsampled(x.cloud, degree, [(x.indices_of(lab), sizes) for lab in labels])
     entries = [(i, j) for i in range(len(labels)) for j in range(len(labels)) if i != j]
-    out = np.zeros((len(labels), len(labels)))
-    barcodes = _interactions(x.cloud, [(sel[i][0], sel[j][1]) for i, j in entries], degree, config)
-    for (i, j), bc in zip(entries, barcodes):
-        out[i, j] = mean_mixup_percentage(bc)
+    out = {k: np.zeros((len(labels), len(labels))) for k in degrees}
+    for ks in _passes(degrees):
+        sel = _subsampled(x.cloud, ks, [(x.indices_of(lab), sizes) for lab in labels])
+        barcodes = _interactions(x.cloud, [(sel[i][0], sel[j][1]) for i, j in entries], ks, config)
+        for (i, j), bcs in zip(entries, barcodes):
+            for k, bc in bcs.items():
+                out[k][i, j] = mean_mixup_percentage(bc)
     return labels, out
-
-
-@dataclass(frozen=True)
-class ProfileResult:
-    layers: tuple[int, ...]
-    steps: tuple[int, ...]
-    values: np.ndarray  # shape (len(layers), len(steps))
 
 
 def mixup_profile(
     series: Mapping[tuple[int, int], LabeledPointCloud],
-    degree: int,
+    degrees: list[int],
     config: StatsConfig,
     aggregate: str = "total",
-) -> ProfileResult:
+) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, np.ndarray]]:
     """Per-(layer, step) entanglement: the worst class-vs-rest mixup percentage.
 
     For every cloud in the series and every label j, measures class j
     against the union of the other classes and keeps the maximum over j of
-    the total or the mean mixup percentage, as aggregate says.
+    the total or the mean mixup percentage, as aggregate says. Returns the
+    layers, the steps and, per degree, a (layers, steps) grid of values.
     Subsampling indices are chosen once on the reference cloud (the first
     key in sorted order) and reused everywhere, so the profile tracks the
     same examples across the whole series.
@@ -263,19 +268,15 @@ def mixup_profile(
         if not np.array_equal(cloud.labels, ref.labels):
             raise InputError(f"cloud at {key} has a different label layout")
 
-    sel = _subsampled(
-        ref.cloud,
-        degree,
-        [(ref.indices_of(lab), {"--subsample-a": config.subsample_a}) for lab in labels]
-        + [(ref.indices_excluding(lab), {"--subsample-b": config.subsample_b}) for lab in labels],
-    )
-    pairs = [(a[0], b[0]) for a, b in zip(sel[: len(labels)], sel[len(labels) :])]
-
-    values = np.zeros((len(layers), len(steps)))
-    for li, layer in enumerate(layers):
-        for si, step in enumerate(steps):
-            best = 0.0
-            for bc in _interactions(series[(layer, step)].cloud, pairs, degree, config):
-                best = max(best, _aggregate(bc, aggregate))
-            values[li, si] = best
-    return ProfileResult(layers=layers, steps=steps, values=values)
+    requests = [(ref.indices_of(lab), {"--subsample-a": config.subsample_a}) for lab in labels]
+    requests += [(ref.indices_excluding(lab), {"--subsample-b": config.subsample_b}) for lab in labels]
+    grids = {k: np.zeros((len(layers), len(steps))) for k in degrees}
+    for ks in _passes(degrees):
+        sel = _subsampled(ref.cloud, ks, requests)
+        pairs = [(a[0], b[0]) for a, b in zip(sel[: len(labels)], sel[len(labels) :])]
+        for li, layer in enumerate(layers):
+            for si, step in enumerate(steps):
+                for bcs in _interactions(series[(layer, step)].cloud, pairs, ks, config):
+                    for k, bc in bcs.items():
+                        grids[k][li, si] = max(grids[k][li, si], _aggregate(bc, aggregate))
+    return layers, steps, grids

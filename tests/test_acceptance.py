@@ -238,10 +238,10 @@ def test_criterion_07_disentanglement_profile():
     config = StatsConfig(r_max=3.0)
     values = {}
     for degree in (0, 1):
-        prof = mixup_profile(series, degree, config)
-        for row in prof.values:
+        grid = mixup_profile(series, [degree], config)[2][degree]
+        for row in grid:
             assert row[0] > row[1]
-        values[degree] = prof.values[0]
+        values[degree] = grid[0]
     report(
         "07 disentanglement profile",
         f"degree 0 {values[0][0]:.2f}->{values[0][1]:.2f}, "

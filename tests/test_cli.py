@@ -1129,3 +1129,39 @@ def test_input_errors_exit_2_with_their_message(args, files, message, tmp_path, 
         (tmp_path / name).write_text(text)
     code, out, err = run(args, capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["pairwise", "profile"])
+@pytest.mark.parametrize("degrees, passes", [("1,2", 1), ("0,1,2", 2)])
+def test_each_subsampling_and_build_runs_once_for_all_degrees(
+    command, degrees, passes, tmp_path, monkeypatch, capsys
+):
+    """c = 3 classes of 8 points. k-medoids runs once per subsampled set,
+    whatever the degrees >= 1: 2c runs, on each class at both sizes in
+    pairwise and on each class and its complement in profile. Each entry is
+    built once per pass, degree 0 being a pass of its own: c(c - 1) builds
+    per pass in pairwise, and c per cloud of the 1 x 3 grid in profile."""
+    from mixbar import stats
+
+    rng = np.random.default_rng(5)
+    labels = np.repeat([0, 1, 2], 8)
+    for step in (0, 1, 2):
+        pts = rng.normal(size=(24, 3)) + step * np.eye(3)[labels]
+        rows = [f"{x},{y},{z},{lab}\n" for (x, y, z), lab in zip(pts, labels)]
+        (tmp_path / f"c{step}.csv").write_text("".join(rows))
+    (tmp_path / "series.txt").write_text("0 0 c0.csv\n0 1 c1.csv\n0 2 c2.csv\n")
+    calls = {"k_medoids_indices": 0, "rips_pair_from_distances": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(stats, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(stats, name, counted)
+    a, builds = {"pairwise": ("c0.csv", 3 * 2), "profile": ("series.txt", 3 * 3)}[command]
+    code, _, _ = run(
+        [command, "--a", str(tmp_path / a), "--rmax", "2.5", "--kmax", "2", "--degrees", degrees,
+         "--subsample-a", "4", "--subsample-b", "3"],
+        capsys,
+    )
+    assert code == 0
+    assert calls == {"k_medoids_indices": 2 * 3, "rips_pair_from_distances": passes * builds}

@@ -3,19 +3,22 @@
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixbar import (
     INF,
     PointCloud,
+    StatsConfig,
     build_rips_pair,
     compute_mixup_barcode,
     mixup_barcode_indices,
+    pairwise_distances,
     rank_function,
     total_mixup,
 )
 from mixbar.oracle import SIZE_GUARD
+from mixbar.stats import interaction_barcode
 from mixbar.verify import random_explicit_instance
 from helpers import euler_poincare_mismatches, restrict_to_L
 
@@ -152,6 +155,31 @@ def test_index_deaths_follow_membership(params):
         assert bc.values.tolist() == [
             [INF if c == INF else value[int(c) - 1] for c in row] for row in bc.index_triples.tolist()
         ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances, st.integers(0, 3), st.sets(st.integers(0, 3), min_size=1))
+@example({"seed": 0, "n_a": 6, "n_b": 0, "dim": 2, "scale": 1.2}, 0, {0, 1, 2, 3})  # empty B
+@example({"seed": 0, "n_a": 5, "n_b": 3, "dim": 2, "scale": 0.01}, 0, {0, 1, 2})  # no edges
+@example({"seed": 1, "n_a": 5, "n_b": 3, "dim": 2, "scale": 0.15}, 0, {0, 1, 3})  # no triangles
+@example({"seed": 0, "n_a": 4, "n_b": 3, "dim": 2, "scale": 0.5}, 3, {0, 1, 2, 3})  # 3 duplicates
+def test_one_build_serves_every_degree(params, copies, degrees):
+    """Each degree k of one build up to max(degrees) + 1 has the values, row
+    for row, of a build that stops at k + 1. The ids of index_triples may
+    differ, since the taller build has more cells. The last `copies` points
+    repeat the first ones."""
+    rng = np.random.default_rng(params["seed"])
+    n = params["n_a"] + params["n_b"]
+    pts = rng.random((n, params["dim"]))
+    copies = min(copies, n // 2)
+    pts[n - copies :] = pts[:copies]
+    dist = pairwise_distances(pts)
+    config = StatsConfig(r_max=float(params["scale"] * np.sqrt(params["dim"])))
+    shared = interaction_barcode(dist, params["n_a"], sorted(degrees), config)
+    assert sorted(shared) == sorted(degrees)
+    for k in degrees:
+        alone = interaction_barcode(dist, params["n_a"], [k], config)[k]
+        assert np.array_equal(shared[k].values, alone.values)
 
 
 @settings(max_examples=60, deadline=None)

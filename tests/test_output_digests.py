@@ -31,6 +31,9 @@ FILES = {
     "lab.csv": LOOP + "1,1,1\n1.5,1,1\n1,1.5,1\n0.5,1,1\n",
     "lab2.csv": LOOP + "11,1,1\n11.5,1,1\n11,1.5,1\n10.5,1,1\n",
     "series.txt": "0 0 lab.csv\n0 1 lab2.csv\n",
+    # the octahedron as class 0 around the origin as class 1: the origin
+    # fills the octahedron's void, so degree 2 has a non-zero entry
+    "oct.csv": "1,0,0,0\n-1,0,0,0\n0,1,0,0\n0,-1,0,0\n0,0,1,0\n0,0,-1,0\n0,0,0,1\n",
 }
 
 RIPS = ["mixup", "--a", "a.csv", "--b", "b.csv", "--rmax", "2.5", "--kmax", "1"]
@@ -63,10 +66,18 @@ CASES = {
         [["pairwise", "--a", "lab.csv", "--rmax", "3", "--kmax", "1", "--degrees", "0,1"]],
         "5b579a2bcb0009d1312c11a2693e55e3c2b9c542f788a1e83dba8e6d5fa88649",
     ),
+    "pairwise_json_d012": (
+        [["pairwise", "--a", "oct.csv", "--rmax", "3", "--kmax", "2", "--degrees", "0,1,2"]],
+        "2e9f5328a9f1a5697542291cf50fc170b82490c0ad7902eb24de075200fda473",
+    ),
     "profile_csv": ([PROFILE], "cc204e4dfd1ea5b6262db58f4a88cbf8febbb20d88f6d30881b7f269ae838a2b"),
     "profile_json": (
         [PROFILE[:5] + ["--subsample-a", "8", "--subsample-b", "3", "--profile-aggregate", "mean"]],
         "8d8f045ba037e848f0df433c309ae197a42c0094745cd994a7d7d337638d57b8",
+    ),
+    "profile_json_d12": (
+        [PROFILE[:5] + ["--kmax", "2", "--degrees", "1,2", "--subsample-a", "8", "--subsample-b", "3"]],
+        "c204725a887dd8f8bc0d29212b898d20836312bb8b5f447e564a5642fa61985a",
     ),
     "subsample_json": (
         [SUBSAMPLE + ["3", "--a", "a.csv"]],

@@ -176,7 +176,8 @@ def labeled_blobs(gap):
 def test_pairwise_matrix_separated_blobs():
     cloud = labeled_blobs(gap=50.0)
     config = StatsConfig(r_max=60.0)
-    labels, mat = pairwise_matrix(cloud, 0, config)
+    labels, mats = pairwise_matrix(cloud, [0], config)
+    mat = mats[0]
     assert labels == [0, 1]
     assert mat[0][0] == 0.0 and mat[1][1] == 0.0
     assert mat[0][1] == 0.0 and mat[1][0] == 0.0
@@ -187,7 +188,7 @@ def test_pairwise_matrix_interleaved_lines():
     labels = np.array([0, 0, 0, 1, 1, 1])
     cloud = LabeledPointCloud(PointCloud(pts), labels)
     config = StatsConfig(r_max=6.0)
-    _, mat = pairwise_matrix(cloud, 0, config)
+    mat = pairwise_matrix(cloud, [0], config)[1][0]
     assert mat[0][1] > 0.0
     assert mat[1][0] > 0.0
 
@@ -196,7 +197,7 @@ def test_pairwise_needs_two_labels():
     pts = np.zeros((3, 2))
     cloud = LabeledPointCloud(PointCloud(pts), np.zeros(3, dtype=int))
     with pytest.raises(InputError):
-        pairwise_matrix(cloud, 0, StatsConfig(r_max=1.0))
+        pairwise_matrix(cloud, [0], StatsConfig(r_max=1.0))
 
 
 def test_pairwise_matrix_degree0_matches_builds_of_any_kmax():
@@ -206,7 +207,7 @@ def test_pairwise_matrix_degree0_matches_builds_of_any_kmax():
     pts = rng.random((18, 2))
     labels = np.repeat([0, 1, 2], 6)
     config = StatsConfig(r_max=0.5)
-    _, mat = pairwise_matrix(LabeledPointCloud(PointCloud(pts), labels), 0, config)
+    mat = pairwise_matrix(LabeledPointCloud(PointCloud(pts), labels), [0], config)[1][0]
     dist = pairwise_distances(pts)
     for k_max in (0, 1, 2):
         want = np.zeros((3, 3))
@@ -224,7 +225,7 @@ def test_interaction_barcode_matches_direct_build():
     pts = rng.random((9, 2))
     dist = pairwise_distances(pts)
     config = StatsConfig(r_max=0.8)
-    bc = interaction_barcode(dist, 5, 0, config)
+    bc = interaction_barcode(dist, 5, [0], config)[0]
     direct = build_rips_pair(
         PointCloud(pts[:5]), PointCloud(pts[5:]), r_max=0.8, k_max=1
     )
@@ -238,7 +239,7 @@ def test_stats_config_validation():
     with pytest.raises(InputError):
         StatsConfig(r_max=1.0, subsample_a=0)
     with pytest.raises(InputError, match="profile aggregate must be 'total' or 'mean', got 'median'"):
-        mixup_profile(drifting_series(0), 1, StatsConfig(r_max=1.0), aggregate="median")
+        mixup_profile(drifting_series(0), [1], StatsConfig(r_max=1.0), aggregate="median")
 
 
 def ring(n, radius=1.0, phase=0.0, shift=(0.0, 0.0)):
@@ -260,11 +261,11 @@ def test_mixup_profile_decreases_when_pulled_apart():
         (0, 1): entangled_step((9.0, 0.0)),
     }
     config = StatsConfig(r_max=3.0)
-    prof = mixup_profile(series, 0, config)
-    assert prof.layers == (0,)
-    assert prof.steps == (0, 1)
-    assert prof.values[0][0] > prof.values[0][1]
-    assert prof.values[0][1] == 0.0
+    layers, steps, grids = mixup_profile(series, [0], config)
+    assert layers == (0,)
+    assert steps == (0, 1)
+    assert grids[0][0][0] > grids[0][0][1]
+    assert grids[0][0][1] == 0.0
 
 
 def test_mixup_profile_requires_full_grid():
@@ -273,7 +274,7 @@ def test_mixup_profile_requires_full_grid():
         (1, 1): entangled_step((9.0, 0.0)),
     }
     with pytest.raises(InputError, match="grid"):
-        mixup_profile(series, 0, StatsConfig(r_max=3.0))
+        mixup_profile(series, [0], StatsConfig(r_max=3.0))
 
 
 def test_mixup_profile_requires_matching_labels():
@@ -281,7 +282,7 @@ def test_mixup_profile_requires_matching_labels():
     relabeled = LabeledPointCloud(good.cloud, good.labels[::-1].copy())
     series = {(0, 0): good, (0, 1): relabeled}
     with pytest.raises(InputError, match="label"):
-        mixup_profile(series, 0, StatsConfig(r_max=3.0))
+        mixup_profile(series, [0], StatsConfig(r_max=3.0))
 
 
 @pytest.mark.parametrize(
@@ -305,7 +306,7 @@ def test_mixup_profile_requires_matching_labels():
 )
 def test_mixup_profile_rejects_an_inconsistent_series(series_of, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-        mixup_profile(series_of(entangled_step((0.0, 0.0))), 0, StatsConfig(r_max=3.0))
+        mixup_profile(series_of(entangled_step((0.0, 0.0))), [0], StatsConfig(r_max=3.0))
 
 
 def test_mixup_profile_subsamples_once_on_first_cloud():
@@ -316,7 +317,7 @@ def test_mixup_profile_subsamples_once_on_first_cloud():
     moved = LabeledPointCloud(PointCloud(first.cloud.points + noise), first.labels)
     series = {(0, 0): first, (0, 1): moved}
     config = StatsConfig(r_max=3.0, subsample_a=8, subsample_b=6)
-    prof = mixup_profile(series, 1, config)
+    grid = mixup_profile(series, [1], config)[2][1]
 
     ref = pairwise_distances(first.cloud.points)
 
@@ -328,11 +329,11 @@ def test_mixup_profile_subsamples_once_on_first_cloud():
 
         def percentage(lab):
             ids = np.r_[medoids(first.indices_of(lab), 8), medoids(first.indices_excluding(lab), 6)]
-            return total_mixup_percentage(interaction_barcode(dist[np.ix_(ids, ids)], 8, 1, config))
+            return total_mixup_percentage(interaction_barcode(dist[np.ix_(ids, ids)], 8, [1], config)[1])
 
         want = max(percentage(lab) for lab in first.label_values)
-        assert prof.values[0][si] == want
-    assert prof.values.min() > 0.0
+        assert grid[0][si] == want
+    assert grid.min() > 0.0
 
 
 def trace_distance_blocks(monkeypatch):
@@ -373,7 +374,7 @@ def test_mixup_profile_computes_the_blocks_it_reads(monkeypatch):
         for layer in (0, 1)
         for step in (0, 1, 2)
     }
-    mixup_profile(series, 1, StatsConfig(r_max=3.0, subsample_a=8, subsample_b=6))
+    mixup_profile(series, [1], StatsConfig(r_max=3.0, subsample_a=8, subsample_b=6))
     check_block_contract(calls)
     # 30 points; k-medoids reads each label's 20 or 10 points and the other
     # 10 or 20: 2 * (20^2 + 10^2) > 30^2, so the whole reference matrix
@@ -386,7 +387,7 @@ def test_mixup_profile_degree0_computes_one_matrix_per_cloud(monkeypatch):
     # degree 0 subsamples nothing and reads every point per label
     calls = trace_distance_blocks(monkeypatch)
     series = {(0, step): entangled_step((3.0 * step, 0.0)) for step in (0, 1, 2)}
-    mixup_profile(series, 0, StatsConfig(r_max=3.0))
+    mixup_profile(series, [0], StatsConfig(r_max=3.0))
     check_block_contract(calls)
     assert calls == [(30, [], [])] + [(30, [30, 30], [30])] * len(series)
 
@@ -398,7 +399,7 @@ def test_pairwise_matrix_degree1_blocks_stay_below_class_and_pair_sizes(monkeypa
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(100, 3)) + np.repeat(np.eye(4, 3) * 2.0, 25, axis=0)
     x = LabeledPointCloud(PointCloud(pts), np.repeat(np.arange(4), 25))
-    pairwise_matrix(x, 1, StatsConfig(r_max=1.5, subsample_a=10, subsample_b=5))
+    pairwise_matrix(x, [1], StatsConfig(r_max=1.5, subsample_a=10, subsample_b=5))
     check_block_contract(calls)
     assert [rows for _, _, rows in calls] == [[25] * 4, [15] * 12]
     assert max(max(rows) for _, _, rows in calls) <= max(25, 10 + 5)
@@ -436,10 +437,10 @@ def test_mixup_profile_is_the_same_from_blocks_or_whole_matrix(monkeypatch, degr
 
     series = drifting_series(sum(sizes) + degree)
     config = StatsConfig(r_max=2.5, subsample_a=sizes[0], subsample_b=sizes[1])
-    got = [mixup_profile(series, degree, config).values]
+    got = [mixup_profile(series, [degree], config)[2][degree]]
     for forced in (whole_matrix_blocks, per_set_blocks):
         monkeypatch.setattr(stats, "distance_blocks", forced)
-        got.append(mixup_profile(series, degree, config).values)
+        got.append(mixup_profile(series, [degree], config)[2][degree])
     assert got[0].max() > 0.0
     assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
 
@@ -450,10 +451,10 @@ def test_pairwise_matrix_is_the_same_from_blocks_or_whole_matrix(monkeypatch, si
 
     x = drifting_series(7)[(0, 0)]
     config = StatsConfig(r_max=2.5, subsample_a=sizes[0], subsample_b=sizes[1])
-    got = [pairwise_matrix(x, 1, config)[1]]
+    got = [pairwise_matrix(x, [1], config)[1][1]]
     for forced in (whole_matrix_blocks, per_set_blocks):
         monkeypatch.setattr(stats, "distance_blocks", forced)
-        got.append(pairwise_matrix(x, 1, config)[1])
+        got.append(pairwise_matrix(x, [1], config)[1][1])
     assert got[0].max() > 0.0
     assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
 
@@ -470,15 +471,15 @@ def test_each_distance_block_is_dropped_before_the_next(loop, monkeypatch):
     x = PointCloud(np.random.default_rng(0).normal(size=(1000, 3)))
     first, second = np.arange(900), np.arange(100, 1000)
     monkeypatch.setattr(stats, "k_medoids_indices", lambda dist, k: [0])
-    monkeypatch.setattr(stats, "interaction_barcode", lambda dist, n_a, degree, config: None)
+    monkeypatch.setattr(stats, "interaction_barcode", lambda dist, n_a, degrees, config: None)
     tracemalloc.start()
     try:
         if loop == "_subsampled":
             sizes = {"--subsample-a": 1}
-            stats._subsampled(x, 1, [(first, sizes), (second, sizes)])
+            stats._subsampled(x, [1], [(first, sizes), (second, sizes)])
         else:
             pairs = [(first[:600], first[600:]), (second[:600], second[600:])]
-            list(stats._interactions(x, pairs, 1, StatsConfig(r_max=1.0)))
+            list(stats._interactions(x, pairs, [1], StatsConfig(r_max=1.0)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
