@@ -23,7 +23,7 @@ METRICS = ("euclidean", "sqeuclidean")
 # Larger blocks measured no faster, and 8 MB distance blocks 1.7x slower.
 BLOCK_BYTES = 1 << 21
 
-# The one memory budget, as within_budget charges it: 9 bytes per entry of a
+# The one memory budget, as _charge counts it: 9 bytes per entry of a
 # dense n × n matrix (a distance and the Rips mask over it; at most 29,814
 # points) plus 950 per cell of a Rips build over it. A build peaks, per cell
 # and matrix aside (tracemalloc), at 180-183 B at k_max 1, 220-230 B at 3 and
@@ -106,7 +106,7 @@ def pairwise_distances(points: np.ndarray, metric: str = "euclidean") -> np.ndar
     n = len(pts)
     if not within_budget(n * n):
         raise InputError(
-            f"the distance matrix of {n:,} points would take {9 * n * n:,} bytes with its Rips "
+            f"the distance matrix of {n:,} points would take {_charge(n * n):,} bytes with its Rips "
             f"mask, more than the budget of {MAX_MATRIX_BYTES:,} (mixbar.cloud.MAX_MATRIX_BYTES)"
         )
     out = np.empty((n, n))
@@ -151,7 +151,12 @@ def distance_blocks(
 
 def within_budget(entries: int, cells: int = 0) -> bool:
     """Whether dense matrices of `entries` in all and `cells` Rips cells fit MAX_MATRIX_BYTES."""
-    return 9 * entries + 950 * cells <= MAX_MATRIX_BYTES
+    return _charge(entries, cells) <= MAX_MATRIX_BYTES
+
+
+def _charge(entries: int, cells: int = 0) -> int:
+    """The bytes charged to dense matrices of `entries` in all and `cells` Rips cells."""
+    return 9 * entries + 950 * cells
 
 
 def runs(n: int, row_bytes: int) -> list[slice]:

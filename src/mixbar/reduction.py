@@ -16,14 +16,16 @@ pass takes k-cells as columns in reverse image order and their (k+1)-cell
 cofaces as rows, a column's pivot being its earliest coface; each pair
 (k-cell, (k+1)-cell) is the one the boundary matrix gives. The K pass
 runs over all (k+1)-cells in filtration order, the L pass over the
-L-cells alone. A pass over vertex columns is union-find: the pivot of an
-edge column is the youngest vertex of the component it merges into an
-older one (the elder rule), so union-find over the edges in the order
-given pairs the same cells and builds no column. Coboundary columns pair
-vertices 1.1-5.3x faster on typical clouds, but can grow into cluster
-cuts: for 1,000 points at x = i^2 listed in reverse, all in A, r_max past
-the diameter (500,500 cells), degree 0 takes 0.55-0.72 s at 192 B per
-cell by union-find and 12.3 s at 2,746 B per cell by coboundary columns
+L-cells alone; each returns, per column, the cell that kills it (0 for
+none). A pass over vertex columns is union-find by image position: the
+pivot of an edge column is the youngest vertex of the component it
+merges into an older one (the elder rule), so union-find over the edges
+in the order given pairs the same cells and builds no column. Coboundary
+columns pair vertices up to 1.5x faster on dense clouds (47k-93k cells)
+and up to 6x slower on sparse ones, but can grow into cluster cuts: for
+1,000 points at x = i^2 listed in reverse, all in A, r_max past the
+diameter (500,500 cells), degree 0 takes 0.24-0.27 s at 160 B per cell
+by union-find and 12.3 s at 2,746 B per cell by coboundary columns
 (tracemalloc peaks, 2-CPU VM). An edge with one boundary vertex joins a
 ground node older than every vertex; an edge with none merges nothing.
 
@@ -100,46 +102,46 @@ def reduce_columns(pivots, column, m: int) -> dict[int, int]:
     return owner
 
 
-def merge_edges(fp: FilteredPair, cols: np.ndarray, rows: np.ndarray) -> dict[int, int]:
+def merge_edges(fp: FilteredPair, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Pairing of the coboundaries of the vertices cols, given in image
-    order, restricted to the 1-cells rows, keyed by vertex: elder-rule
-    union-find over rows in the order given.
+    order, restricted to the 1-cells rows: elder-rule union-find over rows
+    in the order given. Entry i is the edge that kills cols[i], 0 for none.
 
-    A vertex's key is its place in cols, counted from 1; a missing end of
-    an edge is the ground node, key 0, older than every vertex. An edge
-    pairs with the root of the younger of the two components it merges;
-    the edges left out merge nothing, and their columns reduce to zero.
+    Every end of an edge in rows is in cols, or is missing: the ground
+    node, older than every vertex. Union-find keys a vertex by its place in
+    cols, counted from 1, and the ground node by 0. An edge pairs with the
+    root of the younger of the two components it merges; the edges left
+    out merge nothing, and their columns reduce to zero.
     """
     key = np.zeros(fp.n + 1, dtype=np.int64)
     key[cols] = np.arange(1, len(cols) + 1)
-    key = key.tolist()
     faces, bounds = fp.faces_of(rows)
-    padded = np.append(faces, [0, 0])
+    padded = np.append(key[faces], [0, 0])
     count = np.diff(bounds)
     ends = [np.where(count > i, padded[bounds[:-1] + i], 0).tolist() for i in (0, 1)]
-    parent: dict[int, int] = {}
-    deaths: dict[int, int] = {}
-    for eid, u, w in zip(rows.tolist(), *ends):
+    parent = list(range(len(cols) + 1))
+    death = [0] * (len(cols) + 1)  # 1 + the place in rows of the edge that kills a root
+    for i, u, w in zip(range(1, len(rows) + 1), *ends):
         # the roots of u and w, halving their paths
-        while (up := parent.get(u, u)) != u:
-            parent[u] = u = parent.get(up, up)
-        while (up := parent.get(w, w)) != w:
-            parent[w] = w = parent.get(up, up)
+        while (up := parent[u]) != u:
+            parent[u] = u = parent[up]
+        while (up := parent[w]) != w:
+            parent[w] = w = parent[up]
         if u == w:
             continue
-        if key[u] > key[w]:
+        if u > w:
             u, w = w, u
         parent[w] = u
-        deaths[w] = eid
-    return deaths
+        death[w] = i
+    return np.append(0, rows)[death[1:]]
 
 
-def _coboundary_pairs(fp: FilteredPair, cols: np.ndarray, cofaces: np.ndarray) -> dict[int, int]:
+def _coboundary_pairs(fp: FilteredPair, cols: np.ndarray, cofaces: np.ndarray) -> np.ndarray:
     """Pairing of the coboundaries of the j-cells cols, given in image order
-    and reduced in the reverse of it, restricted to the (j+1)-cells cofaces,
-    keyed by j-cell: the pairs of the reduced boundary matrix whose columns
-    are the cofaces in the order given and whose rows the j-cells in image
-    order.
+    and reduced in the reverse of it, restricted to the (j+1)-cells cofaces:
+    the pairs of the reduced boundary matrix whose columns are the cofaces
+    in the order given and whose rows the j-cells in image order. Entry i
+    is the coface that kills cols[i], 0 for none.
 
     A column's rows are its cofaces' positions, so its pivot is its earliest
     coface. One sort of the keys column·m + position, m = len(cofaces), lists
@@ -159,8 +161,9 @@ def _coboundary_pairs(fp: FilteredPair, cols: np.ndarray, cofaces: np.ndarray) -
     top[full] = rows[starts[:-1][full]]
     starts = starts.tolist()
     pairs = reduce_columns(enumerate(top.tolist()), lambda i: rows[starts[i] : starts[i + 1]], m)
-    cols, cofaces = cols.tolist(), cofaces.tolist()
-    return {cols[-1 - i]: cofaces[p] for p, i in pairs.items()}
+    killer = np.zeros(len(cols), dtype=np.int64)  # in the reverse of cols, as reduced
+    killer[list(pairs.values())] = cofaces[list(pairs)]
+    return killer[::-1]
 
 
 def mixup_barcode_indices(fp: FilteredPair, k: int) -> np.ndarray:
@@ -190,27 +193,18 @@ def mixup_barcode_indices(fp: FilteredPair, k: int) -> np.ndarray:
     # against L-cycles the image pairing.
     by_image = np.argsort(~fp.in_l, kind="stable") + 1
     dims = fp.dim[by_image - 1]
-
-    def pairs(j: int, cols: np.ndarray, rows: np.ndarray) -> dict[int, int]:
-        # vertices pair by union-find, which builds no column
-        return (merge_edges if j == 0 else _coboundary_pairs)(fp, cols, rows)
-
+    passes = [merge_edges] + [_coboundary_pairs] * k  # pass j over j-cells; vertices by union-find
     kept = by_image[dims == 0]
     for j in range(1, k + 1):
         cells = by_image[dims == j]
         paired = np.zeros(fp.n + 1, dtype=bool)
-        paired[list(pairs(j - 1, kept, cells).values())] = True
+        paired[passes[j - 1](fp, kept, cells)] = True  # entry 0 marks no cell
         kept = cells[~paired[cells]]
-    born = kept[fp.in_l[kept - 1]]
+    born = kept[fp.in_l[kept - 1]]  # the leading kept cells, as image order lists L first
     cofaces = np.flatnonzero(fp.dim == k + 1) + 1
-    deaths_k = pairs(k, kept, cofaces)
-    deaths_l = pairs(k, born, cofaces[fp.in_l[cofaces - 1]])
-    ids = np.empty((len(born), 3))
-    ids[:, 0] = born
-    cells = born.tolist()
-    for col, deaths in ((1, deaths_k), (2, deaths_l)):
-        ids[:, col] = [deaths.get(c, INF) for c in cells]
-    return ids
+    image_deaths = passes[k](fp, kept, cofaces)[: len(born)]
+    ids = np.stack((born, image_deaths, passes[k](fp, born, cofaces[fp.in_l[cofaces - 1]])), axis=1)
+    return np.where(ids > 0, ids, INF)
 
 
 def id_rows(ids: np.ndarray) -> list[list]:

@@ -242,13 +242,14 @@ def _reference_bitset_pairs(fp: FilteredPair, ids: np.ndarray, rows) -> tuple[di
 
 
 def reference_degree(fp: FilteredPair, k: int) -> np.ndarray:
-    """Degree-k id triples, k >= 1, as an (m, 3) float64 array with inf for
+    """Degree-k id triples, k >= 0, as an (m, 3) float64 array with inf for
     a death that never comes, by reducing every boundary column without
     clearing under the image row order: the (k+1)-cells of K and of L give
     the deaths, and the creators are the L k-cells whose boundary columns
-    under the (k-1)-cell rows reduce to zero. For k = 1 these are the
-    1-cells that merge nothing in union-find, also with 0 or 1 ends: a
-    column with one vertex row acts as an edge to the ground node."""
+    under the (k-1)-cell rows reduce to zero. For k = 0 these are all the
+    L vertices; for k = 1 the 1-cells that merge nothing in union-find,
+    also with 0 or 1 ends: a column with one vertex row acts as an edge to
+    the ground node."""
     # the image order: L-cells by id, then the ambient-only cells by id
     key = np.arange(fp.n + 1) + np.append(0, np.where(fp.in_l, 0, fp.n))
     creators = np.flatnonzero((fp.dim == k) & fp.in_l) + 1

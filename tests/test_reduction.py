@@ -55,6 +55,11 @@ def reduce_arrays(columns, fetched=None):
     return reduce_columns(((cid, int(c[0]) if len(c) else -1) for cid, c in cols.items()), fetch, m)
 
 
+def as_pairs(cols, killers):
+    """A pass's result, aligned with its columns cols, as {column: killer}."""
+    return {c: d for c, d in zip(cols, killers.tolist()) if d}
+
+
 def test_reduce_filled_triangle_degree0():
     fp = parse_explicit_pair(FILLED_TRIANGLE)
     faces = boundaries(fp)
@@ -67,7 +72,7 @@ def test_reduce_filled_triangle_degree0():
     # no pivot; the pivot rows are the younger vertices 2 and 3
     assert pairs == {2: 4, 3: 5}
     # union-find gives the same pairing
-    assert merge_edges(fp, np.array([1, 2, 3]), np.array([4, 5, 6])) == pairs
+    assert as_pairs([1, 2, 3], merge_edges(fp, np.array([1, 2, 3]), np.array([4, 5, 6]))) == pairs
 
 
 # Vertices of L (2, 3) and of K only (1, 4), so the image order 2, 3, 1, 4
@@ -105,7 +110,7 @@ def test_merge_edges_matches_reference_reduction(cols, rows, pairing):
     faces = boundaries(fp)
     pairs, _ = reference_reduce_columns((e, bitset(place[v] for v in faces[e - 1])) for e in rows)
     assert {cols[p]: e for p, e in pairs.items()} == pairing
-    assert merge_edges(fp, np.array(cols), np.array(rows)) == pairing
+    assert as_pairs(cols, merge_edges(fp, np.array(cols), np.array(rows))) == pairing
 
 
 def test_reduce_keeps_input_intact():
@@ -292,7 +297,7 @@ def rips_pairs(draw):
     return build_rips_pair(PointCloud(pts[:n_a]), b, r_max=r_max, k_max=3)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 @settings(max_examples=60, deadline=None)
 @given(rips_pairs())
 def test_matches_boundary_reduction_on_rips(k, fp):
@@ -300,7 +305,7 @@ def test_matches_boundary_reduction_on_rips(k, fp):
         assert np.array_equal(mixup_barcode_indices(fp, k), reference_degree(fp, k))
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_matches_boundary_reduction_on_explicit(k, seed):
@@ -341,7 +346,7 @@ EDGE_CASES = {
 }
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_matches_boundary_reduction_on_edge_cases(name, k):
     fp = parse_explicit_pair(EDGE_CASES[name])
@@ -371,4 +376,4 @@ def test_coboundary_pass_matches_reference_reduction(cols, cofaces, pairing):
     rows = {c: [m - 1 - r for r, f in enumerate(cofaces) if c in faces[f - 1]] for c in cols}
     pairs, _ = reference_reduce_columns((c, bitset(rows[c])) for c in reversed(cols))
     assert {c: cofaces[m - 1 - p] for p, c in pairs.items()} == pairing
-    assert _coboundary_pairs(fp, np.array(cols), np.array(cofaces)) == pairing
+    assert as_pairs(cols, _coboundary_pairs(fp, np.array(cols), np.array(cofaces))) == pairing
