@@ -132,21 +132,24 @@ def distance_blocks(
 ) -> Iterator[np.ndarray]:
     """The matrix of pairwise_distances among points[s], for each s in turn.
 
-    held[i] is the entries in use while block i is, the block included (by
-    default the block alone). The whole matrix of all n points is computed
-    once and each block sliced from it when the blocks hold at least its n^2
-    entries and it fits the budget with the largest of held; otherwise each
-    block is computed from its own rows. Both give the same bits, since each
-    entry depends only on its own pair of rows. Blocks are computed as they
-    are asked for.
+    Each block is sliced from the whole matrix of all n points, computed
+    once, where slices_whole says so; otherwise each block is computed
+    from its own rows. Both give the same bits, since each entry depends
+    only on its own pair of rows. Blocks are computed as they are asked for.
     """
-    n = len(points)
-    entries = [len(s) ** 2 for s in index_sets]
-    held = entries if held is None else held
-    fits = sum(entries) >= n * n and within_budget(n * n + max(held, default=0))
-    whole = pairwise_distances(points, metric) if fits else None
+    whole = pairwise_distances(points, metric) if slices_whole(len(points), index_sets, held) else None
     for s in index_sets:
         yield pairwise_distances(points[s], metric) if whole is None else whole[np.ix_(s, s)]
+
+
+def slices_whole(n: int, index_sets: Sequence[np.ndarray], held: Sequence[int] | None = None) -> bool:
+    """Whether distance_blocks slices the blocks of index_sets from the
+    whole matrix of the n points: when they hold at least its n^2 entries
+    and it fits the budget with the largest of held. held[i] is the entries
+    in use while block i is, the block included (by default the block alone)."""
+    entries = [len(s) ** 2 for s in index_sets]
+    held = entries if held is None else held
+    return sum(entries) >= n * n and within_budget(n * n + max(held, default=0))
 
 
 def within_budget(entries: int, cells: int = 0) -> bool:
@@ -191,8 +194,10 @@ def check_distance_matrix(d: np.ndarray) -> None:
 
 def data_lines(text: str):
     """Yield (line number, content) for each line that holds data: `#`
-    starts a comment, and blank lines are skipped. Every line-based input
-    format reads through this."""
+    starts a comment, and blank lines are skipped. Point tables, distance
+    matrices and profile manifests read through this; explicit filtrations
+    are read as bytes by mixbar.filtration, with the same comments and
+    ASCII line breaks."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:

@@ -10,13 +10,35 @@ A pair is stored as arrays in filtration order, cell id = position + 1:
 `dim`, `value`, the L mask `in_l`, and the boundaries in CSR form, the
 faces of cell i being `indices[indptr[i]:indptr[i + 1]]` (1-based ids,
 ascending). Every pair is built from these arrays: the constructor
-validates them through `validate()`, one vectorised check of every rule,
-and `parse_explicit_pair` hands it an explicit file's rows sorted by id,
-with the ids the file gave. A Rips build is the one exception:
-`mixbar.rips` hands its arrays over through the private `_built`,
-unchecked, because it meets the rules by construction; the tests run
-`validate()` on random builds instead. `cells` is a per-cell view of
-`dim` and `in_l`, built at each access; only the benchmark tracer reads it.
+validates them through `validate()`, one vectorised check of every rule.
+Two routes hand their own arrays over through the private `_built`,
+uncopied: `parse_explicit_pair`, which then calls `validate()` with the
+ids the file gave, and a Rips build, unchecked, because it meets the
+rules by construction; the tests run `validate()` on random builds
+instead. `cells` is a per-cell view of `dim` and `in_l`, built at each
+access; only the benchmark tracer reads it.
+
+An explicit file is read as bytes by `mixbar.explicit`, which
+`parse_explicit_pair` imports on its first call, so only the commands that
+read such a file compile it. It reads runs of whole lines of at most
+`cloud.BLOCK_BYTES` / 32 characters (a longer line is a run of its own), so
+the work arrays of a run stay within BLOCK_BYTES, and makes no Python object
+per line or per token: the bytes of a run are classified by lookup tables
+(field, blank, line break, `#`), its tokens are the edges of the field
+mask and their lines a search over the breaks. Ids, dims and boundary ids
+of at most 18 ASCII digits are read from their digits, values of digits,
+signs, `.` and `e` by one cast of a fixed-width bytes array to float64,
+which gives float()'s bits, and members from their one byte; any other
+token (a signed integer, `_`, `inf`, a long or a non-ASCII token) goes to
+Python's own int() or float(). A value token equal to the one before it
+is not cast again: values never decrease along the filtration, so equal
+values come in runs. So an ASCII file reads as if split into lines by
+str.splitlines() and into fields by str.split(). The first line that
+cannot be read stops the reading, and its message follows the rules of
+one line at a time, unless an earlier line repeats an id. The faces of
+each run are sorted by one lexsort when some row lists them out of order,
+and the rows by one stable argsort of the ids when these are not
+ascending.
 """
 
 from __future__ import annotations
@@ -25,7 +47,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import data_lines
 from .errors import InputError
 
 MEMBER_L = "L"
@@ -67,10 +88,11 @@ class FilteredPair:
 
     @classmethod
     def _built(cls, dim, value, in_l, indptr, indices) -> "FilteredPair":
-        """The pair of arrays that mixbar.rips assembled, kept as they are:
-        neither copied nor validated. The build meets every rule of
-        validate() by construction, and the tests check that it does; no
-        other input may come through here."""
+        """The pair of arrays that mixbar.rips or parse_explicit_pair
+        assembled, kept as they are: neither copied nor validated. A Rips
+        build meets every rule of validate() by construction, and the tests
+        check that it does; the parser calls validate() itself. No other
+        input may come through here."""
         fp = cls.__new__(cls)
         fp.dim, fp.value, fp.in_l, fp.indptr, fp.indices = dim, value, in_l, indptr, indices
         for a in (dim, value, in_l, indptr, indices):
@@ -211,31 +233,6 @@ def parse_explicit_pair(text: str) -> FilteredPair:
     L (in the subcomplex) or K (ambient only). `#` starts a comment and
     empty lines are skipped. Empty input gives the empty pair.
     """
-    rows: list[tuple[int, int, float, bool, list[int]]] = []
-    seen: set[int] = set()
-    for lineno, line in data_lines(text):
-        parts = line.split()
-        if len(parts) < 4:
-            raise InputError(f"line {lineno}: expected `id dim value member [boundary...]`")
-        try:
-            cid = int(parts[0])
-            dim = int(parts[1])
-            value = float(parts[2])
-        except ValueError:
-            raise InputError(f"line {lineno}: id and dim must be integers, value a number") from None
-        member = parts[3]
-        if member not in (MEMBER_L, MEMBER_K):
-            raise InputError(f"line {lineno}: member must be L or K, got {member!r}")
-        try:
-            boundary = sorted(int(p) for p in parts[4:])
-        except ValueError:
-            raise InputError(f"line {lineno}: boundary ids must be integers") from None
-        if cid in seen:
-            raise InputError(f"line {lineno}: duplicate cell id {cid}")
-        seen.add(cid)
-        rows.append((cid, dim, value, member == MEMBER_L, boundary))
-    rows.sort(key=lambda r: r[0])
-    ids, dims, values, in_l, boundaries = zip(*rows) if rows else ((),) * 5
-    indptr = np.cumsum([0, *map(len, boundaries)])
-    indices = [fid for b in boundaries for fid in b]
-    return FilteredPair(dims, values, in_l, indptr, indices, ids=ids)
+    from .explicit import read_pair  # compiled only by the commands that read a file
+
+    return read_pair(text)

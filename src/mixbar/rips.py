@@ -84,12 +84,16 @@ def rips_pair_from_distances(
     n_a: int,
     r_max: float,
     k_max: int,
+    held: int = 0,
 ) -> FilteredPair:
     """Rips pair over an explicit dissimilarity matrix.
 
     Rows 0..n_a-1 are the A-points (the subcomplex L), the rest are B.
     The matrix and the parameters are checked; the pair built from them is
     not, as it meets validate()'s rules by construction (module docstring).
+    `held` is the entries of other dense matrices in use while the build
+    runs, such as the whole matrix dist was sliced from; the build is
+    charged them beside its own.
     """
     dist = np.asarray(dist, dtype=float)
     check_distance_matrix(dist)
@@ -98,7 +102,7 @@ def rips_pair_from_distances(
         raise InputError(f"A must hold between 1 and {n} of the {n} points, got {n_a}")
     check_rips_params(r_max, k_max)
 
-    layers = _expand(dist, r_max, k_max + 1)
+    layers = _expand(dist, r_max, k_max + 1, held)
     dims = np.concatenate([np.full(len(lay.last), d, dtype=np.int64) for d, lay in enumerate(layers)])
     value = np.concatenate([lay.value for lay in layers])
     ambient = np.concatenate([lay.last for lay in layers]) >= n_a
@@ -138,7 +142,7 @@ class _Layer(NamedTuple):
     faces: np.ndarray
 
 
-def _expand(dist: np.ndarray, r_max: float, max_dim: int) -> list[_Layer]:
+def _expand(dist: np.ndarray, r_max: float, max_dim: int, held: int = 0) -> list[_Layer]:
     """All cliques of the r_max-neighborhood graph up to dimension max_dim.
 
     The edges are the pairs i < j of the mask `later`. Each higher layer
@@ -159,8 +163,9 @@ def _expand(dist: np.ndarray, r_max: float, max_dim: int) -> list[_Layer]:
     the two siblings themselves.
 
     The cells are counted as they are found, the edges before they are
-    listed and each run's cofaces before a layer is assembled; once they and
-    the n x n matrix are over cloud.within_budget, the build stops with an InputError.
+    listed and each run's cofaces before a layer is assembled; once they,
+    the n x n matrix and the held entries are over cloud.within_budget, the
+    build stops with an InputError.
     """
     n = dist.shape[0]
     verts = np.arange(n)
@@ -173,7 +178,7 @@ def _expand(dist: np.ndarray, r_max: float, max_dim: int) -> list[_Layer]:
         block = later[part, : part.stop]
         block &= np.tri(block.shape[1], len(block), -part.start - 1, dtype=bool).T  # j > i
     flat = later.ravel()  # a view: entry (v, w) is flat[v * n + w]
-    cells = _counted(n, n + np.count_nonzero(flat))
+    cells = _counted(n, n + np.count_nonzero(flat), held)
     u, w = np.divmod(np.flatnonzero(flat), n)
     layers.append(_Layer(u, w, dist[u, w], np.stack([w, u], axis=1)))
     for d in range(2, max_dim + 1):
@@ -189,7 +194,7 @@ def _expand(dist: np.ndarray, r_max: float, max_dim: int) -> list[_Layer]:
             i = np.repeat(own, count)
             j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
             ok = np.flatnonzero(flat[below.last[i] * n + below.last[j]])
-            cells = _counted(n, cells + len(ok))
+            cells = _counted(n, cells + len(ok), held)
             pairs.append(np.stack([i[ok], j[ok]]))
         parent, sibling = np.concatenate(pairs, axis=1)
         if not len(parent):
@@ -208,11 +213,13 @@ def _expand(dist: np.ndarray, r_max: float, max_dim: int) -> list[_Layer]:
     return layers
 
 
-def _counted(n: int, cells: int) -> int:
-    """The running cell count of a build over n points, within the budget."""
-    if not cloud.within_budget(n * n, cells):
+def _counted(n: int, cells: int, held: int) -> int:
+    """The running cell count of a build over n points, within the budget
+    beside `held` entries of other matrices."""
+    if not cloud.within_budget(n * n + held, cells):
+        beside = f", beside a distance matrix of {held:,} entries held while it runs," if held else ""
         raise InputError(
-            f"the Rips build of {n:,} points and {cells:,} cells counted so far is over the budget of "
-            f"{cloud.MAX_MATRIX_BYTES:,} bytes (mixbar.cloud.MAX_MATRIX_BYTES); lower --rmax or --kmax"
+            f"the Rips build of {n:,} points and {cells:,} cells counted so far{beside} is over the budget "
+            f"of {cloud.MAX_MATRIX_BYTES:,} bytes (mixbar.cloud.MAX_MATRIX_BYTES); lower --rmax or --kmax"
         )
     return cells

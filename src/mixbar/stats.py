@@ -23,7 +23,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .cloud import LabeledPointCloud, PointCloud, distance_blocks
+from .cloud import LabeledPointCloud, PointCloud, distance_blocks, slices_whole
 from .errors import InputError
 from .filtration import FilteredPair
 from .reduction import INF, mixup_barcode_indices
@@ -142,16 +142,17 @@ class StatsConfig:
 
 
 def interaction_barcode(
-    dist: np.ndarray, n_a: int, degrees: list[int], config: StatsConfig
+    dist: np.ndarray, n_a: int, degrees: list[int], config: StatsConfig, held: int = 0
 ) -> dict[int, MixupBarcode]:
     """Mixup barcode of the first n_a points of dist into all of its points,
-    per degree, all from one Rips pair up to dimension max(degrees) + 1.
+    per degree, all from one Rips pair up to dimension max(degrees) + 1,
+    whose build is charged `held` entries of other matrices beside dist.
 
     The degree-k pairing reads only k- and (k+1)-cells, and the higher cells
     leave their relative order, and so every value, unchanged; only the ids
     of `index_triples` may differ from those of a build that stops at k + 1.
     """
-    fp = rips_pair_from_distances(dist, n_a, config.r_max, max(degrees))
+    fp = rips_pair_from_distances(dist, n_a, config.r_max, max(degrees), held)
     clamp = config.r_max if config.clamp is None else config.clamp
     return {k: compute_mixup_barcode(fp, k, clamp) for k in degrees}
 
@@ -199,10 +200,13 @@ def _interactions(
     degrees: list[int],
     config: StatsConfig,
 ) -> Iterator[dict[int, MixupBarcode]]:
-    """The interaction barcodes of each (A indices, B indices) of the cloud."""
-    blocks = distance_blocks(cloud.points, cloud.metric, [np.concatenate(pair) for pair in pairs])
+    """The interaction barcodes of each (A indices, B indices) of the cloud,
+    each build charged the whole matrix its block is sliced from, if any."""
+    sets = [np.concatenate(pair) for pair in pairs]
+    whole = cloud.n_points**2 if slices_whole(cloud.n_points, sets) else 0
+    blocks = distance_blocks(cloud.points, cloud.metric, sets)
     for a, _ in pairs:
-        yield interaction_barcode(next(blocks), len(a), degrees, config)
+        yield interaction_barcode(next(blocks), len(a), degrees, config, whole)
 
 
 def pairwise_matrix(

@@ -1,5 +1,6 @@
 """Test-only helpers: each cell's boundary as a list, the explicit-file
-writer, the restriction to L, the Euler–Poincaré check of the L-barcodes, a
+writer and the per-line explicit reader to compare the byte-level one with,
+the restriction to L, the Euler–Poincaré check of the L-barcodes, a
 per-simplex reference Rips construction to compare the array build with,
 the per-cell reference of the structural rules, classic PAM's BUILD and
 SWAP to compare the k-medoids selection with, the triples of any degree
@@ -10,6 +11,8 @@ import math
 
 import numpy as np
 
+from mixbar.cloud import data_lines
+from mixbar.errors import InputError
 from mixbar.filtration import FilteredPair
 from mixbar.reduction import INF, mixup_barcode_indices
 from mixbar.subsample import _cost
@@ -29,6 +32,45 @@ def format_explicit_pair(fp: FilteredPair) -> str:
         for cid, (dim, value, in_l, faces) in enumerate(rows, start=1)
     ]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def reference_parse_explicit_pair(text: str) -> FilteredPair:
+    """Parse an explicit filtration file, one line at a time: the reader
+    mixbar.filtration.parse_explicit_pair replaced, kept to compare it with.
+    It splits lines and fields at any whitespace, non-ASCII included.
+
+    One cell per line: `id dim value member boundary_id...` where member is
+    L (in the subcomplex) or K (ambient only). `#` starts a comment and
+    empty lines are skipped. Empty input gives the empty pair.
+    """
+    rows: list[tuple[int, int, float, bool, list[int]]] = []
+    seen: set[int] = set()
+    for lineno, line in data_lines(text):
+        parts = line.split()
+        if len(parts) < 4:
+            raise InputError(f"line {lineno}: expected `id dim value member [boundary...]`")
+        try:
+            cid = int(parts[0])
+            dim = int(parts[1])
+            value = float(parts[2])
+        except ValueError:
+            raise InputError(f"line {lineno}: id and dim must be integers, value a number") from None
+        member = parts[3]
+        if member not in ("L", "K"):
+            raise InputError(f"line {lineno}: member must be L or K, got {member!r}")
+        try:
+            boundary = sorted(int(p) for p in parts[4:])
+        except ValueError:
+            raise InputError(f"line {lineno}: boundary ids must be integers") from None
+        if cid in seen:
+            raise InputError(f"line {lineno}: duplicate cell id {cid}")
+        seen.add(cid)
+        rows.append((cid, dim, value, member == "L", boundary))
+    rows.sort(key=lambda r: r[0])
+    ids, dims, values, in_l, boundaries = zip(*rows) if rows else ((),) * 5
+    indptr = np.cumsum([0, *map(len, boundaries)])
+    indices = [fid for b in boundaries for fid in b]
+    return FilteredPair(dims, values, in_l, indptr, indices, ids=ids)
 
 
 def restrict_to_L(fp: FilteredPair) -> FilteredPair:

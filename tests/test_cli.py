@@ -795,8 +795,9 @@ def test_clamped_is_computed_once_per_barcode(square_center_pair, monkeypatch):
     from mixbar import cli, stats
 
     calls = []
-    minimum = np.minimum
-    monkeypatch.setattr(np, "minimum", lambda *a: calls.append(a) or minimum(*a))
+    clamped = stats.MixupBarcode.__dict__["clamped"]
+    compute = clamped.func
+    monkeypatch.setattr(clamped, "func", lambda bc: calls.append(bc) or compute(bc))
     bc = stats.compute_mixup_barcode(square_center_pair, 1, clamp=2.0)
     entry = cli._degree_entry(bc)
     assert entry["statistics"]["bars"] == len(bc.values) > 0
@@ -959,6 +960,30 @@ def test_profile_forms_no_matrix_over_the_kmedoids_budget(tmp_path, monkeypatch,
         code, out, _ = run(args, capsys)
         assert code == 0 and out == want
         assert sizes and max(sizes) == largest, budget
+
+
+def test_pairwise_build_is_charged_the_whole_matrix_it_is_sliced_from(labeled_file, monkeypatch, capsys):
+    """Two classes of three points: the two class-pair blocks of six points
+    hold more entries than the whole 6 x 6 matrix, so both are sliced from
+    it, and it is held while each block's Rips build runs. A budget that
+    the build of 41 cells fits with its own matrix alone is one matrix
+    short beside the whole one, and the build exits 2."""
+    from mixbar import cloud
+
+    args = ["pairwise", "--a", labeled_file, "--rmax", "12", "--degrees", "1",
+            "--subsample-a", "3", "--subsample-b", "3"]
+    budget = cloud._charge(6 * 6, 6 + 15 + 20)
+    monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", budget)
+    code, out, err = run(args, capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the Rips build of 6 points and 41 cells counted so far, beside a distance matrix "
+        "of 36 entries held while it runs, is over the budget of 39,274 bytes "
+        "(mixbar.cloud.MAX_MATRIX_BYTES); lower --rmax or --kmax\n"
+    )
+    monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", budget + 9 * 6 * 6)
+    code, out, err = run(args, capsys)
+    assert (code, err) == (0, "") and out
 
 
 def test_labels_beyond_2_53_stay_distinct_and_exact(tmp_path, capsys):

@@ -1,13 +1,22 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mixbar import InputError, parse_explicit_pair
+from mixbar import InputError, cloud, parse_explicit_pair
 from mixbar.filtration import FilteredPair
 from mixbar.verify import random_explicit_instance
 from conftest import SIX_CELL
-from helpers import boundaries, format_explicit_pair, reference_error, restrict_to_L
+from helpers import (
+    boundaries,
+    format_explicit_pair,
+    reference_error,
+    reference_parse_explicit_pair,
+    restrict_to_L,
+)
 
 
 def test_parse_six_cell(six_cell_pair):
@@ -287,3 +296,129 @@ def test_rows_out_of_order_give_the_per_cell_message():
         assert got == want
         rejected += want is not None
     assert rejected > 3000
+
+
+# Tokens that a corrupted explicit file may hold in place of any field: the
+# integer syntax of int() (signs, underscores, leading zeros, 19 digits and
+# more, non-ASCII digits), the float syntax of float() (exponents, `inf`,
+# `nan`, overflow to inf, subnormals), members, and tokens neither reads.
+ODD_TOKENS = [
+    "x", "+5", "-0", "-3", "0_1", "1__0", "_1", "007", "1.5", "1e999", "-1e999", "1e-400",
+    "4.9e-324", "+.5e-3", "1_000.5", "inf", "-Infinity", "nan", "NaN", "1e", ".", "--1", "0x10",
+    "L", "K", "M", "l", "LL", "1234567890123456789", "99999999999999999999",
+    "-99999999999999999999", "9223372036854775808", "\u0661", "1\xe9", "5\x00", "\x00",
+]
+SEPARATORS = [" ", "\t", "\x1f", " \t", "  "]
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@st.composite
+def explicit_texts(draw):
+    """An explicit file written from a random valid pair, then corrupted:
+    odd tokens, short rows, duplicate and swapped rows, shuffled faces,
+    comments and blank lines, with random separators and line breaks."""
+    fp = random_explicit_instance(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    steps = np.cumsum(draw(st.lists(st.floats(0, 10), min_size=fp.n, max_size=fp.n)))
+    rows = [
+        [str(cid), str(dim), repr(value), "L" if in_l else "K", *map(str, faces)]
+        for cid, (dim, value, in_l, faces) in enumerate(
+            zip(fp.dim.tolist(), steps.tolist(), fp.in_l.tolist(), boundaries(fp)), start=1
+        )
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["token", "short", "twin", "swap", "shuffle", "comment", "blank"]))
+        if kind in ("token", "short") and not rows[i]:
+            continue
+        if kind == "token":
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+        elif kind == "short":
+            del rows[i][draw(st.integers(0, len(rows[i]) - 1)) :]
+        elif kind == "twin":
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+        elif kind == "swap":
+            j = draw(st.integers(0, len(rows) - 1))
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "shuffle":
+            rows[i][4:] = draw(st.permutations(rows[i][4:]))
+        elif kind == "comment":
+            rows[i].insert(draw(st.integers(0, len(rows[i]))), draw(st.sampled_from(["#", "# a b", "#1"])))
+        else:
+            rows.insert(i, draw(st.sampled_from([[], [""], ["#", "x"]])))
+    sep = draw(st.sampled_from(SEPARATORS))
+    lines = [
+        draw(st.sampled_from(["", sep])) + sep.join(row) + draw(st.sampled_from(["", sep]))
+        for row in rows
+    ]
+    return "".join(line + draw(st.sampled_from(BREAKS)) for line in lines)
+
+
+def parse_outcome(parse, text):
+    """The arrays of the pair parse reads from text, values as bits, or its
+    InputError's message."""
+    try:
+        fp = parse(text)
+    except InputError as exc:
+        return str(exc)
+    return [a.tolist() for a in (fp.dim, fp.value.view(np.int64), fp.in_l, fp.indptr, fp.indices)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(explicit_texts(), st.sampled_from([1, 64, 256, 4096, cloud.BLOCK_BYTES]), st.booleans())
+def test_reader_matches_the_per_line_reference(text, block, final_break):
+    """The byte-level reader, in runs of one character to whole files (a run
+    is at most BLOCK_BYTES / 32 characters), gives the arrays or the message
+    of the per-line reader on every file whose whitespace is ASCII."""
+    text = text if final_break else text.rstrip("".join(BREAKS))
+    with mock.patch.object(cloud, "BLOCK_BYTES", block):
+        got = parse_outcome(parse_explicit_pair, text)
+    assert got == parse_outcome(reference_parse_explicit_pair, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 0 0.0 L\r\n2 0 0.5 K\r\n3 1 1.0 K 2 1\r\n",
+        "1 0 0.0 L\r2 0 0.5 K\r\r3 1 1.0 K 1 2",
+        "1 0 0.0 L\x0b2 0 0.5 K\x0c3 1 1.0 K 1 2\x1c4 0 2 L\x1d\x1e",
+        "\t1\t0\t0.0\tL\t\n2\x1f0\x1f0.5\x1fK\n",
+        "+1 -0 +0.0 L\n0_2 0 1_0.5 L\n0003 1 1e1 L 0_1 +2\n",
+        "1 0 0.0 L\n2 0 1e999 L\n",
+        "1 0 0.0 L\n1234567890123456789 0 1.0 L\n",
+        "1 0 0.0 L\n99999999999999999999 0 1.0 L\n",
+        "1 0 0.0 L\n2 99999999999999999999 1.0 L\n3 1 2.0 L 1 99999999999999999999\n",
+        "1 0 0.0 L\n2 0 0.5 L\n3 1 1.0 L 1 2\n2 0 0.0 K\n",
+        "3 1 1.0 L 2 1\n1 0 0.0 L # a comment\n\n   \n# 9 9 9 9\n2 0 0.5 L#x\n",
+        "1 0 0.0 L\n2 0 0.5 L 1 x\n2 0 0.5 L\n",
+        "1 0 0.0 L\n2 0 0.5 L\n3 0 zero L\n2 0 0.5 L\n",
+        "1 0 0.0 L\n2 0\n",
+        "1 0 0.0 Lx\n",
+        "1 0 0.0 L\n2 0 0.5 \u0661\n",
+        "\u0661 0 0.0 L\n",
+        "1 0 0.0\x00 L\n",
+        "1 0 5 L\n2 0 5\x00 L\n",
+        "1 0 0.5 L\n2 0 0.5 L\n3 0 0.50 L\n4 0 0.50 L\n5 0 x L\n",
+        "1 0 0.10000000000000000000000000000001 L\n2 0 0.10000000000000000000000000000002 L\n"
+        "3 0 0.10000000000000000000000000000002 L\n4 0 0.1000000000000000000000000000000x L\n",
+    ],
+)
+def test_reader_matches_the_reference_on(text):
+    for block in (1, 64, 512, cloud.BLOCK_BYTES):
+        with mock.patch.object(cloud, "BLOCK_BYTES", block):
+            got = parse_outcome(parse_explicit_pair, text)
+        assert got == parse_outcome(reference_parse_explicit_pair, text), block
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # U+00A0 no longer separates fields, U+2028, U+2029 and U+0085 no longer end lines
+        ("1\xa00 0.0 L\n", "line 1: expected `id dim value member [boundary...]`"),
+        ("1 0 0.0 L\u20282 0 0.0 L\n", "line 1: member must be L or K, got 'L\\u20282'"),
+        ("1 0 0.0 L\n2 0 0.0 K\u2029", "line 2: member must be L or K, got 'K\\u2029'"),
+        ("1 0 0.0 L\x852 0 0.0 L\n", "line 1: member must be L or K, got 'L\\x852'"),
+    ],
+)
+def test_non_ascii_whitespace_is_part_of_a_field(text, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        parse_explicit_pair(text)

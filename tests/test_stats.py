@@ -471,7 +471,7 @@ def test_each_distance_block_is_dropped_before_the_next(loop, monkeypatch):
     x = PointCloud(np.random.default_rng(0).normal(size=(1000, 3)))
     first, second = np.arange(900), np.arange(100, 1000)
     monkeypatch.setattr(stats, "k_medoids_indices", lambda dist, k: [0])
-    monkeypatch.setattr(stats, "interaction_barcode", lambda dist, n_a, degrees, config: None)
+    monkeypatch.setattr(stats, "interaction_barcode", lambda dist, n_a, degrees, config, held: None)
     tracemalloc.start()
     try:
         if loop == "_subsampled":
