@@ -129,27 +129,26 @@ def distance_blocks(
     metric: str,
     index_sets: Sequence[np.ndarray],
     held: Sequence[int] | None = None,
-) -> Iterator[np.ndarray]:
-    """The matrix of pairwise_distances among points[s], for each s in turn.
+) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """The matrix of pairwise_distances among points[s], for each s in turn,
+    with a list that holds the whole matrix it was sliced from, if any.
 
-    Each block is sliced from the whole matrix of all n points, computed
-    once, where slices_whole says so; otherwise each block is computed
-    from its own rows. Both give the same bits, since each entry depends
-    only on its own pair of rows. Blocks are computed as they are asked for.
+    held[i] is the entries in use while block i is, the block included (by
+    default the block alone). The whole matrix of all n points is computed
+    once and each block sliced from it when the blocks hold at least its n^2
+    entries and it fits the budget with the largest of held; otherwise each
+    block is computed from its own rows. A consumer that empties the list
+    frees the whole matrix, and the later blocks are computed from their own
+    rows. Both give the same bits, since each entry depends only on its own
+    pair of rows. Blocks are computed as they are asked for.
     """
-    whole = pairwise_distances(points, metric) if slices_whole(len(points), index_sets, held) else None
-    for s in index_sets:
-        yield pairwise_distances(points[s], metric) if whole is None else whole[np.ix_(s, s)]
-
-
-def slices_whole(n: int, index_sets: Sequence[np.ndarray], held: Sequence[int] | None = None) -> bool:
-    """Whether distance_blocks slices the blocks of index_sets from the
-    whole matrix of the n points: when they hold at least its n^2 entries
-    and it fits the budget with the largest of held. held[i] is the entries
-    in use while block i is, the block included (by default the block alone)."""
+    n = len(points)
     entries = [len(s) ** 2 for s in index_sets]
     held = entries if held is None else held
-    return sum(entries) >= n * n and within_budget(n * n + max(held, default=0))
+    fits = sum(entries) >= n * n and within_budget(n * n + max(held, default=0))
+    whole = [pairwise_distances(points, metric)] if fits else []
+    for s in index_sets:
+        yield (whole[0][np.ix_(s, s)] if whole else pairwise_distances(points[s], metric)), whole
 
 
 def within_budget(entries: int, cells: int = 0) -> bool:

@@ -187,19 +187,13 @@ def _integers(b: np.ndarray, stop: np.ndarray, width: np.ndarray):
 
 def _floats(padded: bytes, b: np.ndarray, start: np.ndarray, width: np.ndarray):
     """float() of each token b[start:start + width], and where it refuses
-    one. A token equal to the one before it takes its reading: values never
-    decrease along the filtration, so equal ones come in runs (a Rips file
-    of 423,255 cells holds 29,359). Tokens of at most _PAD digits, signs, `.` and `e` are cast
-    at once, as a fixed-width bytes array: the cast reads them as float()
+    one. Tokens of at most _PAD digits, signs, `.` and `e` are cast at
+    once, as a fixed-width bytes array: the cast reads them as float()
     does, to the bit. Any other token goes to float() itself."""
     w = int(min(width.max(initial=1), _PAD))
     text = np.ndarray((len(b) - w + 1, w), np.uint8, padded, 0, (1, 1))[start]  # each token's first w bytes
     text *= np.arange(w) < width[:, None]  # the padding of a fixed-width bytes array
-    new = np.ones(len(start), dtype=bool)
-    new[1:] = (text[1:] != text[:-1]).any(axis=1) | (width[1:] != width[:-1]) | (width[1:] > _PAD)
-    first = np.flatnonzero(new)
-    text, start, width = text[first], start[first], width[first]
-    value, bad, fast = np.zeros(len(first)), np.zeros(len(first), dtype=bool), width <= _PAD
+    value, bad, fast = np.zeros(len(start)), np.zeros(len(start), dtype=bool), width <= _PAD
     if padded.translate(None, _PLAIN):  # some token may hold a byte the cast must not read
         fast &= (_NUMBER.take(text) | (np.arange(w) >= width[:, None])).all(axis=1)
     slow = np.flatnonzero(~fast)
@@ -207,14 +201,13 @@ def _floats(padded: bytes, b: np.ndarray, start: np.ndarray, width: np.ndarray):
         with np.errstate(over="ignore"):  # 1e999 is inf, as float() reads it
             value[fast] = text[fast].view(f"S{w}")[:, 0].astype(np.float64)
     except ValueError:  # a token that is no number: float() tells which
-        slow = np.arange(len(first))
+        slow = np.arange(len(start))
     for i in slow.tolist():
         try:
             value[i] = float(padded[start[i] : start[i] + width[i]].decode("utf-8", "surrogatepass"))
         except ValueError:
             bad[i] = True
-    at = np.cumsum(new) - 1
-    return value[at], bad[at]
+    return value, bad
 
 
 def _line_error(lineno: int, words: list[str]) -> InputError:

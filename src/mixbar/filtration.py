@@ -30,9 +30,7 @@ of at most 18 ASCII digits are read from their digits, values of digits,
 signs, `.` and `e` by one cast of a fixed-width bytes array to float64,
 which gives float()'s bits, and members from their one byte; any other
 token (a signed integer, `_`, `inf`, a long or a non-ASCII token) goes to
-Python's own int() or float(). A value token equal to the one before it
-is not cast again: values never decrease along the filtration, so equal
-values come in runs. So an ASCII file reads as if split into lines by
+Python's own int() or float(). So an ASCII file reads as if split into lines by
 str.splitlines() and into fields by str.split(). The first line that
 cannot be read stops the reading, and its message follows the rules of
 one line at a time, unless an earlier line repeats an id. The faces of
@@ -47,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cloud
 from .errors import InputError
 
 MEMBER_L = "L"
@@ -172,26 +171,35 @@ class FilteredPair:
         negative = dim < 0
         infinite = ~np.isfinite(value)
         falling = np.append(False, value[1:] < value[:-1])
-        owner = np.repeat(np.arange(n), count)
-        rules = self._face_rules(owner, idx)
-        bad_face = np.bincount(owner[rules.any(axis=0)], minlength=n) > 0
         wide_edge = (dim == 1) & (count > 2)
-        # boundary of the boundary: each face-of-face id an even number of times
-        up = ~rules[1] & (dim[owner] >= 2)
-        del rules  # before the faces of faces, where the peak is
-        owner, faces = owner[up], idx[up]
-        ff, bounds = self.faces_of(faces)
-        fcount = np.diff(bounds)
-        # a face with an id out of range is an earlier offending cell itself
-        kept = (ff >= 1) & (ff < np.repeat(faces, fcount))
-        key = np.sort(np.repeat(owner, fcount)[kept] * (n + 1) + ff[kept])
-        # sorted keys pair off with their right neighbours while each occurs an
-        # even number of times: the first that does not, or a last key left
-        # over, is the least key that occurs an odd number of times
-        odd = np.append(key[:-1:2] != key[1::2], len(key) % 2 == 1)
-        open_cycle = np.zeros(n, dtype=bool)
-        if odd.any():
-            open_cycle[key[2 * odd.argmax()] // (n + 1)] = True
+        bad_face, open_cycle, key = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool), None
+        # the face rules, one part of whole rows of about BLOCK_BYTES / 32
+        # boundary entries at a time, so that their work arrays stay small
+        at = np.arange(0, len(idx), max(1, cloud.BLOCK_BYTES // 32))
+        cuts = np.searchsorted(self.indptr, at).tolist() + [n]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            owner = np.repeat(np.arange(lo, hi), count[lo:hi])
+            row = idx[self.indptr[lo] : self.indptr[hi]]
+            rules = self._face_rules(owner, row)
+            bad_face[owner[rules.any(axis=0)]] = True
+            if key is not None:
+                continue
+            # boundary of the boundary: each face-of-face id an even number of times
+            up = ~rules[1] & (dim[owner] >= 2)
+            del rules  # before the faces of faces, where the peak is
+            owner, faces = owner[up], row[up]
+            ff, bounds = self.faces_of(faces)
+            fcount = np.diff(bounds)
+            # a face with an id out of range is an earlier offending cell itself
+            kept = (ff >= 1) & (ff < np.repeat(faces, fcount))
+            part = np.sort(np.repeat(owner, fcount)[kept] * (n + 1) + ff[kept])
+            # sorted keys pair off with their right neighbours while each occurs an
+            # even number of times: the first that does not, or a last key left
+            # over, is the least key that occurs an odd number of times
+            odd = np.append(part[:-1:2] != part[1::2], len(part) % 2 == 1)
+            if odd.any():
+                key = part
+                open_cycle[key[2 * odd.argmax()] // (n + 1)] = True
         bad = misnumbered | negative | infinite | falling | bad_face | wide_edge | open_cycle
         if not bad.any():
             return

@@ -84,16 +84,18 @@ def rips_pair_from_distances(
     n_a: int,
     r_max: float,
     k_max: int,
-    held: int = 0,
+    held: list[np.ndarray] | None = None,
 ) -> FilteredPair:
     """Rips pair over an explicit dissimilarity matrix.
 
     Rows 0..n_a-1 are the A-points (the subcomplex L), the rest are B.
     The matrix and the parameters are checked; the pair built from them is
     not, as it meets validate()'s rules by construction (module docstring).
-    `held` is the entries of other dense matrices in use while the build
-    runs, such as the whole matrix dist was sliced from; the build is
-    charged them beside its own.
+    `held` lists other dense matrices in use while the build runs, such as
+    the whole matrix dist was sliced from. The build is charged them beside
+    its own matrix and cells while they fit, and empties the list once they
+    do not, so that its owner frees them; only a build that is over the
+    budget alone is refused.
     """
     dist = np.asarray(dist, dtype=float)
     check_distance_matrix(dist)
@@ -142,7 +144,7 @@ class _Layer(NamedTuple):
     faces: np.ndarray
 
 
-def _expand(dist: np.ndarray, r_max: float, max_dim: int, held: int = 0) -> list[_Layer]:
+def _expand(dist: np.ndarray, r_max: float, max_dim: int, held: list | None = None) -> list[_Layer]:
     """All cliques of the r_max-neighborhood graph up to dimension max_dim.
 
     The edges are the pairs i < j of the mask `later`. Each higher layer
@@ -163,9 +165,10 @@ def _expand(dist: np.ndarray, r_max: float, max_dim: int, held: int = 0) -> list
     the two siblings themselves.
 
     The cells are counted as they are found, the edges before they are
-    listed and each run's cofaces before a layer is assembled; once they,
-    the n x n matrix and the held entries are over cloud.within_budget, the
-    build stops with an InputError.
+    listed and each run's cofaces before a layer is assembled; once they and
+    the n x n matrix are over cloud.within_budget, the build stops with an
+    InputError. The matrices of `held` are charged beside them until they
+    take the count over, and then dropped from the list.
     """
     n = dist.shape[0]
     verts = np.arange(n)
@@ -213,13 +216,14 @@ def _expand(dist: np.ndarray, r_max: float, max_dim: int, held: int = 0) -> list
     return layers
 
 
-def _counted(n: int, cells: int, held: int) -> int:
-    """The running cell count of a build over n points, within the budget
-    beside `held` entries of other matrices."""
-    if not cloud.within_budget(n * n + held, cells):
-        beside = f", beside a distance matrix of {held:,} entries held while it runs," if held else ""
+def _counted(n: int, cells: int, held: list | None) -> int:
+    """The running cell count of a build over n points, within the budget;
+    held is emptied once its matrices would take the count over."""
+    if held and not cloud.within_budget(n * n + sum(m.size for m in held), cells):
+        held.clear()
+    if not cloud.within_budget(n * n, cells):
         raise InputError(
-            f"the Rips build of {n:,} points and {cells:,} cells counted so far{beside} is over the budget "
-            f"of {cloud.MAX_MATRIX_BYTES:,} bytes (mixbar.cloud.MAX_MATRIX_BYTES); lower --rmax or --kmax"
+            f"the Rips build of {n:,} points and {cells:,} cells counted so far is over the budget of "
+            f"{cloud.MAX_MATRIX_BYTES:,} bytes (mixbar.cloud.MAX_MATRIX_BYTES); lower --rmax or --kmax"
         )
     return cells

@@ -23,7 +23,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .cloud import LabeledPointCloud, PointCloud, distance_blocks, slices_whole
+from .cloud import LabeledPointCloud, PointCloud, distance_blocks
 from .errors import InputError
 from .filtration import FilteredPair
 from .reduction import INF, mixup_barcode_indices
@@ -142,11 +142,16 @@ class StatsConfig:
 
 
 def interaction_barcode(
-    dist: np.ndarray, n_a: int, degrees: list[int], config: StatsConfig, held: int = 0
+    dist: np.ndarray,
+    n_a: int,
+    degrees: list[int],
+    config: StatsConfig,
+    held: list[np.ndarray] | None = None,
 ) -> dict[int, MixupBarcode]:
     """Mixup barcode of the first n_a points of dist into all of its points,
     per degree, all from one Rips pair up to dimension max(degrees) + 1,
-    whose build is charged `held` entries of other matrices beside dist.
+    whose build is charged the matrices of `held` beside dist while they
+    fit (mixbar.rips.rips_pair_from_distances).
 
     The degree-k pairing reads only k- and (k+1)-cells, and the higher cells
     leave their relative order, and so every value, unchanged; only the ids
@@ -188,7 +193,7 @@ def _subsampled(
     )
     for i in todo:
         idx, sizes = requests[i]
-        sub = next(blocks)
+        sub, _ = next(blocks)
         picked[i] = [idx[np.asarray(k_medoids_indices(sub, k), dtype=int)] for k in sizes.values()]
         del sub
     return picked
@@ -202,11 +207,12 @@ def _interactions(
 ) -> Iterator[dict[int, MixupBarcode]]:
     """The interaction barcodes of each (A indices, B indices) of the cloud,
     each build charged the whole matrix its block is sliced from, if any."""
-    sets = [np.concatenate(pair) for pair in pairs]
-    whole = cloud.n_points**2 if slices_whole(cloud.n_points, sets) else 0
-    blocks = distance_blocks(cloud.points, cloud.metric, sets)
+    blocks = distance_blocks(cloud.points, cloud.metric, [np.concatenate(pair) for pair in pairs])
     for a, _ in pairs:
-        yield interaction_barcode(next(blocks), len(a), degrees, config, whole)
+        block, whole = next(blocks)
+        barcodes = interaction_barcode(block, len(a), degrees, config, whole)
+        del block  # before the next block is formed
+        yield barcodes
 
 
 def pairwise_matrix(

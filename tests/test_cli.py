@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -962,28 +963,42 @@ def test_profile_forms_no_matrix_over_the_kmedoids_budget(tmp_path, monkeypatch,
         assert sizes and max(sizes) == largest, budget
 
 
-def test_pairwise_build_is_charged_the_whole_matrix_it_is_sliced_from(labeled_file, monkeypatch, capsys):
+def test_pairwise_build_drops_the_whole_matrix_it_does_not_fit_beside(labeled_file, monkeypatch, capsys):
     """Two classes of three points: the two class-pair blocks of six points
     hold more entries than the whole 6 x 6 matrix, so both are sliced from
-    it, and it is held while each block's Rips build runs. A budget that
-    the build of 41 cells fits with its own matrix alone is one matrix
-    short beside the whole one, and the build exits 2."""
+    it, and each block's Rips build of 41 cells is charged it beside its own
+    matrix. At a budget that the build fits only alone, the first build
+    drops the whole matrix, which is freed before the second block is
+    computed from its own rows, and the output is unchanged. One byte less,
+    the build is over the budget alone, and the command exits 2."""
     from mixbar import cloud
 
     args = ["pairwise", "--a", labeled_file, "--rmax", "12", "--degrees", "1",
             "--subsample-a", "3", "--subsample-b", "3"]
+    code, want, _ = run(args, capsys)
+    assert code == 0 and want
     budget = cloud._charge(6 * 6, 6 + 15 + 20)
-    monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", budget)
-    code, out, err = run(args, capsys)
-    assert (code, out) == (2, "")
-    assert err == (
-        "error: the Rips build of 6 points and 41 cells counted so far, beside a distance matrix "
-        "of 36 entries held while it runs, is over the budget of 39,274 bytes "
-        "(mixbar.cloud.MAX_MATRIX_BYTES); lower --rmax or --kmax\n"
+    real = cloud.pairwise_distances
+    for extra, calls in ((9 * 6 * 6, 1), (0, 2)):
+        computed = []
+
+        def distances(p, m):
+            assert all(ref() is None for ref in computed), "a matrix is still held"
+            out = real(p, m)
+            computed.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(cloud, "pairwise_distances", distances)
+        monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", budget + extra)
+        assert run(args, capsys) == (0, want, "")
+        assert len(computed) == calls
+    monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", budget - 1)
+    assert run(args, capsys) == (
+        2,
+        "",
+        "error: the Rips build of 6 points and 41 cells counted so far is over the budget of "
+        "39,273 bytes (mixbar.cloud.MAX_MATRIX_BYTES); lower --rmax or --kmax\n",
     )
-    monkeypatch.setattr(cloud, "MAX_MATRIX_BYTES", budget + 9 * 6 * 6)
-    code, out, err = run(args, capsys)
-    assert (code, err) == (0, "") and out
 
 
 def test_labels_beyond_2_53_stay_distinct_and_exact(tmp_path, capsys):

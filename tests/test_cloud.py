@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -215,7 +216,7 @@ def test_distances_of_a_subset_are_the_block_of_the_whole(case, metric, one_row)
     pts, sets = case
     with mock.patch.object(cloud, "BLOCK_BYTES", 1 if one_row else cloud.BLOCK_BYTES):
         whole = pairwise_distances(pts, metric)
-        got = list(distance_blocks(pts, metric, sets))
+        got = [block for block, _ in distance_blocks(pts, metric, sets)]
         assert len(got) == len(sets)
         for s, block in zip(sets, got):
             want = whole[np.ix_(s, s)]
@@ -244,6 +245,33 @@ def test_distance_blocks_computes_the_cheaper_side():
             assert rows == [7, 7, 10, 8, 6, 8, 6]
             list(distance_blocks(pts, "euclidean", [np.arange(8), np.arange(2, 8)], [64, 36]))
         assert rows == [7, 7, 10, 8, 6, 8, 6, 10]
+
+
+def test_distance_blocks_after_the_whole_matrix_is_dropped():
+    """Each block comes with the list that holds the whole matrix; once a
+    consumer empties it, the matrix is freed and the later blocks are
+    computed from their own rows, with the same bits."""
+    rows, alive = [], []
+    real = cloud.pairwise_distances
+    pts = np.random.default_rng(2).random((10, 2))
+    sets = [np.arange(8), np.arange(2, 8), np.arange(1, 9)]
+
+    def distances(p, m):
+        rows.append(len(p))
+        out = real(p, m)
+        alive.append(weakref.ref(out))
+        return out
+
+    with mock.patch.object(cloud, "pairwise_distances", distances):
+        blocks = distance_blocks(pts, "euclidean", sets)
+        block, whole = next(blocks)
+        assert rows == [10] and len(whole) == 1 and np.array_equal(block, real(pts[sets[0]], "euclidean"))
+        whole.clear()
+        assert alive[0]() is None
+        got = [(block, list(held)) for block, held in blocks]
+    assert rows == [10, 6, 8]
+    for s, (block, held) in zip(sets[1:], got):
+        assert held == [] and np.array_equal(block, real(pts[s], "euclidean"))
 
 
 def test_distance_matrix_over_the_byte_budget_is_refused_before_allocation(monkeypatch):

@@ -232,6 +232,16 @@ def test_validate_agrees_with_the_per_cell_rules():
     assert rejected > 1000
 
 
+@pytest.mark.parametrize("block", [32, 320])
+def test_validate_in_parts_agrees_with_the_per_cell_rules(block):
+    """validate() checks the face rules over parts of whole rows of about
+    BLOCK_BYTES / 32 boundary entries: parts of one and ten entries give
+    the per-cell messages too."""
+    with mock.patch.object(cloud, "BLOCK_BYTES", block):
+        test_validate_agrees_with_the_per_cell_rules()
+        test_rows_out_of_order_give_the_per_cell_message()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_rejects_non_finite_values(value):
     with pytest.raises(InputError, match=f"cell 2: value {value} is not finite"):

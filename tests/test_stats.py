@@ -407,11 +407,11 @@ def test_pairwise_matrix_degree1_blocks_stay_below_class_and_pair_sizes(monkeypa
 
 def whole_matrix_blocks(points, metric, index_sets, held=None):
     whole = pairwise_distances(points, metric)
-    return (whole[np.ix_(s, s)] for s in index_sets)
+    return ((whole[np.ix_(s, s)], [whole]) for s in index_sets)
 
 
 def per_set_blocks(points, metric, index_sets, held=None):
-    return (pairwise_distances(points[s], metric) for s in index_sets)
+    return ((pairwise_distances(points[s], metric), []) for s in index_sets)
 
 
 def drifting_series(seed):
